@@ -23,7 +23,7 @@
 //! `BF_BATCH_FRONTIER_OUT`). Request count is `BF_FRONTIER_REQUESTS`
 //! (default 400).
 
-use bf_bench::{run_bin, ServingStack};
+use bf_bench::{quantile, run_bin, ServingStack};
 use bf_fault::FaultPlan;
 use bf_obs::Json;
 use bf_serve::{open_loop_arrivals, Outcome, Resolved, ServeConfig};
@@ -44,15 +44,6 @@ const DEADLINES: [u64; 4] = [150, 300, 600, 1000];
 /// Adjacent cells may differ by a request or two on knife-edge budgets;
 /// the monotonicity gate allows this much answered-fraction slack.
 const MONOTONE_SLACK: f64 = 0.02;
-
-/// Latency quantile over answered requests, in virtual units.
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
 
 /// One sweep cell's aggregates.
 struct Cell {

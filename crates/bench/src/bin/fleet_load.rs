@@ -28,7 +28,7 @@
 //! volume — plus a per-shard breakdown. Request count is
 //! `BF_FLEET_REQUESTS` (default 600; CI smoke uses less).
 
-use bf_bench::{run_bin, LoadConfig};
+use bf_bench::{quantile, run_bin, LoadConfig};
 use bf_core::{AttackKind, CollectionConfig};
 use bf_fault::{FaultPlan, ShardKillPlan};
 use bf_ml::{CentroidClassifier, Classifier};
@@ -39,15 +39,6 @@ use bf_timer::BrowserKind;
 use bf_victim::Catalog;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// Latency quantile over answered requests, in virtual units.
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
 
 struct ShardStats {
     answered: u64,

@@ -28,7 +28,7 @@
 //! per thread count. Request count is `BF_SERVE_REQUESTS` (default
 //! 1000; CI smoke uses a smaller stream).
 
-use bf_bench::{run_bin, ServingStack};
+use bf_bench::{quantile, run_bin, ServingStack};
 use bf_fault::FaultPlan;
 use bf_obs::Json;
 use bf_serve::{open_loop_arrivals, Outcome, Resolved, ServeConfig, Service};
@@ -50,15 +50,6 @@ const TIER_LABELS: [&str; 6] = [
     "distilled",
     "centroid",
 ];
-
-/// Latency quantile over answered requests, in virtual units.
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
 
 struct RunStats {
     threads: usize,

@@ -56,38 +56,19 @@ pub fn artifact_path(env_key: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_owned())
 }
 
+/// Nearest-rank quantile `q` of an ascending slice (0 when empty): the
+/// latency quantile the serving bins report, in virtual units.
+pub fn quantile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx]
+}
+
 /// Print a standard header for a regeneration binary.
 pub fn banner(what: &str, scale: ExperimentScale) {
     println!("=== bigger-fish reproduction: {what} (scale: {scale}) ===\n");
-}
-
-/// Run an experiment under a [`bf_obs::ManifestBuilder`]: phases recorded
-/// by `f` are timed, and on completion the run manifest (config, seed,
-/// scale, per-phase timings, metric deltas, span stats) is written to
-/// `$BF_MANIFEST_DIR` (default `manifests/`).
-pub fn with_manifest<R>(
-    name: &str,
-    scale: ExperimentScale,
-    seed: u64,
-    f: impl FnOnce(&mut bf_obs::ManifestBuilder) -> R,
-) -> R {
-    let mut builder = bf_obs::ManifestBuilder::new(name, &scale.to_string(), seed);
-    builder.config("scale", scale);
-    builder.config("seed", seed);
-    record_thread_pool(&mut builder);
-    let out = f(&mut builder);
-    let manifest = builder.finish();
-    let dest = match manifest.write() {
-        Ok(path) => format!(" -> {}", path.display()),
-        Err(e) => format!(" (write failed: {e})"),
-    };
-    println!(
-        "\nrun manifest: {} phase(s), {} metric(s), {:.1} s total{dest}",
-        manifest.phases.len(),
-        manifest.metrics.len(),
-        manifest.total_seconds,
-    );
-    out
 }
 
 /// Full entry point for a regeneration binary: reads scale/seed from the

@@ -7,7 +7,7 @@ use bf_defense::Countermeasure;
 use bf_fault::validate::clamp_values;
 use bf_fault::{
     BackoffPolicy, CancelToken, DeadlineExceeded, FaultPlan, RepairAction, RepairPolicy,
-    ResumeConfig, TraceValidator,
+    ResumeConfig, TraceValidator, Violation,
 };
 use bf_ml::{
     cross_validate_oof_resumable, cross_validate_resumable, CentroidClassifier, Classifier,
@@ -55,21 +55,13 @@ fn trace_attempt(ts: u64, dur: u64, attempt: u32, outcome: &'static str) {
     span.finish(ts + dur);
 }
 
-/// Leaf span for one seeded backoff wait on the deadline path.
-fn trace_backoff(ts: u64, dur: u64, wait_no: u32) {
-    let mut span = bf_obs::trace::span_at("backoff", ts);
-    span.arg_u64("wait", u64::from(wait_no));
-    span.finish(ts + dur);
-}
-
-/// Stable label for a validation violation, used in span args.
-fn violation_label(v: &bf_fault::Violation) -> &'static str {
-    match v {
-        bf_fault::Violation::NonFinite { .. } => "non_finite",
-        bf_fault::Violation::WrongLength { .. } => "wrong_length",
-        bf_fault::Violation::OutOfRange { .. } => "out_of_range",
-        bf_fault::Violation::Empty => "empty",
-    }
+/// Count a validation violation as `fault.violations.<label>` and return
+/// the label for the attempt span: the one place a [`Violation`] maps to
+/// both.
+fn record_violation(v: &Violation) -> &'static str {
+    let label = v.label();
+    bf_obs::counter(&format!("fault.violations.{label}")).inc();
+    label
 }
 
 /// Everything needed to collect one dataset of traces.
@@ -206,24 +198,102 @@ impl CollectionConfig {
     /// (fresh attempt seed each time), and a trace that exhausts its
     /// retry budget is quarantined (`None`). All outcomes land in the
     /// `fault.*` counters so run manifests record them.
+    ///
+    /// This is the degenerate case of
+    /// [`CollectionConfig::collect_trace_deadline`]: a budget that never
+    /// runs out, one unit per attempt, and immediate retries. One
+    /// "collect_trace" span wraps the repair loop; each attempt (and any
+    /// fault mark emitted inside it) is a child leaf one virtual unit
+    /// wide, so retries read left-to-right in the exported timeline.
     pub fn collect_trace_resilient(&self, site: &WebsiteProfile, run_seed: u64) -> Option<Trace> {
-        let validator = TraceValidator::with_expected_len(self.expected_trace_len());
-        let policy = RepairPolicy::default();
-        // One "collect_trace" span wraps the whole repair loop; each
-        // attempt (and any fault mark emitted inside it) is a child leaf
-        // one virtual unit wide, so retries read left-to-right in the
-        // exported timeline.
+        let token = CancelToken::unlimited();
         let t0 = bf_obs::trace::virtual_offset();
         let mut span = bf_obs::trace::span_at("collect_trace", t0);
+        let (trace, result) = self
+            .repair_loop(site, run_seed, &token, None, 1)
+            .expect("an unlimited budget never runs out");
+        // One unit per attempt: the budget used is the attempt count.
+        span.arg_u64("attempts", token.used()).arg_str("result", result);
+        span.finish(t0 + token.used());
+        trace
+    }
+
+    /// [`CollectionConfig::collect_trace_resilient`] under a cooperative
+    /// deadline: the online-serving collection path. Trace values do not
+    /// depend on the budget — attempt seeds are derived identically, so
+    /// a trace that survives both paths is byte-identical — but:
+    ///
+    /// * every collection attempt charges `attempt_units` against
+    ///   `token` **before** running, so an exhausted budget cancels at
+    ///   the checkpoint instead of burning a full simulation;
+    /// * transient faults and structural re-collections first wait out a
+    ///   deterministic seeded exponential backoff (`backoff`, charged in
+    ///   virtual units against the same token, counted in
+    ///   `serve.backoff_waits` and drawn as `backoff` leaves);
+    /// * `Err(DeadlineExceeded)` reports cancellation distinctly from
+    ///   quarantine (`Ok(None)`), so the caller can resolve the request
+    ///   as an explicit timeout rather than a failure;
+    /// * no span wraps the loop: the serve worker's "collect" span
+    ///   already brackets this call.
+    pub fn collect_trace_deadline(
+        &self,
+        site: &WebsiteProfile,
+        run_seed: u64,
+        token: &CancelToken,
+        backoff: &BackoffPolicy,
+        attempt_units: u64,
+    ) -> Result<Option<Trace>, DeadlineExceeded> {
+        self.repair_loop(site, run_seed, token, Some(backoff), attempt_units)
+            .map(|(trace, _)| trace)
+    }
+
+    /// The one validate → clamp / re-collect / quarantine loop behind
+    /// both collection entry points. Each attempt charges
+    /// `attempt_units` against `token` before it runs; each transient
+    /// failure and each re-collection first waits out `backoff`'s seeded
+    /// delay on the same token, or retries at once when `backoff` is
+    /// `None`. Returns the trace (`None` when quarantined) with its
+    /// result label: "ok", "clamped" or "quarantined".
+    fn repair_loop(
+        &self,
+        site: &WebsiteProfile,
+        run_seed: u64,
+        token: &CancelToken,
+        backoff: Option<&BackoffPolicy>,
+        attempt_units: u64,
+    ) -> Result<(Option<Trace>, &'static str), DeadlineExceeded> {
+        let validator = TraceValidator::with_expected_len(self.expected_trace_len());
+        let policy = RepairPolicy::default();
+        // Attempts and backoff waits are leaves placed at
+        // `base + token.used()`, i.e. on the same virtual clock the
+        // budget runs on.
+        let base = bf_obs::trace::virtual_offset();
+        let mut waits = 0u32; // backoff waits so far (transient + structural)
+        let mut back_off = || -> Result<(), DeadlineExceeded> {
+            let Some(backoff) = backoff else { return Ok(()) };
+            let wait = backoff.delay_units(self.faults.seed, run_seed, waits);
+            waits += 1;
+            bf_obs::counter("serve.backoff_waits").inc();
+            bf_obs::debug!(
+                "trace {run_seed:016x}: backing off {wait} unit(s) before retry {waits}"
+            );
+            let wait_ts = base + token.used();
+            token.charge(wait)?;
+            let mut span = bf_obs::trace::span_at("backoff", wait_ts);
+            span.arg_u64("wait", u64::from(waits));
+            span.finish(wait_ts + wait);
+            Ok(())
+        };
         for _ in 0..self.faults.transient_failures(run_seed) {
             bf_obs::counter("fault.transient_failures").inc();
             bf_obs::debug!("transient collection failure for trace {run_seed:016x}; retrying");
+            back_off()?;
         }
         let mut recollects = 0u32;
-        let mut result_label = "ok";
-        let out = loop {
-            let attempt_ts = t0 + u64::from(recollects);
-            let _attempt_off = bf_obs::trace::offset_add(u64::from(recollects));
+        loop {
+            let attempt_ts = base + token.used();
+            token.charge(attempt_units)?;
+            let _attempt_off = bf_obs::trace::offset_add(attempt_ts - base);
             // Re-collections perturb the attempt seed so a faulted draw is
             // not simply replayed; attempt 0 uses `run_seed` itself, which
             // keeps the clean path byte-identical to pre-fault collection.
@@ -239,19 +309,13 @@ impl CollectionConfig {
             }
             let violation = match validator.validate(&values) {
                 Ok(()) => {
-                    trace_attempt(attempt_ts, 1, recollects, "ok");
-                    break Some(Trace::new(self.period, values));
+                    trace_attempt(attempt_ts, attempt_units, recollects, "ok");
+                    return Ok((Some(Trace::new(self.period, values)), "ok"));
                 }
                 Err(v) => v,
             };
-            trace_attempt(attempt_ts, 1, recollects, violation_label(&violation));
-            bf_obs::counter(match violation {
-                bf_fault::Violation::NonFinite { .. } => "fault.violations.non_finite",
-                bf_fault::Violation::WrongLength { .. } => "fault.violations.wrong_length",
-                bf_fault::Violation::OutOfRange { .. } => "fault.violations.out_of_range",
-                bf_fault::Violation::Empty => "fault.violations.empty",
-            })
-            .inc();
+            let label = record_violation(&violation);
+            trace_attempt(attempt_ts, attempt_units, recollects, label);
             match policy.action_for(&violation, recollects) {
                 RepairAction::Clamp => {
                     let repaired = clamp_values(&mut values, validator.max_abs);
@@ -259,8 +323,7 @@ impl CollectionConfig {
                     bf_obs::info!(
                         "trace {run_seed:016x}: {violation}; clamped {repaired} value(s)"
                     );
-                    result_label = "clamped";
-                    break Some(Trace::new(self.period, values));
+                    return Ok((Some(Trace::new(self.period, values)), "clamped"));
                 }
                 RepairAction::Recollect => {
                     recollects += 1;
@@ -270,6 +333,7 @@ impl CollectionConfig {
                          (attempt {recollects}/{})",
                         policy.max_recollects
                     );
+                    back_off()?;
                 }
                 RepairAction::Quarantine => {
                     bf_obs::counter("fault.quarantined").inc();
@@ -277,126 +341,7 @@ impl CollectionConfig {
                         "trace {run_seed:016x}: {violation}; quarantined after \
                          {recollects} re-collection(s)"
                     );
-                    result_label = "quarantined";
-                    break None;
-                }
-            }
-        };
-        span.arg_u64("attempts", u64::from(recollects) + 1)
-            .arg_str("result", result_label);
-        span.finish(t0 + u64::from(recollects) + 1);
-        out
-    }
-
-    /// [`CollectionConfig::collect_trace_resilient`] under a cooperative
-    /// deadline: the online-serving collection path.
-    ///
-    /// Differences from the batch path, none of which change trace
-    /// *values* (attempt seeds are derived identically, so a trace that
-    /// survives both paths is byte-identical):
-    ///
-    /// * every collection attempt charges `attempt_units` against
-    ///   `token` **before** running, so an exhausted budget cancels at
-    ///   the checkpoint instead of burning a full simulation;
-    /// * transient faults and structural re-collections wait out a
-    ///   deterministic seeded exponential backoff (`backoff`, charged in
-    ///   virtual units against the same token) instead of the batch
-    ///   path's immediate retry;
-    /// * `Err(DeadlineExceeded)` reports cancellation distinctly from
-    ///   quarantine (`Ok(None)`), so the caller can resolve the request
-    ///   as an explicit timeout rather than a failure.
-    pub fn collect_trace_deadline(
-        &self,
-        site: &WebsiteProfile,
-        run_seed: u64,
-        token: &CancelToken,
-        backoff: &BackoffPolicy,
-        attempt_units: u64,
-    ) -> Result<Option<Trace>, DeadlineExceeded> {
-        let validator = TraceValidator::with_expected_len(self.expected_trace_len());
-        let policy = RepairPolicy::default();
-        // No wrapping span here: the serve worker's "collect" span already
-        // brackets this call. Attempts and backoff waits are leaves placed
-        // at `base + token.used()`, i.e. on the same virtual clock the
-        // cancellation budget runs on.
-        let base = bf_obs::trace::virtual_offset();
-        let mut backoffs = 0u32; // attempts waited out so far (transient + structural)
-        for _ in 0..self.faults.transient_failures(run_seed) {
-            bf_obs::counter("fault.transient_failures").inc();
-            let wait = backoff.delay_units(self.faults.seed, run_seed, backoffs);
-            backoffs += 1;
-            bf_obs::counter("serve.backoff_waits").inc();
-            bf_obs::debug!(
-                "transient collection failure for trace {run_seed:016x}; \
-                 backing off {wait} unit(s) before retry {backoffs}"
-            );
-            let wait_ts = base + token.used();
-            token.charge(wait)?;
-            trace_backoff(wait_ts, wait, backoffs);
-        }
-        let mut recollects = 0u32;
-        loop {
-            let attempt_ts = base + token.used();
-            token.charge(attempt_units)?;
-            let _attempt_off = bf_obs::trace::offset_add(attempt_ts - base);
-            // Same attempt-seed derivation as the batch path: attempt 0
-            // is `run_seed` itself, re-collections perturb it.
-            let attempt_seed = if recollects == 0 {
-                run_seed
-            } else {
-                combine_seeds(run_seed, 0xF000 + u64::from(recollects))
-            };
-            let mut values = self.collect_trace(site, attempt_seed).into_values();
-            let attempt_id = combine_seeds(run_seed, u64::from(recollects));
-            if let Some(kind) = self.faults.fault_for(attempt_id) {
-                self.faults.apply(kind, &mut values, attempt_id);
-            }
-            let violation = match validator.validate(&values) {
-                Ok(()) => {
-                    trace_attempt(attempt_ts, attempt_units, recollects, "ok");
-                    return Ok(Some(Trace::new(self.period, values)));
-                }
-                Err(v) => v,
-            };
-            trace_attempt(attempt_ts, attempt_units, recollects, violation_label(&violation));
-            bf_obs::counter(match violation {
-                bf_fault::Violation::NonFinite { .. } => "fault.violations.non_finite",
-                bf_fault::Violation::WrongLength { .. } => "fault.violations.wrong_length",
-                bf_fault::Violation::OutOfRange { .. } => "fault.violations.out_of_range",
-                bf_fault::Violation::Empty => "fault.violations.empty",
-            })
-            .inc();
-            match policy.action_for(&violation, recollects) {
-                RepairAction::Clamp => {
-                    let repaired = clamp_values(&mut values, validator.max_abs);
-                    bf_obs::counter("fault.clamped").inc();
-                    bf_obs::info!(
-                        "trace {run_seed:016x}: {violation}; clamped {repaired} value(s)"
-                    );
-                    return Ok(Some(Trace::new(self.period, values)));
-                }
-                RepairAction::Recollect => {
-                    recollects += 1;
-                    bf_obs::counter("fault.retries").inc();
-                    let wait = backoff.delay_units(self.faults.seed, run_seed, backoffs);
-                    backoffs += 1;
-                    bf_obs::counter("serve.backoff_waits").inc();
-                    bf_obs::info!(
-                        "trace {run_seed:016x}: {violation}; backing off {wait} unit(s), \
-                         then re-collecting (attempt {recollects}/{})",
-                        policy.max_recollects
-                    );
-                    let wait_ts = base + token.used();
-                    token.charge(wait)?;
-                    trace_backoff(wait_ts, wait, backoffs);
-                }
-                RepairAction::Quarantine => {
-                    bf_obs::counter("fault.quarantined").inc();
-                    bf_obs::error!(
-                        "trace {run_seed:016x}: {violation}; quarantined after \
-                         {recollects} re-collection(s)"
-                    );
-                    return Ok(None);
+                    return Ok((None, "quarantined"));
                 }
             }
         }
@@ -427,6 +372,24 @@ impl CollectionConfig {
         } else {
             vec![0.0; down.len()]
         }
+    }
+
+    /// One dataset job: collect `site` for `run_seed` and featurize it
+    /// (`None` when quarantined). The trace gets its own deterministic
+    /// root (`run_seed` plus `root_index`), placed at job position `pos`
+    /// × 8 virtual units on the shared timeline so lanes do not overlap
+    /// in the exported view.
+    fn collect_job(
+        &self,
+        site: &WebsiteProfile,
+        run_seed: u64,
+        root_index: u64,
+        pos: usize,
+    ) -> Option<Vec<f32>> {
+        let tctx = (bf_obs::trace::enabled() && bf_obs::trace::sample_keep(run_seed))
+            .then(|| bf_obs::TraceCtx::root(run_seed, root_index));
+        let _trace = bf_obs::trace::adopt(tctx, (pos as u64) * 8);
+        self.collect_trace_resilient(site, run_seed).map(|trace| self.featurize(&trace))
     }
 
     /// Collect the closed-world dataset: `n_sites` sites ×
@@ -461,14 +424,7 @@ impl CollectionConfig {
             })
             .collect();
         let features = bf_par::par_map_indexed(&jobs, |i, &(label, run_seed)| {
-            // Each batch trace gets its own deterministic trace root (seed
-            // plus label), spaced 8 virtual units apart on the shared
-            // timeline so lanes do not overlap in the exported view.
-            let tctx = (bf_obs::trace::enabled() && bf_obs::trace::sample_keep(run_seed))
-                .then(|| bf_obs::TraceCtx::root(run_seed, label as u64));
-            let _trace = bf_obs::trace::adopt(tctx, (i as u64) * 8);
-            self.collect_trace_resilient(&sites[label], run_seed)
-                .map(|trace| self.featurize(&trace))
+            self.collect_job(&sites[label], run_seed, label as u64, i)
         });
         let mut dataset = Dataset::new(n_sites);
         for ((label, _), feat) in jobs.into_iter().zip(features) {
@@ -508,12 +464,7 @@ impl CollectionConfig {
             let mut tuning = self.tuning;
             tuning.intensity *= 0.5 + 1.5 * ((i % 17) as f64 / 16.0);
             let site = Catalog::open_world_site_with_tuning(i as u32, tuning);
-            let run_seed = combine_seeds(seed ^ 0x0BE, i as u64);
-            let tctx = (bf_obs::trace::enabled() && bf_obs::trace::sample_keep(run_seed))
-                .then(|| bf_obs::TraceCtx::root(run_seed, i as u64));
-            let _trace = bf_obs::trace::adopt(tctx, (idx as u64) * 8);
-            self.collect_trace_resilient(&site, run_seed)
-                .map(|trace| self.featurize(&trace))
+            self.collect_job(&site, combine_seeds(seed ^ 0x0BE, i as u64), i as u64, idx)
         });
         for f in extra.into_iter().flatten() {
             dataset.push(f, n_sites);
@@ -603,23 +554,15 @@ impl CollectionConfig {
         dataset: &Dataset,
         seed: u64,
     ) -> Resumable<CrossValResult> {
-        let _span = bf_obs::span!("cross_validate");
-        let opts = self.resume_options(dataset, seed, "cv");
-        let r = cross_validate_resumable(
-            dataset,
-            self.scale.folds(),
-            seed,
-            || self.classifier_for(dataset, seed),
-            &opts,
-        );
-        if r.interrupted {
-            bf_obs::info!(
-                "cross-validation interrupted after {} new fold(s); \
-                 re-run with BF_RESUME=1 to continue",
-                r.computed_folds
-            );
-        }
-        r
+        self.resumable("cross_validate", "cv", "cross-validation", dataset, seed, |opts| {
+            cross_validate_resumable(
+                dataset,
+                self.scale.folds(),
+                seed,
+                || self.classifier_for(dataset, seed),
+                opts,
+            )
+        })
     }
 
     /// Out-of-fold cross-validation of an already-collected dataset
@@ -635,18 +578,35 @@ impl CollectionConfig {
         dataset: &Dataset,
         seed: u64,
     ) -> Resumable<OofPredictions> {
-        let _span = bf_obs::span!("cross_validate_oof");
-        let opts = self.resume_options(dataset, seed, "oof");
-        let r = cross_validate_oof_resumable(
-            dataset,
-            self.scale.folds(),
-            seed,
-            || self.classifier_for(dataset, seed),
-            &opts,
-        );
+        self.resumable("cross_validate_oof", "oof", "OOF cross-validation", dataset, seed, |opts| {
+            cross_validate_oof_resumable(
+                dataset,
+                self.scale.folds(),
+                seed,
+                || self.classifier_for(dataset, seed),
+                opts,
+            )
+        })
+    }
+
+    /// Shared body of the resumable cross-validation entry points: run
+    /// `cv` inside the wall span `span` with the resume options for
+    /// checkpoint tag `tag`, and tell the operator how to continue an
+    /// interrupted `what`.
+    fn resumable<T>(
+        &self,
+        span: &str,
+        tag: &str,
+        what: &str,
+        dataset: &Dataset,
+        seed: u64,
+        cv: impl FnOnce(&ResumeOptions) -> Resumable<T>,
+    ) -> Resumable<T> {
+        let _span = bf_obs::span!(span);
+        let r = cv(&self.resume_options(dataset, seed, tag));
         if r.interrupted {
             bf_obs::info!(
-                "OOF cross-validation interrupted after {} new fold(s); \
+                "{what} interrupted after {} new fold(s); \
                  re-run with BF_RESUME=1 to continue",
                 r.computed_folds
             );

@@ -1,15 +1,16 @@
 //! Deterministic seeded retry backoff.
 //!
-//! Retrying a transient fault immediately is how today's batch path
-//! behaves ([`collect_trace_resilient`]-style loops); an online service
-//! must instead *wait* between attempts so a struggling collector is not
-//! hammered. The delay schedule here is the classic exponential backoff
-//! with jitter, but fully deterministic: the jitter for attempt `k` of
-//! trace `t` under plan seed `s` is a pure function of `(s, t, k)`, so a
-//! replayed chaos run waits exactly as long (in virtual work units) as
-//! the original and lands on the same deadline verdicts.
-//!
-//! [`collect_trace_resilient`]: https://docs.rs/bf-core
+//! The collection repair loop in `bf-core` retries transient faults and
+//! structural re-collections. Offline collection retries at once; an
+//! online service must instead *wait* between attempts so a struggling
+//! collector is not hammered, so the serving path hands the loop a
+//! [`BackoffPolicy`] and charges each wait against the request's
+//! [`crate::CancelToken`]. The delay schedule is the classic exponential
+//! backoff with jitter, but fully deterministic: the jitter for attempt
+//! `k` of trace `t` under plan seed `s` is a pure function of
+//! `(s, t, k)`, so a replayed chaos run waits exactly as long (in
+//! virtual work units) as the original and lands on the same deadline
+//! verdicts.
 
 use bf_stats::rng::{combine_seeds, SeedRng};
 

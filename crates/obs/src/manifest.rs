@@ -238,15 +238,6 @@ impl ManifestBuilder {
         out
     }
 
-    /// Record a phase timed externally.
-    pub fn record_phase(&mut self, name: &str, seconds: f64) -> &mut Self {
-        self.phases.push(PhaseTiming {
-            name: name.to_owned(),
-            seconds,
-        });
-        self
-    }
-
     /// Close the run: compute the metric delta against the baseline and
     /// collect span statistics.
     pub fn finish(self) -> RunManifest {

@@ -88,15 +88,6 @@ impl SpanStats {
         self.buckets[span_bucket_of(secs)] += 1;
     }
 
-    /// Mean seconds per completion (0 when empty).
-    pub fn mean_seconds(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_seconds / self.count as f64
-        }
-    }
-
     /// Approximate quantile in seconds from the log buckets (geometric
     /// bucket midpoint), `q` in `[0, 1]`. `None` when empty.
     pub fn quantile_seconds(&self, q: f64) -> Option<f64> {

@@ -152,11 +152,6 @@ impl FleetHealth {
     pub fn total(&self, f: impl Fn(&HealthSnapshot) -> u64) -> u64 {
         self.shards.iter().map(f).sum()
     }
-
-    /// True when every shard's breaker admits primary traffic.
-    pub fn all_ready(&self) -> bool {
-        self.shards.iter().all(|s| s.ready)
-    }
 }
 
 /// The supervised shard fleet. See the module docs for semantics.
