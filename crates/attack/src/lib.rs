@@ -22,11 +22,19 @@
 //! trace would be ~80 M iterations). Instead the replay engine uses two
 //! exact queries: [`bf_timer::Timer::earliest_at_or_above`] finds the real
 //! time at which the `while (time() - t_begin < P)` condition first turns
-//! true, and [`bf_sim::CoreTimeline::work_between`] integrates how much
+//! true, and [`bf_sim::TimelineCursor::work_between`] integrates how much
 //! user work (hence how many iterations) fit in between, skipping
 //! interrupt gaps and honoring DVFS. The two views are exactly consistent
 //! with an iteration-by-iteration simulation up to one iteration of
-//! rounding.
+//! rounding. The sweep-counting attacker, whose iterations cost ~150 µs
+//! each, steps them one [`bf_sim::TimelineCursor::real_time_after_work`]
+//! at a time instead.
+//!
+//! Each replay keeps one [`bf_sim::TimelineCursor`] (and the sweep
+//! attacker one [`bf_stats::StepCursor`] over the victim's LLC loads) for
+//! the whole trace. Replay time only moves forward, so every query resumes
+//! where the last one landed and costs amortised `O(1)`, not a binary
+//! search over the trace's ~20 k gaps and ~750 frequency steps.
 //!
 //! # Example
 //!

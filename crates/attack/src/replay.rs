@@ -89,11 +89,12 @@ pub fn replay_counting_loop(
     assert!(iteration_cost > Nanos::ZERO, "iteration cost must be positive");
     let duration = timeline.duration();
     let slots = (duration / period) as usize;
-    let mut values = vec![0.0; slots];
-    let mut records = Vec::with_capacity(slots);
+    let mut values = vec![0.0; slots]; // alloc-ok: the returned trace
+    let mut records = Vec::with_capacity(slots); // alloc-ok: the returned records
     let cost = iteration_cost.as_nanos() as f64;
 
-    let mut now = timeline.next_runnable(Nanos::ZERO);
+    let mut cursor = timeline.cursor();
+    let mut now = cursor.next_runnable(Nanos::ZERO);
     let mut carry = 0.0;
     while now < duration {
         let start_observed = timer.observe(now);
@@ -101,11 +102,11 @@ pub fn replay_counting_loop(
         let exit = timer.earliest_at_or_above(now, target);
         // The attacker only notices the boundary at an iteration end; if
         // the crossing lands inside a gap, user code resumes at gap end.
-        let end_real = timeline.next_runnable(exit).max(now);
+        let end_real = cursor.next_runnable(exit).max(now);
         if end_real >= duration {
             break; // partial final period is discarded, as in the paper
         }
-        let work = timeline.work_between(now, end_real) + carry;
+        let work = cursor.work_between(now, end_real) + carry;
         let count = (work / cost).floor();
         carry = work - count * cost;
         let end_observed = timer.observe(end_real);
@@ -122,8 +123,10 @@ pub fn replay_counting_loop(
 /// Replay a counting loop whose iteration cost varies per iteration (the
 /// sweep-counting attacker: each "iteration" is a full LLC sweep whose
 /// duration depends on victim cache activity). Iterations are stepped
-/// individually — they are ~150 µs each, so a 15 s trace is only ~10⁵
-/// steps.
+/// individually, one [`bf_sim::TimelineCursor::real_time_after_work`]
+/// query each. A ~150 µs sweep moves the cursor past a gap or a
+/// frequency step only now and then, so a step costs amortised `O(1)`
+/// and a trace costs time linear in its sweeps.
 ///
 /// `sweep_cost` receives the real time at which the sweep begins and
 /// returns its cost in reference-nanoseconds.
@@ -140,10 +143,11 @@ pub fn replay_stepped_loop(
     assert!(period > Nanos::ZERO, "period must be positive");
     let duration = timeline.duration();
     let slots = (duration / period) as usize;
-    let mut values = vec![0.0; slots];
-    let mut records = Vec::with_capacity(slots);
+    let mut values = vec![0.0; slots]; // alloc-ok: the returned trace
+    let mut records = Vec::with_capacity(slots); // alloc-ok: the returned records
 
-    let mut now = timeline.next_runnable(Nanos::ZERO);
+    let mut cursor = timeline.cursor();
+    let mut now = cursor.next_runnable(Nanos::ZERO);
     'outer: while now < duration {
         let start_real = now;
         let start_observed = timer.observe(now);
@@ -151,7 +155,7 @@ pub fn replay_stepped_loop(
         let mut count = 0.0;
         loop {
             let cost = sweep_cost(now).max(1.0);
-            let end = timeline.real_time_after_work(now, cost);
+            let end = cursor.real_time_after_work(now, cost);
             if end >= duration {
                 break 'outer;
             }

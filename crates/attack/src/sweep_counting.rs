@@ -76,7 +76,7 @@ impl SweepCountingAttacker {
         seed: u64,
     ) -> (Trace, Vec<PeriodRecord>) {
         let mut rng = SeedRng::new(seed);
-        let loads = &sim.llc_loads;
+        let mut loads = sim.llc_loads.cursor();
         let lines = self.cache.lines as f64;
         let hit = self.cache.hit_time.as_nanos() as f64;
         let miss = self.cache.miss_penalty.as_nanos() as f64;
@@ -87,8 +87,8 @@ impl SweepCountingAttacker {
         // Slowly varying memory-latency multiplier: AR(1) over 20 ms
         // steps.
         let mem_noise = {
-            let mut series = Vec::new();
             let steps = (sim.duration.as_nanos() / 20_000_000 + 2) as usize;
+            let mut series = Vec::with_capacity(steps); // alloc-ok: one per trace, ~750 levels
             let mut level = 0.0f64;
             for _ in 0..steps {
                 level = 0.6 * level + rng.normal(0.0, self.memory_noise_sigma);

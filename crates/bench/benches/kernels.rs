@@ -34,10 +34,10 @@ fn conv_forward_naive(
     let lo = (l - kernel) / stride + 1;
     let mut out = Tensor::zeros(&[n, out_channels, lo]);
     for i in 0..n {
-        for co in 0..out_channels {
+        for (co, &b) in bias[..out_channels].iter().enumerate() {
             for p in 0..lo {
                 let start = p * stride;
-                let mut acc = bias[co];
+                let mut acc = b;
                 for ci in 0..in_channels {
                     let xbase = x.idx3(i, ci, start);
                     let wbase = (co * in_channels + ci) * kernel;

@@ -14,7 +14,7 @@ use bf_core::scale::ExperimentScale;
 use bf_fault::{BackoffPolicy, FaultPlan, ShardKillPlan};
 use bf_ml::{CentroidClassifier, Classifier, Dataset};
 use bf_serve::{
-    open_loop_arrivals, route, Fleet, FleetConfig, Outcome, Resolved, ServeConfig, Service,
+    open_loop_arrivals, route, Fleet, FleetConfig, Outcome, ServeConfig, Service,
 };
 use bf_timer::BrowserKind;
 use bf_victim::{Catalog, WebsiteProfile};

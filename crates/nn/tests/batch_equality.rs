@@ -78,10 +78,10 @@ proptest! {
         for &b in &BATCH_SIZES {
             let p = net.predict_proba_batch(&rows[..b]);
             prop_assert_eq!(p.shape(), &[b, n_classes]);
-            for i in 0..b {
+            for (i, single) in singles[..b].iter().enumerate() {
                 prop_assert_eq!(
                     &row_bits(&p, i, n_classes),
-                    &singles[i],
+                    single,
                     "row {} diverges at batch size {}", i, b
                 );
             }

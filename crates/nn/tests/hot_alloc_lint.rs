@@ -44,6 +44,13 @@ const HOT_MODULES: &[(&str, &str)] = &[
     // merge loop, and steady-state runs must stay pool-backed.
     ("sim/engine.rs", include_str!("../../sim/src/engine.rs")),
     ("sim/workspace.rs", include_str!("../../sim/src/workspace.rs")),
+    // The attack replay: every collected trace steps its timeline and
+    // step-series cursors, which must allocate nothing; only the
+    // per-trace outputs may.
+    ("sim/timeline.rs", include_str!("../../sim/src/timeline.rs")),
+    ("stats/series.rs", include_str!("../../stats/src/series.rs")),
+    ("attack/replay.rs", include_str!("../../attack/src/replay.rs")),
+    ("attack/sweep_counting.rs", include_str!("../../attack/src/sweep_counting.rs")),
 ];
 
 const ALLOC_PATTERNS: &[&str] = &["vec!", "Vec::with_capacity", ".to_vec(", ".collect("];

@@ -61,6 +61,6 @@ pub use engine::{Machine, SimOutput};
 pub use interrupt::{InterruptClass, InterruptKind, SoftirqKind};
 pub use kernel::{KernelEvent, KernelEventKind, KernelLog};
 pub use routing::RoutingPolicy;
-pub use timeline::{CoreTimeline, Gap, GapCause};
+pub use timeline::{CoreTimeline, Gap, GapCause, TimelineCursor};
 pub use workload::{TimedEvent, Workload, WorkloadEvent};
 pub use workspace::WorkspaceStats;

@@ -5,11 +5,13 @@
 //! sorted set of non-overlapping [`Gap`]s (intervals where the core was
 //! executing kernel handlers or another task) plus the core's effective
 //! frequency curve. The attack replays execute user work over the busy-free
-//! intervals; the eBPF tooling cross-references gaps against the kernel
-//! log.
+//! intervals through a [`TimelineCursor`], whose queries cost amortised
+//! `O(1)` while replay time moves forward; the eBPF tooling
+//! cross-references gaps against the kernel log.
 
 use crate::interrupt::InterruptKind;
-use bf_stats::StepSeries;
+use bf_stats::series::partition_point_from;
+use bf_stats::{StepCursor, StepSeries};
 use bf_timer::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -168,28 +170,19 @@ impl CoreTimeline {
         (b - a) - self.gap_time_between(a, b)
     }
 
-    /// User *work* accomplished in `[a, b)`: the integral of the frequency
-    /// multiplier over non-gap time, in reference-nanoseconds. An attacker
-    /// iteration costing `c` reference-ns completes every `c` units of
-    /// work.
+    /// A cursor over this timeline, positioned at time zero.
+    pub fn cursor(&self) -> TimelineCursor<'_> {
+        TimelineCursor { gaps: &self.gaps, gap: 0, freq: self.freq.cursor() }
+    }
+
+    /// User *work* accomplished in `[a, b)`; see
+    /// [`TimelineCursor::work_between`].
     ///
     /// # Panics
     ///
     /// Panics when `a > b`.
     pub fn work_between(&self, a: Nanos, b: Nanos) -> f64 {
-        assert!(a <= b, "work_between needs a <= b");
-        let mut work = self.freq.integrate(a.as_nanos(), b.as_nanos());
-        for g in &self.gaps[self.first_gap_after(a)..] {
-            if g.start >= b {
-                break;
-            }
-            let lo = g.start.max(a);
-            let hi = g.end.min(b);
-            if hi > lo {
-                work -= self.freq.integrate(lo.as_nanos(), hi.as_nanos());
-            }
-        }
-        work.max(0.0)
+        self.cursor().work_between(a, b)
     }
 
     /// The gap containing `t`, if any.
@@ -201,44 +194,18 @@ impl CoreTimeline {
     /// The earliest instant at or after `t` when user code runs (skips
     /// over a containing gap).
     pub fn next_runnable(&self, t: Nanos) -> Nanos {
-        match self.gap_containing(t) {
-            Some(g) => g.end,
-            None => t,
-        }
+        self.cursor().next_runnable(t)
     }
 
     /// The earliest real time ≥ `t` by which `work` reference-ns of user
-    /// work has been accomplished. Inverse of [`CoreTimeline::work_between`];
-    /// used by attack replays to find when an iteration batch finishes.
+    /// work has been accomplished; see
+    /// [`TimelineCursor::real_time_after_work`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `work` is negative, NaN or infinite.
     pub fn real_time_after_work(&self, t: Nanos, work: f64) -> Nanos {
-        debug_assert!(work >= 0.0);
-        let mut now = self.next_runnable(t);
-        let mut remaining = work;
-        let mut idx = self.first_gap_after(now);
-        loop {
-            // Busy segment: [now, seg_end)
-            let seg_end = self.gaps.get(idx).map_or(Nanos::MAX, |g| g.start);
-            if seg_end > now {
-                // Work available in this segment; frequency may step inside
-                // it, so walk the frequency change points too.
-                let (t_done, left) = advance_through_freq(&self.freq, now, seg_end, remaining);
-                if left <= 0.0 {
-                    return t_done;
-                }
-                remaining = left;
-            }
-            match self.gaps.get(idx) {
-                Some(g) => {
-                    now = g.end;
-                    idx += 1;
-                }
-                None => {
-                    // No more gaps and still work left: should have been
-                    // consumed by the unbounded segment above.
-                    unreachable!("work not consumed on open-ended busy segment");
-                }
-            }
-        }
+        self.cursor().real_time_after_work(t, work)
     }
 
     /// Fraction of `[a, b)` spent in interrupt-caused gaps (Fig. 5 helper).
@@ -261,29 +228,111 @@ impl CoreTimeline {
     }
 }
 
-/// Advance through `[from, to)` consuming `work` at the stepwise frequency;
-/// returns (finish time, remaining work). Remaining is 0 when the work fit.
-fn advance_through_freq(freq: &StepSeries, from: Nanos, to: Nanos, work: f64) -> (Nanos, f64) {
-    let mut now = from.as_nanos();
-    let end = to.as_nanos();
-    let mut remaining = work;
-    while now < end {
-        let m = freq.value_at(now).max(1e-9);
-        // Next frequency change point after `now`, clamped to `end`.
-        let next = freq
-            .points()
-            .get(freq.points().partition_point(|&(t, _)| t <= now))
-            .map_or(end, |&(t, _)| t.min(end));
-        let span = (next - now) as f64;
-        let capacity = span * m;
-        if capacity >= remaining {
-            let dt = (remaining / m).ceil() as u64;
-            return (Nanos(now + dt), 0.0);
-        }
-        remaining -= capacity;
-        now = next;
+/// A [`CoreTimeline`] plus where its last query landed: the gap index and
+/// a frequency [`StepCursor`]. An attack replay keeps one for a whole
+/// trace. Queries may come in any order; each moves forward a few gaps and
+/// frequency steps at amortised `O(1)` cost, and a backward query
+/// re-seeks by binary search. The timeline's stateless queries each run
+/// on a fresh cursor, so both give bit-identical answers.
+#[derive(Debug, Clone, Copy)]
+pub struct TimelineCursor<'a> {
+    gaps: &'a [Gap],
+    /// A seek hint: the index of the first gap ending after the last
+    /// queried time.
+    gap: usize,
+    freq: StepCursor<'a>,
+}
+
+impl TimelineCursor<'_> {
+    /// Move to `t`; returns the index of the first gap ending after it.
+    fn seek_gap(&mut self, t: Nanos) -> usize {
+        self.gap = partition_point_from(self.gaps, self.gap, |g| g.end <= t);
+        self.gap
     }
-    (Nanos(now), remaining)
+
+    /// The earliest instant at or after `t` when user code runs (skips
+    /// over a containing gap).
+    pub fn next_runnable(&mut self, t: Nanos) -> Nanos {
+        match self.gaps.get(self.seek_gap(t)) {
+            Some(g) if g.start <= t => g.end,
+            _ => t,
+        }
+    }
+
+    /// User *work* accomplished in `[a, b)`: the integral of the frequency
+    /// multiplier over non-gap time, in reference-nanoseconds. An attacker
+    /// iteration costing `c` reference-ns completes every `c` units of
+    /// work.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a > b`.
+    pub fn work_between(&mut self, a: Nanos, b: Nanos) -> f64 {
+        assert!(a <= b, "work_between needs a <= b");
+        // The whole-span integral runs on a copy of the frequency cursor,
+        // so the per-gap integrals below start behind every gap they visit.
+        let mut whole = self.freq;
+        let mut work = whole.integrate(a.as_nanos(), b.as_nanos());
+        let first = self.seek_gap(a);
+        let mut i = first;
+        while let Some(g) = self.gaps.get(i) {
+            if g.start >= b {
+                break;
+            }
+            let lo = g.start.max(a);
+            let hi = g.end.min(b);
+            if hi > lo {
+                work -= self.freq.integrate(lo.as_nanos(), hi.as_nanos());
+            }
+            i += 1;
+        }
+        // Leave the gap hint at `b`: of the gaps visited, only the last
+        // can end after it.
+        self.gap = if i > first && self.gaps[i - 1].end > b { i - 1 } else { i };
+        work.max(0.0)
+    }
+
+    /// The earliest real time ≥ `t` by which `work` reference-ns of user
+    /// work has been accomplished. Inverse of
+    /// [`TimelineCursor::work_between`]; used by attack replays to find
+    /// when an iteration batch finishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `work` is negative, NaN or infinite.
+    pub fn real_time_after_work(&mut self, t: Nanos, work: f64) -> Nanos {
+        assert!(
+            work.is_finite() && work >= 0.0,
+            "real_time_after_work needs finite, non-negative work, got {work}"
+        );
+        let start = self.next_runnable(t);
+        let mut idx = self.seek_gap(start);
+        let mut now = start.as_nanos();
+        let mut remaining = work;
+        loop {
+            // Busy segment [now, seg_end); the frequency may step inside
+            // it, so walk its change points too.
+            let seg_end = self.gaps.get(idx).map_or(u64::MAX, |g| g.start.as_nanos());
+            while now < seg_end {
+                let m = self.freq.value_at(now).max(1e-9);
+                let next = self.freq.next_change_after(now).map_or(seg_end, |c| c.min(seg_end));
+                let capacity = (next - now) as f64 * m;
+                if capacity >= remaining {
+                    self.gap = idx;
+                    return Nanos(now + (remaining / m).ceil() as u64);
+                }
+                remaining -= capacity;
+                now = next;
+            }
+            let Some(g) = self.gaps.get(idx) else {
+                // The segment after the last gap never ends, so it absorbs
+                // any finite work at a realistic frequency.
+                unreachable!("work not consumed on open-ended busy segment");
+            };
+            now = g.end.as_nanos();
+            idx += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -409,6 +458,24 @@ mod tests {
         let t = CoreTimeline::new(Nanos(1_000), vec![], freq);
         // 30 work: 10 at 1.0 (10 ns), then 20 at 2.0 (10 ns) -> t=20.
         assert_eq!(t.real_time_after_work(Nanos(0), 30.0), Nanos(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-negative work")]
+    fn real_time_after_work_rejects_nan() {
+        tl(vec![gap(10, 30)]).real_time_after_work(Nanos(0), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-negative work")]
+    fn real_time_after_work_rejects_negative() {
+        tl(vec![gap(10, 30)]).real_time_after_work(Nanos(0), -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, non-negative work")]
+    fn real_time_after_work_rejects_infinity() {
+        tl(vec![gap(10, 30)]).cursor().real_time_after_work(Nanos(0), f64::INFINITY);
     }
 
     #[test]

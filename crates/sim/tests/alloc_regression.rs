@@ -1,6 +1,7 @@
 //! The zero-allocation contract for the simulation engine: once the
 //! thread-local workspace is warm, a steady-state `Machine::run` performs
-//! no heap allocations at all.
+//! no heap allocations at all. The replay cursors that walk its output
+//! allocate nothing either.
 //!
 //! A counting wrapper around the system allocator is installed as the
 //! test binary's `#[global_allocator]`; after five warm-up runs (each
@@ -145,6 +146,37 @@ fn steady_state_run_does_not_allocate() {
         (allocs, deallocs, reallocs),
         (0, 0, 0),
         "steady-state Machine::run touched the heap: \
+         {allocs} allocs, {deallocs} deallocs, {reallocs} reallocs"
+    );
+}
+
+#[test]
+fn replay_cursor_queries_do_not_allocate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let out = Machine::new(MachineConfig::default()).run(&busy_workload(Nanos::from_millis(200)), 3);
+    let timeline = out.attacker_timeline();
+
+    // The sweep replay's query pattern: one timeline cursor and one LLC
+    // cursor stepped across the whole run.
+    let (steps, (allocs, deallocs, reallocs)) = counted(|| {
+        let mut cursor = timeline.cursor();
+        let mut loads = out.llc_loads.cursor();
+        let mut now = cursor.next_runnable(Nanos::ZERO);
+        let mut steps = 0usize;
+        while now < out.duration {
+            let cost = 150_000.0 + loads.value_at(now.as_nanos()) * 1e-3;
+            let end = cursor.real_time_after_work(now, cost);
+            assert!(cursor.work_between(now, end) > 0.0);
+            now = end;
+            steps += 1;
+        }
+        steps
+    });
+    assert!(steps > 1_000);
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "cursor queries touched the heap: \
          {allocs} allocs, {deallocs} deallocs, {reallocs} reallocs"
     );
 }

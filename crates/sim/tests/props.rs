@@ -1,10 +1,155 @@
 //! Property-based invariants for the machine simulator.
 
 use bf_sim::{
-    GapCause, KernelEventKind, Machine, MachineConfig, TimedEvent, Workload, WorkloadEvent,
+    CoreTimeline, Gap, GapCause, InterruptKind, KernelEventKind, Machine, MachineConfig,
+    TimedEvent, Workload, WorkloadEvent,
 };
+use bf_stats::StepSeries;
 use bf_timer::Nanos;
 use proptest::prelude::*;
+
+/// Sorted, disjoint gaps over a 10 ms window, some touching (merged by
+/// `CoreTimeline::new`).
+fn gaps_strategy() -> impl Strategy<Value = Vec<Gap>> {
+    proptest::collection::vec((0u64..10_000_000, 1u64..60_000), 0..80).prop_map(|mut raw| {
+        raw.sort_unstable();
+        let mut gaps = Vec::new();
+        let mut free_from = 0u64;
+        for (start, len) in raw {
+            let start = start.max(free_from);
+            gaps.push(Gap {
+                start: Nanos(start),
+                end: Nanos(start + len),
+                cause: GapCause::Interrupt(InterruptKind::TimerTick),
+            });
+            free_from = start + len;
+        }
+        gaps
+    })
+}
+
+/// Frequency change points with strictly increasing times.
+fn freq_strategy() -> impl Strategy<Value = Vec<(u64, f64)>> {
+    proptest::collection::vec((1u64..10_000_000, 0.5f64..1.5), 0..40).prop_map(|mut points| {
+        points.sort_by_key(|&(t, _)| t);
+        points.dedup_by_key(|&mut (t, _)| t);
+        points
+    })
+}
+
+/// Linear-scan references for the timeline queries, over the merged gaps
+/// and the frequency change points (initial multiplier 1.0). Float
+/// operations run in the same order as the library's.
+struct Reference<'a> {
+    gaps: &'a [Gap],
+    freq: &'a [(u64, f64)],
+}
+
+impl Reference<'_> {
+    fn value_at(&self, t: u64) -> f64 {
+        self.freq.iter().rev().find(|p| p.0 <= t).map_or(1.0, |p| p.1)
+    }
+
+    fn next_change_after(&self, t: u64) -> Option<u64> {
+        self.freq.iter().map(|p| p.0).find(|&pt| pt > t)
+    }
+
+    fn integrate(&self, a: u64, b: u64) -> f64 {
+        if a == b {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        let mut t = a;
+        let mut v = self.value_at(a);
+        for &(pt, pv) in self.freq.iter().filter(|p| a < p.0 && p.0 < b) {
+            acc += v * (pt - t) as f64;
+            t = pt;
+            v = pv;
+        }
+        acc + v * (b - t) as f64
+    }
+
+    fn next_runnable(&self, t: Nanos) -> Nanos {
+        self.gaps.iter().find(|g| g.start <= t && t < g.end).map_or(t, |g| g.end)
+    }
+
+    fn work_between(&self, a: Nanos, b: Nanos) -> f64 {
+        let mut work = self.integrate(a.as_nanos(), b.as_nanos());
+        for g in self.gaps {
+            let (lo, hi) = (g.start.max(a), g.end.min(b));
+            if hi > lo {
+                work -= self.integrate(lo.as_nanos(), hi.as_nanos());
+            }
+        }
+        work.max(0.0)
+    }
+
+    fn real_time_after_work(&self, t: Nanos, work: f64) -> Nanos {
+        let mut now = self.next_runnable(t).as_nanos();
+        let mut remaining = work;
+        // Each busy segment ends where a gap starts; an open-ended one
+        // follows the last gap.
+        let ahead = self.gaps.iter().map(|g| (g.start.as_nanos(), g.end.as_nanos()));
+        for (seg_end, resume) in ahead.chain([(u64::MAX, u64::MAX)]) {
+            if seg_end <= now {
+                continue;
+            }
+            while now < seg_end {
+                let m = self.value_at(now).max(1e-9);
+                let next = self.next_change_after(now).map_or(seg_end, |c| c.min(seg_end));
+                let capacity = (next - now) as f64 * m;
+                if capacity >= remaining {
+                    return Nanos(now + (remaining / m).ceil() as u64);
+                }
+                remaining -= capacity;
+                now = next;
+            }
+            now = resume;
+        }
+        unreachable!("finite work fits in the open-ended segment")
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One timeline cursor answering a mostly-forward query sequence, with
+    /// occasional backward jumps, agrees bit for bit with a linear scan.
+    #[test]
+    fn timeline_cursor_matches_linear_scan(
+        gaps in gaps_strategy(),
+        freq in freq_strategy(),
+        queries in proptest::collection::vec(
+            (0u8..3, 0u8..8, 0u64..11_000_000, 0u64..300_000, 0.0f64..400_000.0),
+            1..80,
+        ),
+    ) {
+        let series = StepSeries::from_points(1.0, freq.clone()).unwrap();
+        let tl = CoreTimeline::new(Nanos(10_000_000), gaps, series);
+        let reference = Reference { gaps: tl.gaps(), freq: &freq };
+        let mut cursor = tl.cursor();
+        let mut t = Nanos::ZERO;
+        for (kind, jump, anywhere, step, amount) in queries {
+            t = if jump == 0 { Nanos(anywhere) } else { t + Nanos(step) };
+            match kind {
+                0 => prop_assert_eq!(cursor.next_runnable(t), reference.next_runnable(t)),
+                1 => {
+                    let b = t + Nanos(amount as u64);
+                    prop_assert_eq!(
+                        cursor.work_between(t, b).to_bits(),
+                        reference.work_between(t, b).to_bits()
+                    );
+                    t = b;
+                }
+                _ => {
+                    let done = cursor.real_time_after_work(t, amount);
+                    prop_assert_eq!(done, reference.real_time_after_work(t, amount));
+                    t = done;
+                }
+            }
+        }
+    }
+}
 
 /// Random small workloads over a 200 ms window.
 fn workload_strategy() -> impl Strategy<Value = Workload> {

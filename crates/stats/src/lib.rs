@@ -39,7 +39,7 @@ pub use describe::Summary;
 pub use hist::Histogram;
 pub use rng::SeedRng;
 pub use samplers::Zipf;
-pub use series::StepSeries;
+pub use series::{StepCursor, StepSeries};
 pub use ttest::{welch_t_test, TTestResult};
 
 /// Errors produced by statistics routines in this crate.

@@ -2,11 +2,41 @@
 //!
 //! The simulator communicates slowly varying quantities — LLC occupancy,
 //! CPU frequency — to the attacker replay layer as [`StepSeries`]: a sorted
-//! list of `(time, value)` change points. Lookup is `O(log n)` and
-//! integration over an interval is exact.
+//! list of `(time, value)` change points. Integration over an interval is
+//! exact. Every query runs on a [`StepCursor`], which remembers where the
+//! last query landed: a one-off lookup is `O(log n)`, and a run of queries
+//! that moves forward a few change points at a time costs amortised
+//! `O(1)` each.
 
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
+
+/// Linear probes a seek makes before binary-searching the rest.
+const PROBES: usize = 4;
+
+/// `items.partition_point(pred)`, searched from `hint` — typically the
+/// answer to an earlier query. As for `partition_point`, `pred` must hold
+/// on a prefix of `items` and on nothing after it. A forward move probes a
+/// few items past the hint, then binary-searches the remaining tail; a
+/// backward move binary-searches the prefix. The answer never depends on
+/// the hint.
+///
+/// # Panics
+///
+/// Panics when `hint > items.len()`.
+pub fn partition_point_from<T>(items: &[T], hint: usize, pred: impl Fn(&T) -> bool) -> usize {
+    if hint > 0 && !pred(&items[hint - 1]) {
+        return items[..hint].partition_point(pred);
+    }
+    let mut i = hint;
+    for _ in 0..PROBES {
+        match items.get(i) {
+            Some(x) if pred(x) => i += 1,
+            _ => return i,
+        }
+    }
+    i + items[i..].partition_point(pred)
+}
 
 /// A right-continuous step function of `u64` time (nanoseconds in the
 /// simulator) to `f64` values.
@@ -86,13 +116,14 @@ impl StepSeries {
         }
     }
 
+    /// A cursor over this series, positioned before its first change point.
+    pub fn cursor(&self) -> StepCursor<'_> {
+        StepCursor { series: self, idx: 0 }
+    }
+
     /// Value at time `t`.
     pub fn value_at(&self, t: u64) -> f64 {
-        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
-            Ok(i) => self.points[i].1,
-            Err(0) => self.initial,
-            Err(i) => self.points[i - 1].1,
-        }
+        self.cursor().value_at(t)
     }
 
     /// Exact integral of the series over `[a, b)` (in value × time units).
@@ -101,25 +132,7 @@ impl StepSeries {
     ///
     /// Panics when `a > b`.
     pub fn integrate(&self, a: u64, b: u64) -> f64 {
-        assert!(a <= b, "integrate needs a <= b");
-        if a == b {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        let mut t = a;
-        let mut v = self.value_at(a);
-        // Index of first change point strictly after a.
-        let start = self.points.partition_point(|&(pt, _)| pt <= a);
-        for &(pt, pv) in &self.points[start..] {
-            if pt >= b {
-                break;
-            }
-            acc += v * (pt - t) as f64;
-            t = pt;
-            v = pv;
-        }
-        acc += v * (b - t) as f64;
-        acc
+        self.cursor().integrate(a, b)
     }
 
     /// Mean value over `[a, b)`.
@@ -150,7 +163,73 @@ impl StepSeries {
     /// Sample the series at uniform spacing `dt` starting at `t0`,
     /// producing `n` samples. Used when exporting figure data.
     pub fn sample(&self, t0: u64, dt: u64, n: usize) -> Vec<f64> {
-        (0..n).map(|i| self.value_at(t0 + dt * i as u64)).collect()
+        let mut cursor = self.cursor();
+        (0..n).map(|i| cursor.value_at(t0 + dt * i as u64)).collect() // alloc-ok: the returned samples
+    }
+}
+
+/// A [`StepSeries`] plus the change-point index where the last query
+/// landed. Queries may come in any order; moving forward a few change
+/// points costs amortised `O(1)`, and a backward query re-seeks by binary
+/// search. The series' stateless queries each run on a fresh cursor, so
+/// both give bit-identical answers.
+#[derive(Debug, Clone, Copy)]
+pub struct StepCursor<'a> {
+    series: &'a StepSeries,
+    /// A seek hint: the number of change points at or before the last
+    /// queried time.
+    idx: usize,
+}
+
+impl StepCursor<'_> {
+    /// Move to `t`; returns the number of change points at or before it.
+    fn seek(&mut self, t: u64) -> usize {
+        self.idx = partition_point_from(&self.series.points, self.idx, |&(pt, _)| pt <= t);
+        self.idx
+    }
+
+    /// Value at time `t`.
+    pub fn value_at(&mut self, t: u64) -> f64 {
+        match self.seek(t) {
+            0 => self.series.initial,
+            i => self.series.points[i - 1].1,
+        }
+    }
+
+    /// Time of the first change point strictly after `t`, if any.
+    pub fn next_change_after(&mut self, t: u64) -> Option<u64> {
+        let i = self.seek(t);
+        self.series.points.get(i).map(|&(pt, _)| pt)
+    }
+
+    /// Exact integral of the series over `[a, b)` (in value × time units).
+    /// Leaves the cursor at the first change point at or after `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a > b`.
+    pub fn integrate(&mut self, a: u64, b: u64) -> f64 {
+        assert!(a <= b, "integrate needs a <= b");
+        if a == b {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        let mut t = a;
+        let mut v = self.value_at(a);
+        let points = &self.series.points;
+        let mut i = self.idx;
+        while let Some(&(pt, pv)) = points.get(i) {
+            if pt >= b {
+                break;
+            }
+            acc += v * (pt - t) as f64;
+            t = pt;
+            v = pv;
+            i += 1;
+        }
+        self.idx = i;
+        acc += v * (b - t) as f64;
+        acc
     }
 }
 

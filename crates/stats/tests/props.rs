@@ -3,11 +3,43 @@
 use bf_stats::describe::{mean, quantile};
 use bf_stats::normalize::{downsample_mean, max_normalize, zscore};
 use bf_stats::rng::{combine_seeds, hash64};
+use bf_stats::series::partition_point_from;
 use bf_stats::{pearson, Histogram, SeedRng, StepSeries};
 use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, len)
+}
+
+/// Change points with strictly increasing times.
+fn points_strategy() -> impl Strategy<Value = Vec<(u64, f64)>> {
+    proptest::collection::vec((1u64..1_000_000, -5.0f64..5.0), 0..50).prop_map(|mut points| {
+        points.sort_by_key(|&(t, _)| t);
+        points.dedup_by_key(|&mut (t, _)| t);
+        points
+    })
+}
+
+/// Linear-scan reference for `StepSeries::value_at`.
+fn ref_value(points: &[(u64, f64)], initial: f64, t: u64) -> f64 {
+    points.iter().rev().find(|p| p.0 <= t).map_or(initial, |p| p.1)
+}
+
+/// Linear-scan reference for `StepSeries::integrate`, summing in the same
+/// order.
+fn ref_integrate(points: &[(u64, f64)], initial: f64, a: u64, b: u64) -> f64 {
+    if a == b {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    let mut t = a;
+    let mut v = ref_value(points, initial, a);
+    for &(pt, pv) in points.iter().filter(|p| a < p.0 && p.0 < b) {
+        acc += v * (pt - t) as f64;
+        t = pt;
+        v = pv;
+    }
+    acc + v * (b - t) as f64
 }
 
 proptest! {
@@ -78,21 +110,69 @@ proptest! {
 
     #[test]
     fn step_series_integral_is_additive(
-        points in proptest::collection::vec((1u64..1_000_000, -5.0f64..5.0), 0..50),
+        points in points_strategy(),
         a in 0u64..1_000_000,
         b in 0u64..1_000_000,
         c in 0u64..1_000_000,
     ) {
-        let mut sorted = points;
-        sorted.sort_by_key(|&(t, _)| t);
-        sorted.dedup_by_key(|&mut (t, _)| t);
-        let s = StepSeries::from_points(1.0, sorted).unwrap();
+        let s = StepSeries::from_points(1.0, points).unwrap();
         let mut ts = [a, b, c];
         ts.sort_unstable();
         let [a, b, c] = ts;
         let whole = s.integrate(a, c);
         let split = s.integrate(a, b) + s.integrate(b, c);
         prop_assert!((whole - split).abs() < 1e-6 * (1.0 + whole.abs()));
+    }
+
+    /// One cursor answering a mostly-forward query sequence, with
+    /// occasional backward jumps, agrees bit for bit with a linear scan.
+    #[test]
+    fn step_cursor_matches_linear_scan(
+        points in points_strategy(),
+        initial in -5.0f64..5.0,
+        queries in proptest::collection::vec(
+            (0u8..3, 0u8..8, 0u64..1_100_000, 0u64..30_000, 0u64..60_000),
+            1..80,
+        ),
+    ) {
+        let s = StepSeries::from_points(initial, points.clone()).unwrap();
+        let mut cursor = s.cursor();
+        let mut t = 0u64;
+        for (kind, jump, anywhere, step, len) in queries {
+            t = if jump == 0 { anywhere } else { t + step };
+            match kind {
+                0 => prop_assert_eq!(
+                    cursor.value_at(t).to_bits(),
+                    ref_value(&points, initial, t).to_bits()
+                ),
+                1 => {
+                    prop_assert_eq!(
+                        cursor.integrate(t, t + len).to_bits(),
+                        ref_integrate(&points, initial, t, t + len).to_bits()
+                    );
+                    t += len;
+                }
+                _ => prop_assert_eq!(
+                    cursor.next_change_after(t),
+                    points.iter().map(|p| p.0).find(|&pt| pt > t)
+                ),
+            }
+        }
+    }
+
+    /// A hinted search finds `partition_point`'s answer from any hint.
+    #[test]
+    fn partition_point_from_ignores_its_hint(
+        mut xs in proptest::collection::vec(0u32..1_000, 0..40),
+        hint in 0usize..=40,
+        bound in 0u32..1_100,
+    ) {
+        xs.sort_unstable();
+        let hint = hint.min(xs.len());
+        prop_assert_eq!(
+            partition_point_from(&xs, hint, |&x| x < bound),
+            xs.partition_point(|&x| x < bound)
+        );
     }
 
     #[test]

@@ -114,9 +114,9 @@ fn zipf_empirical_mass_matches_pmf_at_fixed_seed() {
     for _ in 0..n {
         counts[z.sample(&mut rng)] += 1;
     }
-    for k in 0..5 {
+    for (k, &count) in counts[..5].iter().enumerate() {
         let expected = z.pmf(k).unwrap();
-        let observed = counts[k] as f64 / n as f64;
+        let observed = count as f64 / n as f64;
         assert!(
             (observed - expected).abs() < 0.01,
             "rank {k}: observed {observed} vs pmf {expected}"

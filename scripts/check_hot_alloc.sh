@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Source-level allocation lint for the training/observability hot paths
-# — the compile-free mirror of crates/nn/tests/hot_alloc_lint.rs.
+# Source-level allocation lint for the training, serving, simulation and
+# attack-replay hot paths — the compile-free mirror of
+# crates/nn/tests/hot_alloc_lint.rs.
 #
 # Every allocation-shaped expression (vec!, Vec::with_capacity,
 # .to_vec(, .collect() in a hot module must carry an
@@ -27,6 +28,8 @@ HOT_MODULES=(
   crates/ml/src/anytime.rs crates/ml/src/calibrate.rs crates/ml/src/distill.rs
   crates/ml/src/cnn.rs crates/serve/src/service.rs
   crates/sim/src/engine.rs crates/sim/src/workspace.rs
+  crates/sim/src/timeline.rs crates/stats/src/series.rs
+  crates/attack/src/replay.rs crates/attack/src/sweep_counting.rs
 )
 
 status=0
