@@ -57,7 +57,7 @@ impl ProcInterruptsAttacker {
         if self.access == ProcAccess::Restricted {
             return Trace::new(self.period, values);
         }
-        for ev in sim.kernel_log.events() {
+        for ev in sim.kernel_log().events() {
             if ev.kind.interrupt().is_none() {
                 continue;
             }
@@ -103,7 +103,7 @@ mod tests {
         let atk = ProcInterruptsAttacker::new(Nanos::from_millis(100), ProcAccess::Unrestricted);
         let trace = atk.collect(&sim);
         let interrupts = sim
-            .kernel_log
+            .kernel_log()
             .events()
             .iter()
             .filter(|e| e.kind.interrupt().is_some() && e.start < Nanos::from_secs(1))

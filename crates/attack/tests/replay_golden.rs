@@ -76,13 +76,13 @@ fn inputs() -> &'static [(u64, SimOutput)] {
                 (seed, sim)
             })
             .collect();
-        let idle = SimOutput {
-            cores: vec![CoreTimeline::idle(DURATION)],
-            kernel_log: KernelLog::new(),
-            llc_loads: StepSeries::new(0.0),
-            attacker_core: 0,
-            duration: DURATION,
-        };
+        let idle = SimOutput::from_materialized(
+            vec![CoreTimeline::idle(DURATION)],
+            KernelLog::new(),
+            StepSeries::new(0.0),
+            0,
+            DURATION,
+        );
         out.push((3, idle));
         out
     })

@@ -56,7 +56,7 @@ fn run_ablations(m: &mut bf_obs::ManifestBuilder, scale: bf_core::ExperimentScal
             let sim = machine.run(&workload, seed);
             println!(
                 "  coalesce_max {max:>2}: {} kernel events",
-                sim.kernel_log.len()
+                sim.kernel_log().len()
             );
         }
     });

@@ -8,6 +8,13 @@
 //! workspace cleared before every run, isolating how much of the win
 //! comes from buffer reuse versus the streamed merge itself.
 //!
+//! Runs are consumed the way `collect_trace` consumes them: only the
+//! attacker core's timeline is read, so the other cores and the kernel
+//! log are never built. The `materialized` rows also read the kernel log,
+//! which serves every deferred arrival — the price the eBPF analyses pay.
+//! Events/sec counts dispatched arrivals and preemptions
+//! (`sim.events_dispatched`), the same in every mode.
+//!
 //! The committed pre-PR reference numbers (materialize-then-sort engine,
 //! 1 thread) are embedded per shape so the summary carries its own
 //! speedup-vs-baseline column.
@@ -19,7 +26,7 @@
 
 use bf_bench::run_bin;
 use bf_core::ExperimentScale;
-use bf_sim::{Machine, MachineConfig, Workload};
+use bf_sim::{Machine, MachineConfig, SimOutput, Workload};
 use bf_obs::Json;
 use bf_stats::rng::combine_seeds;
 use bf_timer::Nanos;
@@ -59,15 +66,24 @@ const SHAPES: &[Shape] = &[
 
 const WARMUP_RUNS: usize = 3;
 
-/// Consume a run's output the way `collect_trace` does: read it, then
-/// either recycle it into the pool (steady state) or drop it (cold).
-fn finish_run(out: bf_sim::SimOutput, warm: bool) -> u64 {
-    let events = out.kernel_log.len() as u64;
-    std::hint::black_box(&out);
+/// Consume a run's output the way `collect_trace` does — read the
+/// attacker core's timeline — and, when `materialize`, also read the
+/// kernel log the way the eBPF analyses do. Then either recycle it into
+/// the pool (steady state) or drop it (cold).
+fn finish_run(out: SimOutput, warm: bool, materialize: bool) {
+    std::hint::black_box(out.attacker_timeline().gaps().len());
+    if materialize {
+        std::hint::black_box(out.kernel_log().len());
+    }
     if warm {
         bf_sim::workspace::recycle(out);
     }
-    events
+}
+
+/// `sim.events_dispatched` so far: a timed section's delta is the number
+/// of arrivals and preemptions its runs dispatched.
+fn events_dispatched() -> u64 {
+    bf_obs::counter("sim.events_dispatched").get()
 }
 
 /// The collect-phase workload for a shape: a direct (non-Tor) page load
@@ -83,21 +99,28 @@ fn shape_workload(shape: &Shape, seed: u64) -> Workload {
 /// Single-thread runs/sec and events/sec for one shape. `warm` runs on
 /// recycled workspace arenas (steady state, zero allocation); cold
 /// clears the pool before every run, isolating the streamed merge from
-/// buffer reuse.
-fn measure_seq(machine: &Machine, workload: &Workload, shape: &Shape, warm: bool) -> (f64, f64) {
+/// buffer reuse. `materialize` also builds every core and the kernel log.
+fn measure_seq(
+    machine: &Machine,
+    workload: &Workload,
+    shape: &Shape,
+    warm: bool,
+    materialize: bool,
+) -> (f64, f64) {
     bf_sim::workspace::clear_thread();
-    let mut events = 0u64;
     for i in 0..WARMUP_RUNS {
-        finish_run(machine.run(workload, combine_seeds(0xBEEF, i as u64)), warm);
+        finish_run(machine.run(workload, combine_seeds(0xBEEF, i as u64)), warm, materialize);
     }
+    let events0 = events_dispatched();
     let t = Instant::now();
     for i in 0..shape.timed_runs {
         if !warm {
             bf_sim::workspace::clear_thread();
         }
-        events += finish_run(machine.run(workload, combine_seeds(42, i as u64)), warm);
+        finish_run(machine.run(workload, combine_seeds(42, i as u64)), warm, materialize);
     }
     let secs = t.elapsed().as_secs_f64().max(1e-12);
+    let events = events_dispatched() - events0;
     let runs_per_sec = shape.timed_runs as f64 / secs;
     (runs_per_sec, events as f64 / secs)
 }
@@ -110,14 +133,14 @@ fn measure_par(machine: &Machine, workload: &Workload, shape: &Shape) -> (f64, f
         .map(|i| combine_seeds(42, i))
         .collect();
     // Warm every worker's thread-local state.
-    let _ = bf_par::par_map_indexed(&seeds[..seeds.len().min(4)], |_, &s| {
-        finish_run(machine.run(workload, s), true)
+    bf_par::par_map_indexed(&seeds[..seeds.len().min(4)], |_, &s| {
+        finish_run(machine.run(workload, s), true, false)
     });
+    let events0 = events_dispatched();
     let t = Instant::now();
-    let event_counts =
-        bf_par::par_map_indexed(&seeds, |_, &s| finish_run(machine.run(workload, s), true));
+    bf_par::par_map_indexed(&seeds, |_, &s| finish_run(machine.run(workload, s), true, false));
     let secs = t.elapsed().as_secs_f64().max(1e-12);
-    let events: u64 = event_counts.iter().sum();
+    let events = events_dispatched() - events0;
     (shape.timed_runs as f64 / secs, events as f64 / secs)
 }
 
@@ -137,21 +160,25 @@ fn main() -> ExitCode {
             };
 
             println!(
-                "shape     mode       threads   runs/s     events/s     ms/run    vs pre-PR (1t)"
+                "shape     mode         threads   runs/s     events/s     ms/run    vs pre-PR (1t)"
             );
             let mut rows = Vec::new();
             let mut smoke_steady_speedup = f64::NAN;
             for shape in shapes {
                 let machine = Machine::new(MachineConfig::default());
                 let workload = shape_workload(shape, 7);
-                for (mode, threads) in
-                    [("steady", 1usize), ("cold", 1usize), ("par", par_threads)]
-                {
+                for (mode, threads) in [
+                    ("steady", 1usize),
+                    ("cold", 1usize),
+                    ("par", par_threads),
+                    ("materialized", 1usize),
+                ] {
                     bf_par::set_threads(Some(threads));
                     let label = format!("{}_{mode}", shape.name);
                     let (runs_per_sec, events_per_sec) = m.phase(&label, || match mode {
-                        "steady" => measure_seq(&machine, &workload, shape, true),
-                        "cold" => measure_seq(&machine, &workload, shape, false),
+                        "steady" => measure_seq(&machine, &workload, shape, true, false),
+                        "cold" => measure_seq(&machine, &workload, shape, false, false),
+                        "materialized" => measure_seq(&machine, &workload, shape, true, true),
                         _ => measure_par(&machine, &workload, shape),
                     });
                     bf_par::set_threads(None);
@@ -165,7 +192,7 @@ fn main() -> ExitCode {
                         smoke_steady_speedup = vs_baseline;
                     }
                     println!(
-                        "{:<9} {:<10} {:<9} {:>8.2}  {:>10.0}  {:>8.2}    {:>5.2}x",
+                        "{:<9} {:<12} {:<9} {:>8.2}  {:>10.0}  {:>8.2}    {:>5.2}x",
                         shape.name, mode, threads, runs_per_sec, events_per_sec, ms_per_run,
                         vs_baseline,
                     );
@@ -203,11 +230,14 @@ fn main() -> ExitCode {
                 (
                     "note",
                     Json::Str(
-                        "Machine::run throughput over collect-phase website workloads. \
-                         Modes: steady = recycled workspace arenas (zero-alloc path), \
-                         cold = pool cleared before every run, par = one sim per seed on \
-                         the bf_par pool. baseline_runs_per_sec is the pre-streaming \
-                         materialize-then-sort engine at 1 thread on the same fixture."
+                        "Machine::run throughput over collect-phase website workloads, \
+                         consumed as collection does (attacker timeline only). Modes: \
+                         steady = recycled workspace arenas (zero-alloc path), cold = pool \
+                         cleared before every run, par = one sim per seed on the bf_par \
+                         pool, materialized = steady plus a kernel-log read that builds \
+                         every core. events_per_sec counts sim.events_dispatched. \
+                         baseline_runs_per_sec is the pre-streaming materialize-then-sort \
+                         engine at 1 thread on the same fixture."
                             .into(),
                     ),
                 ),

@@ -50,7 +50,7 @@ pub fn interrupt_activity(sim: &SimOutput, core: usize, window: Nanos) -> Activi
     let mut per_class: Vec<(InterruptClass, Vec<f64>)> =
         InterruptClass::ALL.iter().map(|&c| (c, vec![0.0; n])).collect();
     let w_ns = window.as_nanos() as f64;
-    for ev in sim.kernel_log.events_on_core(core) {
+    for ev in sim.kernel_log().events_on_core(core) {
         let Some(kind) = ev.kind.interrupt() else { continue };
         let class = kind.class();
         let series = &mut per_class
@@ -138,7 +138,7 @@ mod tests {
         let measured: f64 =
             act.total().iter().sum::<f64>() * window.as_nanos() as f64;
         let truth = sim
-            .kernel_log
+            .kernel_log()
             .interrupt_time_on_core(sim.attacker_core, Nanos::ZERO, sim.duration)
             .as_nanos() as f64;
         // Events running past the duration boundary are clipped by the

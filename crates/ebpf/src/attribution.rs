@@ -82,8 +82,8 @@ fn probed_events<'a>(
     sim: &'a SimOutput,
     probes: &ProbeSet,
 ) -> Vec<&'a KernelEvent> {
-    sim.kernel_log
-        .events_on_core(sim.attacker_core)
+    sim.attacker_kernel_events()
+        .iter()
         .filter(|e| match e.kind.interrupt() {
             Some(k) => probes.covers(k),
             None => true, // context switches are visible to the scheduler tracepoints

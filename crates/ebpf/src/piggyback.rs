@@ -44,8 +44,8 @@ impl Cohabitation {
 pub fn cohabitation(sim: &SimOutput, gaps: &[ObservedGap]) -> Vec<Cohabitation> {
     // Kinds present in each observed gap, in gap order.
     let events: Vec<_> = sim
-        .kernel_log
-        .events_on_core(sim.attacker_core)
+        .attacker_kernel_events()
+        .iter()
         .filter_map(|e| e.kind.interrupt().map(|k| (e.start, e.end, k)))
         .collect();
     let mut per_gap: Vec<Vec<InterruptKind>> = vec![Vec::new(); gaps.len()];

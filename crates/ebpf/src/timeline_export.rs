@@ -109,10 +109,10 @@ impl CoreTrace {
 ///
 /// Panics when `core` is out of range.
 pub fn reconstruct(sim: &SimOutput, core: usize) -> CoreTrace {
-    assert!(core < sim.cores.len(), "core out of range");
+    assert!(core < sim.cores().len(), "core out of range");
     let mut spans = Vec::new();
     let mut cursor = Nanos::ZERO;
-    for ev in sim.kernel_log.events_on_core(core) {
+    for ev in sim.kernel_log().events_on_core(core) {
         let start = ev.start.min(sim.duration);
         let end = ev.end.min(sim.duration);
         if start > cursor {

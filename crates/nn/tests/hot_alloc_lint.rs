@@ -44,6 +44,10 @@ const HOT_MODULES: &[(&str, &str)] = &[
     // merge loop, and steady-state runs must stay pool-backed.
     ("sim/engine.rs", include_str!("../../sim/src/engine.rs")),
     ("sim/workspace.rs", include_str!("../../sim/src/workspace.rs")),
+    // Every arrival draws a handler-time slot; the attacker core's (and,
+    // on first read, every other core's) turn into handler times.
+    ("sim/interrupt.rs", include_str!("../../sim/src/interrupt.rs")),
+    ("stats/rng.rs", include_str!("../../stats/src/rng.rs")),
     // The attack replay: every collected trace steps its timeline and
     // step-series cursors, which must allocate nothing; only the
     // per-trace outputs may.

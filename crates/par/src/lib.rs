@@ -778,7 +778,10 @@ mod tests {
                     let mut data = vec![0f32; 64];
                     par_chunks_mut_scratch_units(&mut data, 8, 1, 100, || (), |i, chunk, ()| {
                         for (j, v) in chunk.iter_mut().enumerate() {
-                            *v = ((i * 8 + j) as f32 * 0.37).sin();
+                            // `black_box` keeps LLVM from constant-folding
+                            // `sin` on one arm only, which would compare
+                            // compile-time folding against runtime `sinf`.
+                            *v = std::hint::black_box((i * 8 + j) as f32 * 0.37).sin();
                         }
                     });
                     data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
@@ -827,7 +830,10 @@ mod tests {
                     || (),
                     |i, chunk, ()| {
                         for (j, v) in chunk.iter_mut().enumerate() {
-                            *v = ((i * 8 + j) as f32 * 0.37).sin();
+                            // `black_box` keeps LLVM from constant-folding
+                            // `sin` on one arm only, which would compare
+                            // compile-time folding against runtime `sinf`.
+                            *v = std::hint::black_box((i * 8 + j) as f32 * 0.37).sin();
                         }
                     },
                 );

@@ -16,6 +16,22 @@
 //!
 //! Everything is derived deterministically from the run seed.
 //!
+//! # Observer-driven materialization
+//!
+//! An attacker observes only its own core (plus LLC occupancy), so `run`
+//! serves only the attacker core: its arrivals, preemptions and turbo
+//! stalls. Every other arrival still takes its turn in the merge and its
+//! slot in the handler-time normal stream ([`bf_stats::NormalSlots`]), so
+//! every RNG stream advances exactly as if it were served; it is pushed,
+//! slot and all, onto a deferred buffer. The first read of
+//! [`SimOutput::cores`], [`SimOutput::core`] or [`SimOutput::kernel_log`]
+//! serves the deferred arrivals per core with the same server and the
+//! same slot-to-handler-time function, then merges the kernel log — so
+//! the all-core view is bit-identical to serving everything up front.
+//! Non-attacker cores have no preemptions or stalls, and a core's service
+//! depends only on its own arrivals, so serving them later changes
+//! nothing.
+//!
 //! # Streaming architecture
 //!
 //! Arrivals are never materialized into one big vector. Each generator —
@@ -37,8 +53,9 @@
 //! event's time, or the pending NIC batch's start, whichever binds.
 //!
 //! Per-core kernel logs are built already sorted (service start times are
-//! strictly increasing per core) and k-way merged by `(start, core)` at
-//! the end, replacing the old global sort. All scratch and output buffers
+//! strictly increasing per core) and k-way merged by `(start, core)` when
+//! the kernel log is first read, replacing the old global sort. All
+//! scratch and output buffers
 //! come from the thread-local [`workspace`](crate::workspace) pool, so a
 //! steady-state run performs zero heap allocations (see the
 //! `alloc_regression` test).
@@ -49,7 +66,8 @@ use crate::kernel::{KernelEvent, KernelEventKind, KernelLog};
 use crate::timeline::{CoreTimeline, Gap, GapCause};
 use crate::workload::{TimedEvent, Workload, WorkloadEvent};
 use crate::workspace;
-use bf_stats::{SeedRng, StepSeries};
+use bf_stats::{NormalSlot, NormalSlots, SeedRng, StepSeries};
+use std::sync::OnceLock;
 use bf_timer::Nanos;
 
 /// Kernel-behavior tuning knobs (deferral probabilities, coalescing,
@@ -106,12 +124,18 @@ pub struct Machine {
 }
 
 /// Everything a simulation produces.
+///
+/// The attacker core is served during [`Machine::run`]: its timeline
+/// ([`SimOutput::attacker_timeline`]), its kernel events
+/// ([`SimOutput::attacker_kernel_events`]) and the LLC series are ready
+/// when `run` returns, and they are all an attacker replay reads. The
+/// other cores' timelines and the all-core kernel log are ground truth for
+/// the eBPF analyses only; `run` records those cores' arrivals (with their
+/// handler-time draws) and [`SimOutput::cores`], [`SimOutput::core`] and
+/// [`SimOutput::kernel_log`] serve them on first read, once. Either way
+/// the values are bit-identical.
 #[derive(Debug, Clone)]
 pub struct SimOutput {
-    /// One timeline per core; index = core id.
-    pub cores: Vec<CoreTimeline>,
-    /// Ground-truth kernel activity, time-ordered.
-    pub kernel_log: KernelLog,
     /// Cumulative count of victim cache-line loads over time (the sweep
     /// attacker differences this to see evictions).
     pub llc_loads: StepSeries,
@@ -119,13 +143,241 @@ pub struct SimOutput {
     pub attacker_core: usize,
     /// Simulated duration.
     pub duration: Nanos,
+    pub(crate) attacker: CoreTimeline,
+    /// The attacker core's kernel events, in start order.
+    pub(crate) attacker_events: Vec<KernelEvent>,
+    /// Arrivals on every other core, in merge order.
+    pub(crate) deferred: Vec<DeferredArrival>,
+    pub(crate) handler: HandlerTimeModel,
+    pub(crate) num_cores: usize,
+    pub(crate) full: OnceLock<Materialized>,
+}
+
+/// The all-core view of a run, built on first read.
+#[derive(Debug, Clone)]
+pub(crate) struct Materialized {
+    pub(crate) cores: Vec<CoreTimeline>,
+    pub(crate) kernel_log: KernelLog,
 }
 
 impl SimOutput {
+    /// An output whose every core and kernel log are already built — for
+    /// reference engines and hand-made fixtures. `cores[attacker_core]`
+    /// becomes the attacker timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `attacker_core` is not an index into `cores`.
+    pub fn from_materialized(
+        cores: Vec<CoreTimeline>,
+        kernel_log: KernelLog,
+        llc_loads: StepSeries,
+        attacker_core: usize,
+        duration: Nanos,
+    ) -> Self {
+        assert!(attacker_core < cores.len(), "attacker core {attacker_core} out of range");
+        let attacker_events: Vec<KernelEvent> =
+            kernel_log.events_on_core(attacker_core).copied().collect(); // alloc-ok: fixture constructor
+        SimOutput {
+            llc_loads,
+            attacker_core,
+            duration,
+            attacker: cores[attacker_core].clone(),
+            attacker_events,
+            deferred: Vec::new(),
+            // Never consulted: there is nothing left to serve.
+            handler: HandlerTimeModel {
+                base_overhead: Nanos::ZERO,
+                amplification: 1.0,
+                vm_exit_cost: Nanos::ZERO,
+            },
+            num_cores: cores.len(),
+            full: OnceLock::from(Materialized { cores, kernel_log }),
+        }
+    }
+
     /// The attacker core's timeline.
     pub fn attacker_timeline(&self) -> &CoreTimeline {
-        &self.cores[self.attacker_core]
+        &self.attacker
     }
+
+    /// The attacker core's kernel events, in start order — the attacker
+    /// core's slice of [`SimOutput::kernel_log`], available without
+    /// building the rest.
+    pub fn attacker_kernel_events(&self) -> &[KernelEvent] {
+        &self.attacker_events
+    }
+
+    /// One core's timeline. The attacker core's is always ready; any other
+    /// builds every core and the kernel log on first read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `core` is out of range.
+    pub fn core(&self, core: usize) -> &CoreTimeline {
+        if core == self.attacker_core {
+            &self.attacker
+        } else {
+            &self.cores()[core]
+        }
+    }
+
+    /// One timeline per core; index = core id. Builds every core and the
+    /// kernel log on first read.
+    pub fn cores(&self) -> &[CoreTimeline] {
+        &self.full().cores
+    }
+
+    /// Ground-truth kernel activity on every core, ordered by
+    /// `(start, core)`. Builds every core and the kernel log on first
+    /// read.
+    pub fn kernel_log(&self) -> &KernelLog {
+        &self.full().kernel_log
+    }
+
+    /// Whether the all-core view has been built (read, or built by
+    /// construction).
+    pub fn is_materialized(&self) -> bool {
+        self.full.get().is_some()
+    }
+
+    fn full(&self) -> &Materialized {
+        self.full.get_or_init(|| self.materialize())
+    }
+
+    /// Serve the deferred arrivals FIFO per core with the same server and
+    /// handler-time function the attacker core used during the run, then
+    /// merge every core's log by `(start, core)`.
+    fn materialize(&self) -> Materialized {
+        let attacker = self.attacker_core;
+        let tally = bf_obs::enabled(bf_obs::Level::Error);
+        let mut handler_ns = bf_obs::LocalHistogram::new();
+        let mut core_logs = workspace::take_event_list();
+        let mut per_core_gaps = workspace::take_gap_list();
+        for _ in 0..self.num_cores {
+            core_logs.push(workspace::take_events());
+            per_core_gaps.push(workspace::take_gaps());
+        }
+        let mut busy_until = workspace::take_nanos();
+        busy_until.resize(self.num_cores, Nanos::ZERO);
+        for d in &self.deferred {
+            let core = d.core as usize;
+            let len = self.handler.from_standard_normal(d.kind, d.units, d.slot.value());
+            if tally {
+                handler_ns.record(len.as_nanos() as f64);
+            }
+            serve(
+                core,
+                d.t,
+                len,
+                KernelEventKind::Interrupt(d.kind),
+                &mut busy_until[core],
+                &mut per_core_gaps[core],
+                &mut core_logs[core],
+            );
+        }
+        workspace::give_nanos(busy_until);
+        bf_obs::histogram("sim.handler_ns").merge_local(&handler_ns);
+
+        core_logs[attacker].extend_from_slice(&self.attacker_events);
+        let kernel_log = merge_core_logs(&core_logs);
+        workspace::give_event_list(core_logs);
+
+        let mut cores = workspace::take_timelines();
+        for (core, gaps) in per_core_gaps.drain(..).enumerate() {
+            cores.push(if core == attacker {
+                self.attacker.clone_in(gaps, workspace::take_points())
+            } else {
+                CoreTimeline::new(self.duration, gaps, StepSeries::new(1.0))
+            });
+        }
+        workspace::give_gap_list(per_core_gaps);
+        Materialized { cores, kernel_log }
+    }
+}
+
+/// Serve one kernel entry FIFO on `core`: it starts once it has arrived
+/// and the core is free, is logged, and extends the core's last gap when
+/// it starts before that gap ends. Per-core starts are strictly
+/// increasing (`start >= previous end > previous start`), so each core's
+/// log is born sorted.
+#[inline]
+fn serve(
+    core: usize,
+    t: Nanos,
+    len: Nanos,
+    kind: KernelEventKind,
+    busy_until: &mut Nanos,
+    gaps: &mut Vec<Gap>,
+    log: &mut Vec<KernelEvent>,
+) {
+    let start = t.max(*busy_until);
+    let end = start + len;
+    *busy_until = end;
+    log.push(KernelEvent {
+        core,
+        start,
+        end,
+        kind,
+    });
+    let cause = match kind {
+        KernelEventKind::Interrupt(k) => GapCause::Interrupt(k),
+        KernelEventKind::ContextSwitch => GapCause::Preemption,
+    };
+    match gaps.last_mut() {
+        Some(last) if start <= last.end => last.end = last.end.max(end),
+        _ => gaps.push(Gap { start, end, cause }),
+    }
+}
+
+/// Merge born-sorted per-core logs by `(start, core)` — the composite keys
+/// are unique (per-core starts strictly increase), so this equals the
+/// retired engine's stable global sort.
+fn merge_core_logs(core_logs: &[Vec<KernelEvent>]) -> KernelLog {
+    let mut merged = workspace::take_events();
+    merged.reserve(core_logs.iter().map(|l| l.len()).sum());
+    let mut cursors = workspace::take_usizes();
+    cursors.resize(core_logs.len(), 0);
+    // Cache each core's head start (MAX = exhausted) so one round scans a
+    // short array instead of re-indexing every log; strict `<` keeps the
+    // lowest core on ties, i.e. (start, core) order.
+    let mut heads = workspace::take_nanos();
+    for log in core_logs {
+        heads.push(log.first().map_or(Nanos::MAX, |e| e.start));
+    }
+    loop {
+        let mut best_core = usize::MAX;
+        let mut best_t = Nanos::MAX;
+        for (core, &h) in heads.iter().enumerate() {
+            if h < best_t {
+                best_t = h;
+                best_core = core;
+            }
+        }
+        if best_core == usize::MAX {
+            break;
+        }
+        let cur = cursors[best_core];
+        merged.push(core_logs[best_core][cur]);
+        cursors[best_core] = cur + 1;
+        heads[best_core] = core_logs[best_core]
+            .get(cur + 1)
+            .map_or(Nanos::MAX, |e| e.start);
+    }
+    workspace::give_nanos(heads);
+    workspace::give_usizes(cursors);
+    KernelLog::from_sorted_events(merged)
+}
+
+/// An arrival on a core the attacker does not observe, recorded during
+/// the run together with its draw from the handler-time normal stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeferredArrival {
+    t: Nanos,
+    slot: NormalSlot,
+    core: u32,
+    units: u32,
+    kind: InterruptKind,
 }
 
 /// A pending interrupt arrival (pre-service).
@@ -878,6 +1130,13 @@ impl Machine {
     /// Run the workload, producing timelines, kernel log, and cache/freq
     /// series. Fully deterministic in `(config, tuning, workload, seed)`.
     ///
+    /// Every arrival source is merged and every RNG stream advances in
+    /// full, but only arrivals routed to the attacker core get a handler
+    /// time and service here; the others are recorded with their
+    /// handler-time draw and served when the output's
+    /// [`cores`](SimOutput::cores) or [`kernel_log`](SimOutput::kernel_log)
+    /// is first read (see [`SimOutput`]).
+    ///
     /// Steady-state runs allocate nothing: every buffer comes from the
     /// thread-local [`workspace`](crate::workspace) pool, and passing the
     /// finished output to [`workspace::recycle`](crate::workspace::recycle)
@@ -886,7 +1145,7 @@ impl Machine {
         let cfg = &self.config;
         let duration = workload.duration();
         let root = SeedRng::new(seed);
-        let mut handler_rng = root.fork(2);
+        let mut handler_slots = NormalSlots::new(root.fork(2));
         let background_rng = root.fork(3);
         let softirq_rng = root.fork(4);
         let preempt_rng = root.fork(5);
@@ -960,7 +1219,7 @@ impl Machine {
         let mut ticks = TickStream::new(cfg, duration);
         let mut background = BackgroundStream::new(cfg, duration, background_rng);
 
-        // Per-core service. Instrumentation tallies locally (plain
+        // Attacker-core service. Instrumentation tallies locally (plain
         // integers, no atomics) and flushes to the bf-obs registry once
         // after the loop. Even the local tallies are measurable at this
         // event rate, so `BF_LOG=off` skips them entirely — one branch on
@@ -978,45 +1237,11 @@ impl Machine {
             vm_exit_cost: cfg.vm_exit_cost,
         };
 
-        let mut core_logs = workspace::take_event_list();
-        let mut per_core_gaps = workspace::take_gap_list();
-        for _ in 0..cfg.num_cores {
-            core_logs.push(workspace::take_events());
-            per_core_gaps.push(workspace::take_gaps());
-        }
-        let mut busy_until = workspace::take_nanos();
-        busy_until.resize(cfg.num_cores, Nanos::ZERO);
-
         let attacker = cfg.attacker_core();
-
-        let serve = |core: usize,
-                     t: Nanos,
-                     len: Nanos,
-                     kind: KernelEventKind,
-                     busy_until: &mut Vec<Nanos>,
-                     per_core_gaps: &mut Vec<Vec<Gap>>,
-                     core_logs: &mut Vec<Vec<KernelEvent>>| {
-            let start = t.max(busy_until[core]);
-            let end = start + len;
-            busy_until[core] = end;
-            // Per-core starts are strictly increasing (`start >= previous
-            // end > previous start`), so each core's log is born sorted.
-            core_logs[core].push(KernelEvent {
-                core,
-                start,
-                end,
-                kind,
-            });
-            let cause = match kind {
-                KernelEventKind::Interrupt(k) => GapCause::Interrupt(k),
-                KernelEventKind::ContextSwitch => GapCause::Preemption,
-            };
-            let gaps = &mut per_core_gaps[core];
-            match gaps.last_mut() {
-                Some(last) if start <= last.end => last.end = last.end.max(end),
-                _ => gaps.push(Gap { start, end, cause }),
-            }
-        };
+        let mut busy_until = Nanos::ZERO;
+        let mut gaps = workspace::take_gaps();
+        let mut attacker_events = workspace::take_events();
+        let mut deferred = workspace::take_deferred();
 
         // The k-way merge: pick the earliest head each round; equal times
         // resolve ticks < background < cascade, reproducing the retired
@@ -1057,26 +1282,41 @@ impl Machine {
                     p.len,
                     KernelEventKind::ContextSwitch,
                     &mut busy_until,
-                    &mut per_core_gaps,
-                    &mut core_logs,
+                    &mut gaps,
+                    &mut attacker_events,
                 );
                 n_preemptions += 1;
                 preempt_head = preempt.next();
             }
-            let len = handler.sample(a.kind, a.units, &mut handler_rng);
+            // Every arrival takes its place in the handler-time stream;
+            // only the attacker core's pays for the value now.
+            let slot = handler_slots.next_slot();
             if tally {
                 kind_counts[a.kind.index()] += 1;
-                handler_ns.record(len.as_nanos() as f64);
             }
-            serve(
-                a.core,
-                a.t,
-                len,
-                KernelEventKind::Interrupt(a.kind),
-                &mut busy_until,
-                &mut per_core_gaps,
-                &mut core_logs,
-            );
+            if a.core == attacker {
+                let len = handler.from_standard_normal(a.kind, a.units, slot.value());
+                if tally {
+                    handler_ns.record(len.as_nanos() as f64);
+                }
+                serve(
+                    attacker,
+                    a.t,
+                    len,
+                    KernelEventKind::Interrupt(a.kind),
+                    &mut busy_until,
+                    &mut gaps,
+                    &mut attacker_events,
+                );
+            } else {
+                deferred.push(DeferredArrival {
+                    t: a.t,
+                    slot,
+                    core: a.core as u32,
+                    units: a.units,
+                    kind: a.kind,
+                });
+            }
             n_arrivals += 1;
         }
         while let Some(p) = preempt_head {
@@ -1086,52 +1326,13 @@ impl Machine {
                 p.len,
                 KernelEventKind::ContextSwitch,
                 &mut busy_until,
-                &mut per_core_gaps,
-                &mut core_logs,
+                &mut gaps,
+                &mut attacker_events,
             );
             n_preemptions += 1;
             preempt_head = preempt.next();
         }
-        workspace::give_nanos(busy_until);
         let llc = cascade.finish();
-
-        // Merge the born-sorted per-core logs by (start, core) — the
-        // composite keys are unique (per-core starts strictly increase),
-        // so this equals the retired engine's stable global sort.
-        let mut merged = workspace::take_events();
-        merged.reserve(core_logs.iter().map(|l| l.len()).sum());
-        let mut cursors = workspace::take_usizes();
-        cursors.resize(cfg.num_cores, 0);
-        // Cache each core's head start (MAX = exhausted) so one round
-        // scans a short array instead of re-indexing every log; strict
-        // `<` keeps the lowest core on ties, i.e. (start, core) order.
-        let mut heads = workspace::take_nanos();
-        for log in core_logs.iter() {
-            heads.push(log.first().map_or(Nanos::MAX, |e| e.start));
-        }
-        loop {
-            let mut best_core = usize::MAX;
-            let mut best_t = Nanos::MAX;
-            for (core, &h) in heads.iter().enumerate() {
-                if h < best_t {
-                    best_t = h;
-                    best_core = core;
-                }
-            }
-            if best_core == usize::MAX {
-                break;
-            }
-            let cur = cursors[best_core];
-            merged.push(core_logs[best_core][cur]);
-            cursors[best_core] = cur + 1;
-            heads[best_core] = core_logs[best_core]
-                .get(cur + 1)
-                .map_or(Nanos::MAX, |e| e.start);
-        }
-        workspace::give_nanos(heads);
-        workspace::give_usizes(cursors);
-        workspace::give_event_list(core_logs);
-        let kernel_log = KernelLog::from_sorted_events(merged);
 
         // Flush the run's tallies into the global metrics registry.
         bf_obs::counter("sim.runs").inc();
@@ -1156,37 +1357,26 @@ impl Machine {
         // Turbo Boost stalls pause user code with no kernel record
         // (footnote 4): splice them into the attacker core's gap list
         // wherever they do not collide with an existing gap.
-        if !turbo_stalls.is_empty() {
-            let gaps = &mut per_core_gaps[attacker];
-            for stall in turbo_stalls.drain(..) {
-                let pos = gaps.partition_point(|g| g.end <= stall.start);
-                let clear_after = gaps.get(pos).is_none_or(|g| g.start >= stall.end);
-                if clear_after {
-                    gaps.insert(pos, stall);
-                }
+        for stall in turbo_stalls.drain(..) {
+            let pos = gaps.partition_point(|g| g.end <= stall.start);
+            let clear_after = gaps.get(pos).is_none_or(|g| g.start >= stall.end);
+            if clear_after {
+                gaps.insert(pos, stall);
             }
         }
         workspace::give_gaps(turbo_stalls);
-
-        let mut cores = workspace::take_timelines();
-        let mut freq_slot = Some(freq);
-        for (core, gaps) in per_core_gaps.drain(..).enumerate() {
-            let f = if core == attacker {
-                freq_slot.take().expect("exactly one attacker core")
-            } else {
-                StepSeries::new(1.0)
-            };
-            cores.push(CoreTimeline::new(duration, gaps, f));
-        }
-        workspace::give_gap_list(per_core_gaps);
         workspace::give_f64s(activity);
 
         SimOutput {
-            cores,
-            kernel_log,
             llc_loads: llc,
             attacker_core: attacker,
             duration,
+            attacker: CoreTimeline::new(duration, gaps, freq),
+            attacker_events,
+            deferred,
+            handler,
+            num_cores: cfg.num_cores,
+            full: OnceLock::new(),
         }
     }
 
@@ -1291,7 +1481,7 @@ mod tests {
         let a = m.run(&w, 7);
         let b = m.run(&w, 7);
         assert_eq!(a.attacker_timeline().gaps(), b.attacker_timeline().gaps());
-        assert_eq!(a.kernel_log.events(), b.kernel_log.events());
+        assert_eq!(a.kernel_log().events(), b.kernel_log().events());
     }
 
     #[test]
@@ -1313,9 +1503,9 @@ mod tests {
         assert!(sorted.is_sorted());
         let a = m.run(&unsorted, 7);
         let b = m.run(&sorted, 7);
-        assert_eq!(a.kernel_log.events(), b.kernel_log.events());
+        assert_eq!(a.kernel_log().events(), b.kernel_log().events());
         assert_eq!(a.llc_loads.points(), b.llc_loads.points());
-        for (x, y) in a.cores.iter().zip(&b.cores) {
+        for (x, y) in a.cores().iter().zip(b.cores()) {
             assert_eq!(x.gaps(), y.gaps());
             assert_eq!(x.freq().points(), y.freq().points());
         }
@@ -1325,7 +1515,7 @@ mod tests {
     fn kernel_log_is_sorted_without_finalize() {
         let m = Machine::new(MachineConfig::default());
         let out = m.run(&quick_workload(Nanos::from_millis(500)), 7);
-        let events = out.kernel_log.events();
+        let events = out.kernel_log().events();
         assert!(events
             .windows(2)
             .all(|w| (w[0].start, w[0].core) <= (w[1].start, w[1].core)));
@@ -1360,7 +1550,7 @@ mod tests {
         let out = m.run(&w, 3);
         for core in 0..4 {
             let ticks = out
-                .kernel_log
+                .kernel_log()
                 .events_on_core(core)
                 .filter(|e| e.kind == KernelEventKind::Interrupt(InterruptKind::TimerTick))
                 .count();
@@ -1373,7 +1563,7 @@ mod tests {
     fn gaps_are_sorted_and_disjoint() {
         let m = Machine::new(MachineConfig::default());
         let out = m.run(&quick_workload(Nanos::from_millis(500)), 11);
-        for tl in &out.cores {
+        for tl in out.cores() {
             let gaps = tl.gaps();
             for w in gaps.windows(2) {
                 assert!(w[0].end <= w[1].start);
@@ -1399,7 +1589,7 @@ mod tests {
         let m = Machine::new(cfg);
         let out = m.run(&quick_workload(Nanos::from_millis(500)), 17);
         let movable_on_attacker = out
-            .kernel_log
+            .kernel_log()
             .events_on_core(out.attacker_core)
             .filter_map(|e| e.kind.interrupt())
             .filter(|k| k.is_movable())
@@ -1407,7 +1597,7 @@ mod tests {
         assert_eq!(movable_on_attacker, 0);
         // But non-movable work still lands there.
         let nonmovable = out
-            .kernel_log
+            .kernel_log()
             .events_on_core(out.attacker_core)
             .filter_map(|e| e.kind.interrupt())
             .filter(|k| !k.is_movable())
@@ -1497,7 +1687,7 @@ mod tests {
         );
         let out = Machine::new(MachineConfig::default()).run(&w, 41);
         let receiving_cores: std::collections::HashSet<usize> = out
-            .kernel_log
+            .kernel_log()
             .events()
             .iter()
             .filter(|e| e.kind == KernelEventKind::Interrupt(InterruptKind::TlbShootdown))
@@ -1517,7 +1707,7 @@ mod tests {
         let tl = out.attacker_timeline();
         let gap_total: u64 = tl.gaps().iter().map(|g| g.len().as_nanos()).sum();
         let handler_total = out
-            .kernel_log
+            .kernel_log()
             .interrupt_time_on_core(out.attacker_core, Nanos::ZERO, Nanos::MAX)
             .as_nanos();
         assert_eq!(gap_total, handler_total);
@@ -1529,7 +1719,7 @@ mod tests {
         let linux = Machine::new(MachineConfig::for_os(OsKind::Linux)).run(&w, 47);
         let windows = Machine::new(MachineConfig::for_os(OsKind::Windows)).run(&w, 47);
         let count = |o: &SimOutput| {
-            o.kernel_log
+            o.kernel_log()
                 .events()
                 .iter()
                 .filter(|e| e.kind == KernelEventKind::Interrupt(InterruptKind::TimerTick))
@@ -1544,7 +1734,7 @@ mod tests {
         for (name, iso) in IsolationConfig::table3_ladder() {
             let cfg = MachineConfig::default().with_isolation(iso);
             let out = Machine::new(cfg).run(&w, 53);
-            assert!(!out.kernel_log.is_empty(), "{name}");
+            assert!(!out.kernel_log().is_empty(), "{name}");
         }
     }
 
@@ -1568,7 +1758,7 @@ mod tests {
         let tl = out.attacker_timeline();
         let gap_total: u64 = tl.gaps().iter().map(|g| g.len().as_nanos()).sum();
         let handler_total = out
-            .kernel_log
+            .kernel_log()
             .interrupt_time_on_core(out.attacker_core, Nanos::ZERO, Nanos::MAX)
             .as_nanos();
         assert!(

@@ -279,7 +279,24 @@ impl HandlerTimeModel {
     #[inline]
     pub fn sample(&self, kind: InterruptKind, units: u32, rng: &mut SeedRng) -> Nanos {
         let (ln_median, sigma) = Self::ln_body_params()[kind.index()];
-        let body = rng.log_normal(ln_median, sigma);
+        self.with_body(kind, units, rng.log_normal(ln_median, sigma))
+    }
+
+    /// The service time [`sample`](Self::sample) returns when its
+    /// generator's next `standard_normal()` draw is `z`, bit for bit:
+    /// `log_normal(mu, sigma)` is `(mu + sigma * z).exp()`. The engine
+    /// draws `z` as a [`bf_stats::NormalSlot`] and evaluates it only for
+    /// the interrupts someone reads.
+    #[inline]
+    pub fn from_standard_normal(&self, kind: InterruptKind, units: u32, z: f64) -> Nanos {
+        let (ln_median, sigma) = Self::ln_body_params()[kind.index()];
+        self.with_body(kind, units, (ln_median + sigma * z).exp())
+    }
+
+    /// Service time around a sampled log-normal handler body: batched
+    /// work, the softirq budget, mitigation overhead and VM amplification.
+    #[inline]
+    fn with_body(&self, kind: InterruptKind, units: u32, body: f64) -> Nanos {
         let mut t =
             Nanos::from_nanos(body.round() as u64) + Self::per_unit_cost(kind) * units as u64;
         if matches!(kind, InterruptKind::Softirq(_)) && t > Self::SOFTIRQ_BUDGET {
@@ -381,6 +398,26 @@ mod tests {
             &mut rng,
         );
         assert!(t <= Nanos::from_millis(2) + Nanos::from_micros(2));
+    }
+
+    #[test]
+    fn from_standard_normal_matches_sample() {
+        let vm = HandlerTimeModel {
+            base_overhead: Nanos::from_nanos(1_500),
+            amplification: 1.9,
+            vm_exit_cost: Nanos::from_nanos(2_500),
+        };
+        for m in [model(), vm] {
+            let mut drawn = SeedRng::new(7);
+            let mut normals = SeedRng::new(7);
+            for (i, kind) in InterruptKind::ALL.iter().cycle().take(600).enumerate() {
+                let units = (i % 5) as u32 * 300;
+                assert_eq!(
+                    m.sample(*kind, units, &mut drawn),
+                    m.from_standard_normal(*kind, units, normals.standard_normal())
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!    victim activity events, produced by `bf-victim`) and produces a
 //!    [`SimOutput`]: per-core [`CoreTimeline`]s of execution *gaps* with
 //!    causes, a ground-truth [`KernelLog`], the LLC load series, and the
-//!    attacker core's frequency curve.
+//!    attacker core's frequency curve. Only the attacker core is served
+//!    during the run; the other cores and the kernel log are built, bit
+//!    for bit the same, on their first read.
 //! 2. Attackers (in `bf-attack`) then *replay* deterministically over the
 //!    timeline; the eBPF tool (in `bf-ebpf`) cross-references the kernel
 //!    log against attacker-observed gaps.
@@ -44,7 +46,7 @@
 //!     event: WorkloadEvent::NetworkPacket { bytes: 1500 },
 //! });
 //! let out = machine.run(&workload, 42);
-//! assert!(!out.kernel_log.events().is_empty());
+//! assert!(!out.kernel_log().events().is_empty());
 //! ```
 
 pub mod config;

@@ -122,6 +122,19 @@ impl CoreTimeline {
         (self.duration, self.gaps, self.freq)
     }
 
+    /// A copy of this timeline backed by `gaps` and `freq_points`'
+    /// storage (both cleared first), so copies can live on pooled
+    /// buffers.
+    pub fn clone_in(&self, mut gaps: Vec<Gap>, freq_points: Vec<(u64, f64)>) -> Self {
+        gaps.clear();
+        gaps.extend_from_slice(&self.gaps);
+        CoreTimeline {
+            duration: self.duration,
+            gaps,
+            freq: self.freq.clone_in(freq_points),
+        }
+    }
+
     /// An always-runnable timeline at nominal frequency (unit tests,
     /// idle-machine baselines).
     pub fn idle(duration: Nanos) -> Self {

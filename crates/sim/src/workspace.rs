@@ -4,7 +4,8 @@
 //! every [`Machine::run`](crate::Machine::run) needs the same family of
 //! scratch and output buffers: per-core gap lists, kernel-event vectors,
 //! step-series point storage, activity buckets, the cascade's pending
-//! heap. Allocating them per run puts the allocator on the hot path and
+//! heap, the deferred-arrival buffer. Allocating them per run puts the
+//! allocator on the hot path and
 //! fragments the heap across a fleet-scale sweep; this module keeps the
 //! buffers in thread-local free lists so a steady-state run performs no
 //! heap allocation at all (enforced by the `alloc_regression` test).
@@ -28,7 +29,7 @@
 //! `give`, and the engine writes every element it later reads. Pool hits
 //! and misses change only where the backing memory comes from.
 
-use crate::engine::PendingArrival;
+use crate::engine::{DeferredArrival, Materialized, PendingArrival};
 use crate::kernel::KernelEvent;
 use crate::timeline::{CoreTimeline, Gap};
 use crate::SimOutput;
@@ -56,6 +57,7 @@ struct Workspace {
     gaps: Vec<Vec<Gap>>,
     events: Vec<Vec<KernelEvent>>,
     pending: Vec<Vec<PendingArrival>>,
+    deferred: Vec<Vec<DeferredArrival>>,
     indices: Vec<Vec<(u64, u32)>>,
     gap_lists: Vec<Vec<Vec<Gap>>>,
     event_lists: Vec<Vec<Vec<KernelEvent>>>,
@@ -107,6 +109,7 @@ pool_accessors!(take_usizes, give_usizes, usizes, usize);
 pool_accessors!(take_gaps, give_gaps, gaps, Gap);
 pool_accessors!(take_events, give_events, events, KernelEvent);
 pool_accessors!(take_pending, give_pending, pending, PendingArrival);
+pool_accessors!(take_deferred, give_deferred, deferred, DeferredArrival);
 pool_accessors!(take_index, give_index, indices, (u64, u32));
 pool_accessors!(take_gap_list, give_gap_list_raw, gap_lists, Vec<Gap>);
 pool_accessors!(take_event_list, give_event_list_raw, event_lists, Vec<KernelEvent>);
@@ -132,27 +135,39 @@ pub(crate) fn give_event_list(mut list: Vec<Vec<KernelEvent>>) {
 
 /// Dismantle a finished [`SimOutput`] and return its backing storage to
 /// this thread's pool, so the next [`Machine::run`](crate::Machine::run)
-/// on this thread allocates nothing.
+/// on this thread allocates nothing. The deferred arrivals and, when the
+/// output was materialized, every core and the kernel log go back too.
 ///
 /// Call this once the output (and anything borrowing from it) is no
 /// longer needed — e.g. after the attacker has replayed over the trace.
 pub fn recycle(out: SimOutput) {
     let SimOutput {
-        mut cores,
-        kernel_log,
         llc_loads,
+        attacker,
+        attacker_events,
+        deferred,
+        full,
         ..
     } = out;
-    give_events(kernel_log.into_events());
     let (_, llc_points) = llc_loads.into_parts();
     give_points(llc_points);
-    for timeline in cores.drain(..) {
-        let (_, gaps, freq) = timeline.into_parts();
-        give_gaps(gaps);
-        let (_, freq_points) = freq.into_parts();
-        give_points(freq_points);
+    give_timeline(attacker);
+    give_events(attacker_events);
+    give_deferred(deferred);
+    if let Some(Materialized { mut cores, kernel_log }) = full.into_inner() {
+        give_events(kernel_log.into_events());
+        for timeline in cores.drain(..) {
+            give_timeline(timeline);
+        }
+        give_timelines(cores);
     }
-    give_timelines(cores);
+}
+
+fn give_timeline(timeline: CoreTimeline) {
+    let (_, gaps, freq) = timeline.into_parts();
+    give_gaps(gaps);
+    let (_, freq_points) = freq.into_parts();
+    give_points(freq_points);
 }
 
 /// This thread's pool hit/miss counters.
@@ -229,7 +244,7 @@ mod tests {
         let mut w = Workload::new(Nanos::from_millis(50));
         w.push_at(Nanos::from_millis(10), WorkloadEvent::NetworkPacket { bytes: 1500 });
         let cold = machine.run(&w, 7);
-        let expected = cold.kernel_log.clone();
+        let expected = cold.kernel_log().clone();
         // Two recycled runs fill every free list (scratch buffers that
         // start at zero capacity are dropped on the first give).
         recycle(cold);
@@ -246,7 +261,7 @@ mod tests {
             "warm run should not miss the pool"
         );
         // Pooling must not perturb the output.
-        assert_eq!(warm.kernel_log.events(), expected.events());
+        assert_eq!(warm.kernel_log().events(), expected.events());
         recycle(warm);
     }
 

@@ -7,7 +7,9 @@
 //! test binary's `#[global_allocator]`; after five warm-up runs (each
 //! recycled back into the pool, which also registers every bf-obs
 //! counter the run flushes) counting is switched on for one more run,
-//! which must report zero allocations and zero deallocations.
+//! which must report zero allocations and zero deallocations. That holds
+//! both for a run whose other cores and kernel log are never built (the
+//! collection path) and for one that builds them on first read.
 
 use bf_sim::{workspace, Machine, MachineConfig, Workload, WorkloadEvent};
 use bf_timer::Nanos;
@@ -140,7 +142,7 @@ fn steady_state_run_does_not_allocate() {
     }
 
     let (out, (allocs, deallocs, reallocs)) = counted(|| machine.run(&workload, 42));
-    assert!(!out.kernel_log.is_empty());
+    assert!(!out.kernel_log().is_empty());
     workspace::recycle(out);
     assert_eq!(
         (allocs, deallocs, reallocs),
@@ -186,17 +188,50 @@ fn steady_state_run_and_recycle_do_not_allocate() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     workspace::clear_thread();
 
-    // The collection loop's real shape: run, consume, recycle — the
-    // recycle itself must also stay off the heap.
+    // The collection loop's real shape: run, replay over the attacker
+    // core, recycle — the other cores and the kernel log are never built,
+    // and the recycle itself must also stay off the heap.
     let machine = Machine::new(MachineConfig::default());
     let workload = busy_workload(Nanos::from_millis(200));
     for _ in 0..5 {
         workspace::recycle(machine.run(&workload, 7));
     }
 
+    let (attacker_gaps, (allocs, deallocs, reallocs)) = counted(|| {
+        let out = machine.run(&workload, 7);
+        let gaps = out.attacker_timeline().gaps().len() + out.llc_loads.len();
+        assert!(!out.is_materialized());
+        workspace::recycle(out);
+        gaps
+    });
+    assert!(attacker_gaps > 0);
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "steady-state run+recycle touched the heap: \
+         {allocs} allocs, {deallocs} deallocs, {reallocs} reallocs"
+    );
+}
+
+#[test]
+fn materialized_run_and_recycle_do_not_allocate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    workspace::clear_thread();
+
+    // The eBPF analyses' shape: every core and the kernel log are built
+    // on first read, from the same pool, and recycled with the output.
+    let machine = Machine::new(MachineConfig::default());
+    let workload = busy_workload(Nanos::from_millis(200));
+    for _ in 0..5 {
+        let out = machine.run(&workload, 7);
+        out.kernel_log();
+        workspace::recycle(out);
+    }
+
     let (total_gaps, (allocs, deallocs, reallocs)) = counted(|| {
         let out = machine.run(&workload, 7);
-        let gaps: usize = out.cores.iter().map(|c| c.gaps().len()).sum();
+        let gaps: usize = out.cores().iter().map(|c| c.gaps().len()).sum();
+        assert!(!out.kernel_log().is_empty());
         workspace::recycle(out);
         gaps
     });
@@ -204,7 +239,7 @@ fn steady_state_run_and_recycle_do_not_allocate() {
     assert_eq!(
         (allocs, deallocs, reallocs),
         (0, 0, 0),
-        "steady-state run+recycle touched the heap: \
+        "steady-state materialized run+recycle touched the heap: \
          {allocs} allocs, {deallocs} deallocs, {reallocs} reallocs"
     );
 }

@@ -5,14 +5,17 @@
 //! seeds — including unsorted workloads and duplicate-instant cache
 //! loads. Any divergence in the kernel log, gap lists, LLC series, or
 //! frequency series is a correctness bug in the merge order or RNG
-//! stream assignment, not a tolerance question.
+//! stream assignment, not a tolerance question. The attacker's view is
+//! compared first, before the streamed output builds its other cores and
+//! kernel log, then the full output.
 
 #[path = "support/legacy_engine.rs"]
 mod legacy;
 
 use bf_sim::engine::KernelTuning;
 use bf_sim::{
-    IsolationConfig, Machine, MachineConfig, OsKind, SimOutput, VmMode, Workload, WorkloadEvent,
+    IsolationConfig, KernelEvent, Machine, MachineConfig, OsKind, SimOutput, VmMode, Workload,
+    WorkloadEvent,
 };
 use bf_stats::SeedRng;
 use bf_timer::Nanos;
@@ -86,20 +89,45 @@ fn assert_identical(new: &SimOutput, old: &SimOutput, label: &str) {
     assert_eq!(new.duration, old.duration, "{label}: duration");
     assert_eq!(new.attacker_core, old.attacker_core, "{label}: attacker core");
     assert_eq!(
-        new.kernel_log.events(),
-        old.kernel_log.events(),
+        new.kernel_log().events(),
+        old.kernel_log().events(),
         "{label}: kernel log"
     );
     assert_eq!(new.llc_loads, old.llc_loads, "{label}: llc series");
-    assert_eq!(new.cores.len(), old.cores.len(), "{label}: core count");
-    for (core, (n, o)) in new.cores.iter().zip(&old.cores).enumerate() {
+    assert_eq!(new.cores().len(), old.cores().len(), "{label}: core count");
+    for (core, (n, o)) in new.cores().iter().zip(old.cores()).enumerate() {
         assert_eq!(n, o, "{label}: core {core} timeline");
     }
+}
+
+/// What an attacker replay reads, compared before `new` builds its other
+/// cores and kernel log.
+fn assert_attacker_view_identical(new: &SimOutput, old: &SimOutput, label: &str) {
+    assert!(!new.is_materialized(), "{label}: built before any all-core read");
+    assert_eq!(new.attacker_core, old.attacker_core, "{label}: attacker core");
+    assert_eq!(
+        new.attacker_timeline(),
+        &old.cores()[old.attacker_core],
+        "{label}: attacker timeline"
+    );
+    let old_events: Vec<KernelEvent> = old
+        .kernel_log()
+        .events_on_core(old.attacker_core)
+        .copied()
+        .collect();
+    assert_eq!(
+        new.attacker_kernel_events(),
+        &old_events[..],
+        "{label}: attacker kernel events"
+    );
+    assert_eq!(new.llc_loads, old.llc_loads, "{label}: llc series");
+    assert!(!new.is_materialized(), "{label}: attacker view built the rest");
 }
 
 fn check(cfg: MachineConfig, tuning: KernelTuning, workload: &Workload, seed: u64, label: &str) {
     let new = Machine::with_tuning(cfg.clone(), tuning).run(workload, seed);
     let old = legacy::legacy_run(&cfg, &tuning, workload, seed);
+    assert_attacker_view_identical(&new, &old, label);
     assert_identical(&new, &old, label);
 }
 

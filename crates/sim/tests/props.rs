@@ -1,8 +1,8 @@
 //! Property-based invariants for the machine simulator.
 
 use bf_sim::{
-    CoreTimeline, Gap, GapCause, InterruptKind, KernelEventKind, Machine, MachineConfig,
-    TimedEvent, Workload, WorkloadEvent,
+    CoreTimeline, Gap, GapCause, InterruptKind, IsolationConfig, KernelEvent, KernelEventKind,
+    Machine, MachineConfig, OsKind, RoutingPolicy, TimedEvent, VmMode, Workload, WorkloadEvent,
 };
 use bf_stats::StepSeries;
 use bf_timer::Nanos;
@@ -151,10 +151,10 @@ proptest! {
     }
 }
 
-/// Random small workloads over a 200 ms window.
+/// Random small workloads over a 200 ms window, every event kind.
 fn workload_strategy() -> impl Strategy<Value = Workload> {
     proptest::collection::vec(
-        (0u64..200_000_000, 0u8..6, 1u32..2_000),
+        (0u64..200_000_000, 0u8..9, 1u32..2_000),
         0..60,
     )
     .prop_map(|evs| {
@@ -166,6 +166,9 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
                 2 => WorkloadEvent::TlbShootdown { pages: magnitude.min(512) },
                 3 => WorkloadEvent::GraphicsFrame,
                 4 => WorkloadEvent::CacheLoad { lines: magnitude },
+                5 => WorkloadEvent::DiskCompletion,
+                6 => WorkloadEvent::KeyPress,
+                7 => WorkloadEvent::SpuriousInterrupt,
                 _ => WorkloadEvent::CpuBurst {
                     duration: Nanos::from_micros(u64::from(magnitude.min(5_000))),
                 },
@@ -174,6 +177,36 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
         }
         w
     })
+}
+
+/// Machine configurations across OS kinds, core counts, the isolation
+/// knobs (frequency and core pinning, irqbalance, VM mode), explicit IRQ
+/// re-routing (including onto the attacker core) and turbo boost.
+fn config_strategy() -> impl Strategy<Value = MachineConfig> {
+    (
+        (0u8..3, 2usize..7, 0u8..5),
+        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|((os, num_cores, routing), (pin_freq, pin_cores, confine, vm, turbo))| {
+            let os = [OsKind::Linux, OsKind::Windows, OsKind::MacOs][os as usize];
+            let isolation = IsolationConfig {
+                pin_frequency: pin_freq,
+                pin_cores,
+                confine_movable_irqs: confine,
+                vm: if vm { VmMode::SeparateVms } else { VmMode::None },
+            };
+            let mut cfg = MachineConfig { num_cores, ..MachineConfig::for_os(os) }
+                .with_isolation(isolation);
+            cfg.routing = match routing {
+                0 => None,
+                1 => Some(RoutingPolicy::Spread),
+                2 => Some(RoutingPolicy::BySource),
+                3 => Some(RoutingPolicy::PinnedTo(0)),
+                _ => Some(RoutingPolicy::PinnedTo(cfg.attacker_core())),
+            };
+            cfg.turbo_boost = turbo;
+            cfg
+        })
 }
 
 proptest! {
@@ -186,7 +219,7 @@ proptest! {
         let a = m.run(&w, seed);
         let b = m.run(&w, seed);
         prop_assert_eq!(a.attacker_timeline().gaps(), b.attacker_timeline().gaps());
-        prop_assert_eq!(a.kernel_log.events(), b.kernel_log.events());
+        prop_assert_eq!(a.kernel_log().events(), b.kernel_log().events());
     }
 
     /// Gaps on every core are sorted, disjoint, and non-empty.
@@ -194,7 +227,7 @@ proptest! {
     fn gaps_well_formed(w in workload_strategy(), seed in 0u64..1_000) {
         let m = Machine::new(MachineConfig::default());
         let out = m.run(&w, seed);
-        for tl in &out.cores {
+        for tl in out.cores() {
             for g in tl.gaps() {
                 prop_assert!(g.end > g.start);
             }
@@ -214,7 +247,7 @@ proptest! {
         let out = m.run(&w, seed);
         let core = out.attacker_core;
         let tl = out.attacker_timeline();
-        for ev in out.kernel_log.events_on_core(core) {
+        for ev in out.kernel_log().events_on_core(core) {
             if ev.kind == KernelEventKind::ContextSwitch {
                 continue;
             }
@@ -244,7 +277,7 @@ proptest! {
         cfg.isolation.confine_movable_irqs = true;
         let m = Machine::new(cfg);
         let out = m.run(&w, seed);
-        for ev in out.kernel_log.events() {
+        for ev in out.kernel_log().events() {
             if let Some(kind) = ev.kind.interrupt() {
                 if kind.is_movable() {
                     prop_assert_eq!(ev.core, 0, "{} on core {}", kind, ev.core);
@@ -272,7 +305,7 @@ proptest! {
     fn kernel_log_sorted_without_finalize(w in workload_strategy(), seed in 0u64..1_000) {
         let m = Machine::new(MachineConfig::default());
         let out = m.run(&w, seed);
-        for pair in out.kernel_log.events().windows(2) {
+        for pair in out.kernel_log().events().windows(2) {
             prop_assert!(
                 (pair[0].start, pair[0].core) <= (pair[1].start, pair[1].core),
                 "out of order: {:?} then {:?}", pair[0], pair[1]
@@ -292,12 +325,59 @@ proptest! {
         sorted.finalize();
         let c = m.run(&sorted, seed);
         for other in [&b, &c] {
-            prop_assert_eq!(a.kernel_log.events(), other.kernel_log.events());
+            prop_assert_eq!(a.kernel_log().events(), other.kernel_log().events());
             prop_assert_eq!(&a.llc_loads, &other.llc_loads);
-            prop_assert_eq!(a.cores.len(), other.cores.len());
-            for (x, y) in a.cores.iter().zip(&other.cores) {
+            prop_assert_eq!(a.cores().len(), other.cores().len());
+            for (x, y) in a.cores().iter().zip(other.cores()) {
                 prop_assert_eq!(x, y);
             }
         }
+    }
+
+    /// The attacker's view — its timeline, its kernel events and the LLC
+    /// series — is complete before anything else is built, and equals the
+    /// built output's. Building through `kernel_log()`, through another
+    /// core's `core(i)`, or on a clone taken before building gives one
+    /// all-core view.
+    #[test]
+    fn attacker_view_matches_materialized_output(
+        w in workload_strategy(),
+        seed in 0u64..1_000,
+        cfg in config_strategy(),
+    ) {
+        let m = Machine::new(cfg.clone());
+        let out = m.run(&w, seed);
+        prop_assert!(!out.is_materialized());
+        let attacker = out.attacker_core;
+        let timeline = out.attacker_timeline().clone();
+        let events = out.attacker_kernel_events().to_vec();
+        let llc = out.llc_loads.clone();
+        let cloned = out.clone();
+
+        // Built through the kernel log first.
+        let log = out.kernel_log();
+        prop_assert!(out.is_materialized());
+        let on_attacker: Vec<KernelEvent> = log.events_on_core(attacker).copied().collect();
+        prop_assert_eq!(&events, &on_attacker);
+        prop_assert_eq!(out.cores().len(), cfg.num_cores);
+        prop_assert_eq!(&out.cores()[attacker], &timeline);
+        prop_assert_eq!(out.core(attacker), &timeline);
+        prop_assert_eq!(out.attacker_timeline(), &timeline);
+        prop_assert_eq!(&out.llc_loads, &llc);
+
+        // Built through another core's timeline first.
+        let other = m.run(&w, seed);
+        prop_assert_eq!(other.attacker_timeline(), &timeline);
+        prop_assert_eq!(other.attacker_kernel_events(), &events[..]);
+        prop_assert_eq!(other.core(0), &out.cores()[0]);
+        prop_assert!(other.is_materialized());
+        prop_assert_eq!(other.cores(), out.cores());
+        prop_assert_eq!(other.kernel_log(), log);
+
+        // A clone taken before building builds the same view.
+        prop_assert!(!cloned.is_materialized());
+        prop_assert_eq!(cloned.cores(), out.cores());
+        prop_assert_eq!(cloned.kernel_log(), log);
+        prop_assert_eq!(cloned.attacker_kernel_events(), &events[..]);
     }
 }

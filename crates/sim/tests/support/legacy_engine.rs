@@ -379,13 +379,7 @@ pub fn legacy_run(
         })
         .collect();
 
-    SimOutput {
-        cores,
-        kernel_log,
-        llc_loads: llc,
-        attacker_core: attacker,
-        duration,
-    }
+    SimOutput::from_materialized(cores, kernel_log, llc, attacker, duration)
 }
 
 fn generate_timer_ticks(cfg: &MachineConfig, duration: Nanos, arrivals: &mut Vec<Arrival>) {

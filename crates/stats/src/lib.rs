@@ -37,7 +37,7 @@ pub mod ttest;
 pub use corr::pearson;
 pub use describe::Summary;
 pub use hist::Histogram;
-pub use rng::SeedRng;
+pub use rng::{NormalSlot, NormalSlots, SeedRng};
 pub use samplers::Zipf;
 pub use series::{StepCursor, StepSeries};
 pub use ttest::{welch_t_test, TTestResult};

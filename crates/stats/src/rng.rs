@@ -122,16 +122,21 @@ impl SeedRng {
         if let Some(bits) = self.gauss_spare.take() {
             return f64::from_bits(bits);
         }
-        // Draw until u1 is safely non-zero.
+        let (u1, u2) = self.box_muller_uniforms();
+        let (r, theta) = box_muller_polar(u1, u2);
+        self.gauss_spare = Some((r * theta.sin()).to_bits());
+        r * theta.cos()
+    }
+
+    /// The two uniforms one Box–Muller pair consumes, drawing until `u1`
+    /// is safely non-zero.
+    #[inline]
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         let mut u1 = self.uniform();
         while u1 <= f64::MIN_POSITIVE {
             u1 = self.uniform();
         }
-        let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.gauss_spare = Some((r * theta.sin()).to_bits());
-        r * theta.cos()
+        (u1, self.uniform())
     }
 
     /// Normal draw with the given mean and standard deviation.
@@ -226,6 +231,87 @@ impl SeedRng {
         } else {
             Some(&xs[self.int_range(0, xs.len() as u64) as usize])
         }
+    }
+}
+
+/// Box–Muller radius and angle for one uniform pair.
+#[inline]
+fn box_muller_polar(u1: f64, u2: f64) -> (f64, f64) {
+    ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
+}
+
+/// One [`SeedRng::standard_normal`] draw, captured before its
+/// transcendental math runs: the Box–Muller uniform pair and which half
+/// of the pair (cosine or sine) the draw is.
+///
+/// Drawing a slot costs only the uniforms; [`NormalSlot::value`] pays for
+/// the logarithm, square root and cosine/sine when — and if — the value
+/// is needed. A consumer that needs only some draws of a stream can skip
+/// the rest and still advance the generator exactly as
+/// `standard_normal` would.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NormalSlot {
+    u1: f64,
+    u2: f64,
+    sin: bool,
+}
+
+impl NormalSlot {
+    /// The draw's value, bit-identical to what `standard_normal` returns
+    /// at the same position of the same stream.
+    #[inline]
+    pub fn value(self) -> f64 {
+        let (r, theta) = box_muller_polar(self.u1, self.u2);
+        if self.sin {
+            r * theta.sin()
+        } else {
+            r * theta.cos()
+        }
+    }
+}
+
+/// A generator's stream of [`SeedRng::standard_normal`] draws as
+/// [`NormalSlot`]s.
+///
+/// The `n`-th slot's value is bit-identical to the `n`-th
+/// `standard_normal()` draw of the wrapped generator, and both consume the
+/// same uniforms in the same order (including the `u1 <= MIN_POSITIVE`
+/// rejection loop): each pair of slots shares one uniform pair, cosine
+/// half first.
+#[derive(Debug, Clone)]
+pub struct NormalSlots {
+    rng: SeedRng,
+    /// The sine half of the last pair, not yet handed out.
+    spare: Option<(f64, f64)>,
+}
+
+impl NormalSlots {
+    /// Wrap `rng`, whose next `standard_normal` draw becomes the first
+    /// slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rng` holds a cached Box–Muller spare (an odd number
+    /// of `standard_normal` draws so far), whose uniforms are gone. A
+    /// generator fresh from [`SeedRng::new`] or [`SeedRng::fork`] never
+    /// does.
+    pub fn new(rng: SeedRng) -> Self {
+        assert!(
+            rng.gauss_spare.is_none(),
+            "NormalSlots needs a generator without a cached normal spare"
+        );
+        NormalSlots { rng, spare: None }
+    }
+
+    /// The next draw's slot.
+    #[inline]
+    pub fn next_slot(&mut self) -> NormalSlot {
+        if let Some((u1, u2)) = self.spare.take() {
+            return NormalSlot { u1, u2, sin: true };
+        }
+        let (u1, u2) = self.rng.box_muller_uniforms();
+        self.spare = Some((u1, u2));
+        NormalSlot { u1, u2, sin: false }
     }
 }
 
@@ -400,6 +486,28 @@ mod tests {
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
+    }
+
+    #[test]
+    fn normal_slots_replay_standard_normal_bit_for_bit() {
+        let mut direct = SeedRng::new(19);
+        let mut slots = NormalSlots::new(SeedRng::new(19));
+        for _ in 0..1_001 {
+            let want = direct.standard_normal();
+            assert_eq!(slots.next_slot().value().to_bits(), want.to_bits());
+        }
+        // Both consumed the same uniforms, so the raw streams line up.
+        direct.standard_normal(); // drop the pending spare
+        slots.next_slot();
+        assert_eq!(slots.rng.next_raw(), direct.next_raw());
+    }
+
+    #[test]
+    #[should_panic(expected = "cached normal spare")]
+    fn normal_slots_reject_a_pending_spare() {
+        let mut rng = SeedRng::new(20);
+        rng.standard_normal();
+        NormalSlots::new(rng);
     }
 
     #[test]

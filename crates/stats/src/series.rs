@@ -80,6 +80,14 @@ impl StepSeries {
         StepSeries { points: storage, initial }
     }
 
+    /// A copy of this series backed by `storage`'s capacity (cleared
+    /// first), like [`StepSeries::new_in`].
+    pub fn clone_in(&self, mut storage: Vec<(u64, f64)>) -> Self {
+        storage.clear();
+        storage.extend_from_slice(&self.points);
+        StepSeries { points: storage, initial: self.initial }
+    }
+
     /// Dismantle the series into `(initial, points)` so the point storage
     /// can be pooled and reused via [`StepSeries::new_in`].
     pub fn into_parts(self) -> (f64, Vec<(u64, f64)>) {

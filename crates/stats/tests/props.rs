@@ -4,7 +4,7 @@ use bf_stats::describe::{mean, quantile};
 use bf_stats::normalize::{downsample_mean, max_normalize, zscore};
 use bf_stats::rng::{combine_seeds, hash64};
 use bf_stats::series::partition_point_from;
-use bf_stats::{pearson, Histogram, SeedRng, StepSeries};
+use bf_stats::{pearson, Histogram, NormalSlot, NormalSlots, SeedRng, StepSeries};
 use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -197,6 +197,30 @@ proptest! {
         let mut b = parent.fork(stream);
         for _ in 0..10 {
             prop_assert_eq!(a.next_raw(), b.next_raw());
+        }
+    }
+
+    /// Slot `i` of a `NormalSlots` stream evaluates to the `i`-th
+    /// `standard_normal()` draw of the same generator bit for bit, in
+    /// whatever order (or subset) the slots are evaluated, and both
+    /// streams stay in step afterwards.
+    #[test]
+    fn normal_slots_replay_standard_normal(
+        seed in any::<u64>(),
+        n in 0usize..300,
+        keep in proptest::collection::vec(any::<bool>(), 300),
+    ) {
+        let mut direct = SeedRng::new(seed);
+        let mut slots = NormalSlots::new(SeedRng::new(seed));
+        let drawn: Vec<NormalSlot> = (0..n).map(|_| slots.next_slot()).collect();
+        let want: Vec<f64> = (0..n).map(|_| direct.standard_normal()).collect();
+        for (i, (slot, want)) in drawn.iter().zip(&want).enumerate().rev() {
+            if keep[i] {
+                prop_assert_eq!(slot.value().to_bits(), want.to_bits(), "draw {}", i);
+            }
+        }
+        for _ in 0..3 {
+            prop_assert_eq!(slots.next_slot().value().to_bits(), direct.standard_normal().to_bits());
         }
     }
 }

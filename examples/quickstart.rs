@@ -31,7 +31,7 @@ fn main() {
     let sim = machine.run(&workload, 0);
     println!(
         "simulation: {} kernel events, {} gaps on the attacker core",
-        sim.kernel_log.len(),
+        sim.kernel_log().len(),
         sim.attacker_timeline().gaps().len()
     );
 

@@ -28,6 +28,7 @@ HOT_MODULES=(
   crates/ml/src/anytime.rs crates/ml/src/calibrate.rs crates/ml/src/distill.rs
   crates/ml/src/cnn.rs crates/serve/src/service.rs
   crates/sim/src/engine.rs crates/sim/src/workspace.rs
+  crates/sim/src/interrupt.rs crates/stats/src/rng.rs
   crates/sim/src/timeline.rs crates/stats/src/series.rs
   crates/attack/src/replay.rs crates/attack/src/sweep_counting.rs
 )
