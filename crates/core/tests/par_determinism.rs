@@ -34,6 +34,37 @@ fn at_thread_counts<R>(f: impl Fn() -> R) -> (R, R) {
     (seq, par)
 }
 
+/// Restores `BF_PAR_MIN_UNITS` (and the pool size) on drop, so a
+/// failing fanned-out leg cannot leak its settings into later tests.
+struct FanOutGuard {
+    saved: Option<std::ffi::OsString>,
+}
+
+impl Drop for FanOutGuard {
+    fn drop(&mut self) {
+        match self.saved.take() {
+            Some(v) => std::env::set_var("BF_PAR_MIN_UNITS", v),
+            None => std::env::remove_var("BF_PAR_MIN_UNITS"),
+        }
+        bf_par::reload_env();
+        bf_par::set_threads(None);
+    }
+}
+
+/// Run `f` at 4 threads with the minimum-work threshold disabled
+/// (`BF_PAR_MIN_UNITS=0`), so every kernel whose grain admits more than
+/// one worker fans out instead of running inline.
+fn fanned_out<R>(f: impl FnOnce() -> R) -> R {
+    let _lock = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _restore = FanOutGuard { saved: std::env::var_os("BF_PAR_MIN_UNITS") };
+    std::env::set_var("BF_PAR_MIN_UNITS", "0");
+    bf_par::reload_env();
+    bf_par::set_threads(Some(4));
+    f()
+}
+
 fn smoke_cfg(plan: FaultPlan) -> CollectionConfig {
     CollectionConfig::new(BrowserKind::Chrome, AttackKind::LoopCounting)
         .with_scale(ExperimentScale::Smoke)
@@ -143,21 +174,22 @@ fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
     h
 }
 
-/// The golden training fixture: `scaled(300, 4, filters)` with dropout
-/// 0.3 and lr 0.01, net seed 1234, a 12×300 standard-normal batch from
-/// `SeedRng(77)` with labels `i % 4`, trained `steps` batches. Returns
-/// the FNV-1a fingerprint of every trained weight's bits.
-fn golden_train_hash(filters: usize, steps: usize) -> u64 {
+/// The golden training fixture: `scaled(input_len, 4, filters)` with
+/// dropout 0.3 and lr 0.01, net seed 1234, a 12×`input_len`
+/// standard-normal batch from `SeedRng(77)` with labels `i % 4`, trained
+/// `steps` batches. Returns the FNV-1a fingerprint of every trained
+/// weight's bits. `input_len` 300 gives the LSTM one step, 1000 six.
+fn golden_train_hash(input_len: usize, filters: usize, steps: usize) -> u64 {
     use bf_nn::{CnnLstm, Tensor};
     use bf_stats::SeedRng;
-    let mut cfg = CnnLstmConfig::scaled(300, 4, filters);
+    let mut cfg = CnnLstmConfig::scaled(input_len, 4, filters);
     cfg.dropout = 0.3;
     cfg.learning_rate = 0.01;
     let mut net = CnnLstm::new(cfg, 1234);
     let mut rng = SeedRng::new(77);
-    let data: Vec<f32> = (0..12 * 300).map(|_| rng.standard_normal() as f32).collect();
+    let data: Vec<f32> = (0..12 * input_len).map(|_| rng.standard_normal() as f32).collect();
     let labels: Vec<usize> = (0..12).map(|i| i % 4).collect();
-    let x = Tensor::new(&[12, 1, 300], data);
+    let x = Tensor::new(&[12, 1, input_len], data);
     for _ in 0..steps {
         net.train_batch(&x, &labels);
     }
@@ -170,16 +202,71 @@ fn golden_train_hash(filters: usize, steps: usize) -> u64 {
 const GOLDEN_IM2COL_16F: u64 = 0x16643925f9b9ef5b;
 const GOLDEN_SCALAR_4F: u64 = 0x90909a245530d3da;
 
+/// The same fixture at `input_len` 1000 with 16 filters: six LSTM steps
+/// instead of one, so the recurrent backward chain runs across time.
+/// Recorded on the kernels that kept separate inline and fan-out arms.
+const GOLDEN_LSTM6_16F: u64 = 0x5b8b5783c75fd4a4;
+
 #[test]
 fn trained_weights_match_pre_workspace_golden_hashes() {
     // 16 filters drives the im2col/matmul path in both convs; 4 filters
     // drives the scalar fallback. Both must match the hashes recorded
     // before the zero-allocation refactor, at every thread count.
-    let (seq, par) = at_thread_counts(|| (golden_train_hash(16, 4), golden_train_hash(4, 4)));
+    let (seq, par) = at_thread_counts(|| (golden_train_hash(300, 16, 4), golden_train_hash(300, 4, 4)));
     assert_eq!(seq.0, GOLDEN_IM2COL_16F, "im2col path diverged from pre-workspace bits (t=1)");
     assert_eq!(seq.1, GOLDEN_SCALAR_4F, "scalar path diverged from pre-workspace bits (t=1)");
     assert_eq!(par.0, GOLDEN_IM2COL_16F, "im2col path diverged from pre-workspace bits (t=4)");
     assert_eq!(par.1, GOLDEN_SCALAR_4F, "scalar path diverged from pre-workspace bits (t=4)");
+}
+
+#[test]
+fn trained_weights_match_golden_hashes_with_every_kernel_fanned_out() {
+    // At the default threshold the fixture's kernels are all too small
+    // to fork, so the thread-count legs above never leave the inline
+    // path. With the threshold off, the LSTM passes, both conv passes
+    // and the 16-filter conv's per-channel gradient pass fan out.
+    let (im2col, scalar) = fanned_out(|| (golden_train_hash(300, 16, 4), golden_train_hash(300, 4, 4)));
+    assert_eq!(im2col, GOLDEN_IM2COL_16F, "im2col path diverged under forced fan-out");
+    assert_eq!(scalar, GOLDEN_SCALAR_4F, "scalar path diverged under forced fan-out");
+}
+
+#[test]
+fn multi_step_lstm_golden_holds_inline_and_fanned_out() {
+    let (seq, par) = at_thread_counts(|| golden_train_hash(1000, 16, 4));
+    let fanned = fanned_out(|| golden_train_hash(1000, 16, 4));
+    assert_eq!(seq, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged (t=1)");
+    assert_eq!(par, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged (t=4)");
+    assert_eq!(fanned, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged under forced fan-out");
+}
+
+#[test]
+fn wide_dense_gradients_are_identical_under_forced_fan_out() {
+    // The CNN+LSTM's dense head is too narrow (one unit per class) and
+    // the fixture batch too small for any dense pass to fork on the
+    // fixtures above. A 100-class head (the paper's closed world) over
+    // 128 rows forks all three: forward, per-unit gradients, and dx.
+    use bf_nn::{Dense, Layer, Tensor};
+    use bf_stats::SeedRng;
+    let run = || {
+        let mut rng = SeedRng::new(5);
+        let mut dense = Dense::new(32, 100, &mut rng);
+        let x = Tensor::new(&[128, 32], (0..128 * 32).map(|_| rng.standard_normal() as f32).collect());
+        let g = Tensor::new(&[128, 100], (0..128 * 100).map(|_| rng.standard_normal() as f32).collect());
+        // Two steps, so the second accumulates onto nonzero gradients.
+        let mut bits = Vec::new();
+        for _ in 0..2 {
+            let y = dense.forward(&x, true);
+            let dx = dense.backward(&g);
+            bits.extend(y.data().iter().chain(dx.data()).map(|v| v.to_bits()));
+        }
+        for p in dense.params_mut() {
+            bits.extend(p.grad.iter().map(|v| v.to_bits()));
+        }
+        bits
+    };
+    let (seq, _) = at_thread_counts(run);
+    let fanned = fanned_out(run);
+    assert_eq!(seq, fanned, "dense gradients diverged under forced fan-out");
 }
 
 #[test]
@@ -189,8 +276,8 @@ fn warm_workspace_pool_is_bit_stable() {
     // ones.
     let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     bf_par::set_threads(Some(1));
-    let cold = golden_train_hash(16, 4);
-    let warm = golden_train_hash(16, 4);
+    let cold = golden_train_hash(300, 16, 4);
+    let warm = golden_train_hash(300, 16, 4);
     bf_par::set_threads(None);
     assert_eq!(cold, GOLDEN_IM2COL_16F);
     assert_eq!(warm, cold, "warm-pool training diverged from cold-pool training");

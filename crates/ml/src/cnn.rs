@@ -157,35 +157,25 @@ impl Classifier for CnnLstmClassifier {
         self.net = Some(net);
     }
 
+    /// Full-length rows only: every row's length is checked, then the
+    /// rows run through [`Classifier::predict_proba_prefix`], where a
+    /// full-length row is copied unpadded.
     fn predict_proba(&mut self, traces: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let net = self.net.as_mut().expect("classifier not fitted");
         let len = self.arch.input_len;
-        let k = self.arch.n_classes;
-        let mut out = Vec::with_capacity(traces.len()); // alloc-ok: per-request result rows (trait API)
-        // Bounded batches keep activation memory flat; batch and
-        // probability tensors are pooled workspace storage, and every
-        // chunk runs the one stacked forward pass of
-        // [`CnnLstm::predict_proba_batch`] (full-length rows copy
-        // identically, so this is bit-equal to the per-trace loop).
-        for chunk in traces.chunks(64) {
-            for t in chunk {
-                assert_eq!(t.len(), len, "trace length mismatch");
-            }
-            let p = net.predict_proba_batch(chunk);
-            for i in 0..chunk.len() {
-                out.push(p.data()[i * k..(i + 1) * k].to_vec()); // alloc-ok: per-request result rows (trait API)
-            }
-            bf_nn::workspace::recycle(p);
+        for t in traces {
+            assert_eq!(t.len(), len, "trace length mismatch");
         }
-        out
+        self.predict_proba_prefix(traces)
     }
 
-    /// Prefix inference for the anytime ladder: rows shorter than
-    /// `input_len` are zero-padded into the pooled input tensor via
-    /// [`CnnLstm::prefix_batch`] (workspace tensors are handed out
-    /// zeroed, so padding is free). Full-length rows produce
-    /// bit-identical output to [`Classifier::predict_proba`] — same
-    /// chunking, same kernels, same copy.
+    /// Inference over rows up to `input_len` long, the one path behind
+    /// both predict entry points. Rows shorter than `input_len` (the
+    /// anytime ladder's prefixes) are zero-padded into the pooled input
+    /// tensor via [`CnnLstm::prefix_batch`] (workspace tensors are handed
+    /// out zeroed, so padding is free). Bounded batches keep activation
+    /// memory flat; batch and probability tensors are pooled workspace
+    /// storage, and every chunk runs the one stacked forward pass of
+    /// [`CnnLstm::predict_proba_batch`].
     fn predict_proba_prefix(&mut self, traces: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let net = self.net.as_mut().expect("classifier not fitted");
         let k = self.arch.n_classes;

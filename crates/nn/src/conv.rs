@@ -245,11 +245,11 @@ impl Layer for Conv1d {
         let sample_len = self.in_channels * l;
         let xdata = x.data();
         // Each sample owns a disjoint slab of `out`; the per-worker
-        // scratch is the im2col column buffer (pooled on the inline
-        // path, so a steady-state step never allocates here). The
-        // per-sample MAC count doubles as the fork-join work estimate:
-        // small shapes stay inline instead of paying spawn cost.
-        bf_par::par_chunks_mut_scratch_units(
+        // scratch is the im2col column buffer (pooled, so a steady-state
+        // step on one worker never allocates here). The per-sample MAC
+        // count doubles as the fork-join work estimate: small shapes
+        // stay inline instead of paying spawn cost.
+        bf_par::par_chunks_mut_scratch(
             out.data_mut(),
             self.out_channels * lo,
             1,
@@ -284,9 +284,11 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        // Taken out of `self` (and restored below) so the gradient merge
-        // can borrow `self` mutably while `x` stays readable.
-        let x = self.cached_input.take().expect("backward without forward");
+        // Taken out of `self` (and restored below) so the in-order merge
+        // can add into them while every channel's pass reads `self`.
+        let mut wgrad = std::mem::take(&mut self.weight.grad);
+        let mut bgrad = std::mem::take(&mut self.bias.grad);
+        let x = self.cached_input.as_ref().expect("backward without forward");
         let n = x.shape()[0];
         let l = x.shape()[2];
         let lo = self.out_len(l);
@@ -307,45 +309,35 @@ impl Layer for Conv1d {
         let cols: Option<&[f32]> = use_im2col.then_some(&col_buf);
 
         // Pass A — parameter gradients, parallel over output channels:
-        // each worker owns `weight.grad` rows and `bias.grad[co]` of its
-        // channels, accumulating over `(i, p)` in index order (the same
-        // per-element order as the sequential quadruple loop). On the
-        // inline path one pooled partial buffer serves every channel.
-        if bf_par::plan_units(self.out_channels, 8, n * lo * ck) <= 1 {
-            let mut wg = ScratchBuf::of_len(ck);
-            for co in 0..self.out_channels {
-                wg.fill(0.0);
-                let mut bg = 0.0f32;
-                self.backward_channel(co, &x, grad, cols, n, l, lo, &mut wg, &mut bg);
-                self.bias.grad[co] += bg;
-                let wrow = &mut self.weight.grad[co * ck..(co + 1) * ck];
-                for (dst, src) in wrow.iter_mut().zip(wg.iter()) {
+        // each channel's slab holds its `weight.grad` row partial and its
+        // bias partial, accumulated over `(i, p)` in index order (the
+        // same per-element order as the sequential quadruple loop) and
+        // added in channel order.
+        bf_par::par_map_merge(
+            self.out_channels,
+            ck + 1,
+            8,
+            n * lo * ck,
+            ScratchBuf::of_len,
+            || (),
+            |co, slab, ()| {
+                let (wg, bg) = slab.split_at_mut(ck);
+                self.backward_channel(co, x, grad, cols, n, l, lo, wg, &mut bg[0]);
+            },
+            |co, slab| {
+                for (dst, src) in wgrad[co * ck..(co + 1) * ck].iter_mut().zip(&slab[..ck]) {
                     *dst += src;
                 }
-            }
-        } else {
-            let channels: Vec<usize> = (0..self.out_channels).collect(); // alloc-ok: parallel arm
-            let partials = bf_par::par_map_indexed_grained(&channels, 8, |_, &co| {
-                let mut wg = vec![0.0f32; ck]; // alloc-ok: parallel arm
-                let mut bg = 0.0f32;
-                self.backward_channel(co, &x, grad, cols, n, l, lo, &mut wg, &mut bg);
-                (wg, bg)
-            });
-            for (co, (wg, bg)) in partials.into_iter().enumerate() {
-                self.bias.grad[co] += bg;
-                let wrow = &mut self.weight.grad[co * ck..(co + 1) * ck];
-                for (dst, src) in wrow.iter_mut().zip(&wg) {
-                    *dst += src;
-                }
-            }
-        }
+                bgrad[co] += slab[ck];
+            },
+        );
 
         // Pass B — input gradients, parallel over samples: each sample's
         // dx slab is disjoint, accumulated in `(co, p, ci, k)` order as
         // the sequential loop did.
         let mut dx = workspace::tensor(&[n, cin, l]);
         let this = &*self;
-        bf_par::par_chunks_mut_scratch_units(
+        bf_par::par_chunks_mut_scratch(
             dx.data_mut(),
             sample_len,
             1,
@@ -353,7 +345,8 @@ impl Layer for Conv1d {
             || (),
             |i, dxi, ()| this.backward_sample_dx(i, grad, l, lo, dxi),
         );
-        self.cached_input = Some(x);
+        self.weight.grad = wgrad;
+        self.bias.grad = bgrad;
         dx
     }
 

@@ -5,9 +5,9 @@
 //! input-gradient pass (parallel over samples), both preserving the
 //! sequential per-element accumulation order so results are bit-exact
 //! across thread counts. Dense shapes in this pipeline are small (≤ 100
-//! units), so the `bf-par` grain keeps typical batches inline — and the
-//! inline arms draw every scratch buffer from the thread's
-//! [`workspace`] arena, so a steady-state step never allocates here.
+//! units), so the `bf-par` grain keeps typical batches inline — and
+//! every scratch buffer comes from the [`workspace`] arena, so a
+//! steady-state step on one worker never allocates here.
 
 use crate::param::Param;
 use crate::tensor::{axpy_unrolled, matmul_abt, Tensor};
@@ -61,7 +61,7 @@ impl Layer for Dense {
         // batches on one thread and the per-row MAC estimate keeps tiny
         // layers inline. Each row runs the same `m = 1` matmul the
         // sequential path used, so accumulation order is unchanged.
-        bf_par::par_chunks_mut_scratch_units(
+        bf_par::par_chunks_mut_scratch(
             out.data_mut(),
             self.out_features,
             64,
@@ -91,61 +91,46 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        // Taken out of `self` (and restored below) so the gradient merge
-        // can borrow `self` mutably while `x` stays readable.
-        let x = self.cached_input.take().expect("backward without forward");
+        let x = self.cached_input.as_ref().expect("backward without forward");
         let n = x.batch();
         assert_eq!(grad.shape(), &[n, self.out_features]);
         let (in_f, out_f) = (self.in_features, self.out_features);
 
-        // Parameter pass, parallel over output units: each unit owns its
-        // weight row and bias slot, accumulating over samples in index
-        // order (the sequential loop's per-element order). The partial
-        // buffer stays — even inline — so pre-existing gradient bits are
-        // added exactly once, after the sample loop.
-        if bf_par::plan_units(out_f, 32, n * in_f) <= 1 {
-            let mut wg = ScratchBuf::of_len(in_f);
-            for o in 0..out_f {
-                wg.fill(0.0);
-                let mut bg = 0.0f32;
+        // Parameter pass, parallel over output units: each unit's slab
+        // holds its weight-row partial and its bias partial, accumulated
+        // over samples in index order (the sequential loop's per-element
+        // order) and added in unit order — so pre-existing gradient bits
+        // receive each partial exactly once, after its sample loop.
+        bf_par::par_map_merge(
+            out_f,
+            in_f + 1,
+            32,
+            n * in_f,
+            ScratchBuf::of_len,
+            || (),
+            |o, slab, ()| {
+                let (wg, bg) = slab.split_at_mut(in_f);
                 for i in 0..n {
                     let g = grad.data()[i * out_f + o];
-                    bg += g;
-                    axpy_unrolled(&mut wg, g, &x.data()[i * in_f..(i + 1) * in_f]);
+                    bg[0] += g;
+                    axpy_unrolled(wg, g, &x.data()[i * in_f..(i + 1) * in_f]);
                 }
-                self.bias.grad[o] += bg;
+            },
+            |o, slab| {
                 let grow = &mut self.weight.grad[o * in_f..(o + 1) * in_f];
-                for (dst, src) in grow.iter_mut().zip(wg.iter()) {
+                for (dst, src) in grow.iter_mut().zip(&slab[..in_f]) {
                     *dst += src;
                 }
-            }
-        } else {
-            let units: Vec<usize> = (0..out_f).collect(); // alloc-ok: parallel arm
-            let partials = bf_par::par_map_indexed_grained(&units, 32, |_, &o| {
-                let mut wg = vec![0.0f32; in_f]; // alloc-ok: parallel arm
-                let mut bg = 0.0f32;
-                for i in 0..n {
-                    let g = grad.data()[i * out_f + o];
-                    bg += g;
-                    axpy_unrolled(&mut wg, g, &x.data()[i * in_f..(i + 1) * in_f]);
-                }
-                (wg, bg)
-            });
-            for (o, (wg, bg)) in partials.into_iter().enumerate() {
-                self.bias.grad[o] += bg;
-                let grow = &mut self.weight.grad[o * in_f..(o + 1) * in_f];
-                for (dst, src) in grow.iter_mut().zip(&wg) {
-                    *dst += src;
-                }
-            }
-        }
+                self.bias.grad[o] += slab[in_f];
+            },
+        );
 
         // Input-gradient pass, parallel over samples: disjoint dx rows,
         // each accumulated over output units in index order, written
         // straight into the zeroed workspace tensor.
         let mut dx = workspace::tensor(&[n, in_f]);
         let weight = &self.weight.value;
-        bf_par::par_chunks_mut_scratch_units(
+        bf_par::par_chunks_mut_scratch(
             dx.data_mut(),
             in_f,
             64,
@@ -158,7 +143,6 @@ impl Layer for Dense {
                 }
             },
         );
-        self.cached_input = Some(x);
         dx
     }
 

@@ -6,19 +6,23 @@
 //! sigmoid as well.
 //!
 //! Samples are independent through time, so both passes process one
-//! sample end-to-end and distribute the batch over `bf-par` workers.
-//! Within a sample the input contribution to every timestep's gate
-//! pre-activations is hoisted into a single blocked matmul against
-//! `w_ih` ([`matmul_abt`]); only the recurrent term stays in the time
-//! loop. Per-element accumulation order matches the sequential
-//! reference, so forward outputs and input gradients are bit-identical
-//! to it, and parameter-gradient partials are reduced in sample order,
-//! so all results are bit-stable across thread counts.
+//! sample end-to-end and distribute the batch over `bf-par` workers:
+//! the forward writes each sample's per-step cache through
+//! `bf_par::par_chunks_mut_scratch`, and the backward maps each sample
+//! into a slab of parameter-gradient and input-gradient partials that
+//! `bf_par::par_map_merge` hands back in sample order. Within a sample
+//! the input contribution to every timestep's gate pre-activations is
+//! hoisted into a single blocked matmul against `w_ih` ([`matmul_abt`]);
+//! only the recurrent term stays in the time loop. Per-element
+//! accumulation order matches the sequential reference, so forward
+//! outputs and input gradients are bit-identical to it, and
+//! parameter-gradient partials are reduced in sample order, so all
+//! results are bit-stable across thread counts.
 //!
-//! The BPTT caches are persistent fields reset in place each training
-//! forward, and the inline (single-worker) arms of both passes draw all
-//! remaining scratch from the thread's [`workspace`] arena — a
-//! steady-state training step performs no heap allocation here.
+//! The per-sample caches (one set for training, one for inference) are
+//! persistent fields reset in place each forward, and all remaining
+//! scratch comes from the [`workspace`] arena — a steady-state step on
+//! one worker performs no heap allocation here.
 
 use crate::param::Param;
 use crate::tensor::{axpy_unrolled, matmul_abt, Tensor};
@@ -114,10 +118,11 @@ pub struct Lstm {
     /// Gate biases, `(4H)`.
     bias: Param,
     /// Persistent per-sample caches, reset in place each training
-    /// forward.
+    /// forward; the backward pass reads them.
     caches: Vec<SampleCache>,
-    /// Reused scratch cache for inference forwards (no BPTT state kept).
-    eval_cache: SampleCache,
+    /// The same for inference forwards, so an inference pass between a
+    /// training forward and its backward leaves the BPTT state alone.
+    eval_caches: Vec<SampleCache>,
     /// `(feat, steps, n)` of the last training forward; `None` until
     /// one has run.
     cache_meta: Option<(usize, usize, usize)>,
@@ -151,7 +156,7 @@ impl Lstm {
             w_hh: Param::glorot(4 * hidden * hidden, hidden, hidden, rng),
             bias,
             caches: Vec::new(),
-            eval_cache: SampleCache::default(),
+            eval_caches: Vec::new(),
             cache_meta: None,
         }
     }
@@ -168,9 +173,9 @@ impl Lstm {
     }
 
     /// Run one sample `(feat, steps)` through the recurrence, leaving
-    /// the per-step values in `cache` and the final hidden state in
-    /// `out`. `zx` must hold `steps * 4H` elements, `z` `4H`, and
-    /// `c_prev`/`h_prev`/`out` `H` each; all scratch contents are
+    /// the per-step values in `cache` (the final hidden state is its
+    /// last `h` row). `zx` must hold `steps * 4H` elements, `z` `4H`,
+    /// and `c_prev`/`h_prev` `H` each; all scratch contents are
     /// overwritten. Pure in the sample and the layer parameters, so
     /// samples can run on any worker.
     #[allow(clippy::too_many_arguments)]
@@ -184,7 +189,6 @@ impl Lstm {
         z: &mut [f32],
         c_prev: &mut [f32],
         h_prev: &mut [f32],
-        out: &mut [f32],
     ) {
         let h = self.hidden;
         let h4 = 4 * h;
@@ -226,7 +230,6 @@ impl Lstm {
                 h_prev[u] = h_new;
             }
         }
-        out.copy_from_slice(h_prev);
     }
 
     /// One sample's BPTT chain. `dh` must arrive holding the sample's
@@ -320,66 +323,40 @@ impl Layer for Lstm {
             }
             return out;
         }
-        if bf_par::plan_units(n, 1, self.sample_flops(steps)) <= 1 {
-            // Inline arm: persistent caches reset in place, all scratch
-            // pooled — no allocation once warm.
-            if train {
-                self.caches.resize_with(n, SampleCache::default);
-            }
-            let mut caches = std::mem::take(&mut self.caches);
-            let mut eval_cache = std::mem::take(&mut self.eval_cache);
-            let mut zx = ScratchBuf::of_len(steps * h4);
-            let mut z = ScratchBuf::of_len(h4);
-            let mut c_prev = ScratchBuf::of_len(h);
-            let mut h_prev = ScratchBuf::of_len(h);
-            // Indexed loop: `caches` is only consulted in train mode
-            // (eval reuses one cache), so iterating it directly would
-            // force a second arm.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..n {
+        // Each sample owns one persistent cache (grown, never shrunk, so
+        // a warm pass reallocates nothing); the per-worker scratch is
+        // pooled.
+        let caches = if train { &mut self.caches } else { &mut self.eval_caches };
+        if caches.len() < n {
+            caches.resize_with(n, SampleCache::default);
+        }
+        let mut caches = std::mem::take(caches);
+        bf_par::par_chunks_mut_scratch(
+            &mut caches[..n],
+            1,
+            1,
+            self.sample_flops(steps),
+            || {
+                (
+                    ScratchBuf::of_len(steps * h4),
+                    ScratchBuf::of_len(h4),
+                    ScratchBuf::of_len(h),
+                    ScratchBuf::of_len(h),
+                )
+            },
+            |s, cache, (zx, z, c_prev, h_prev)| {
                 let sample = &x.data()[s * sample_len..(s + 1) * sample_len];
-                let cache = if train { &mut caches[s] } else { &mut eval_cache };
-                self.forward_sample_into(
-                    sample,
-                    feat,
-                    steps,
-                    cache,
-                    &mut zx,
-                    &mut z,
-                    &mut c_prev,
-                    &mut h_prev,
-                    &mut out.data_mut()[s * h..(s + 1) * h],
-                );
-            }
-            self.caches = caches;
-            self.eval_cache = eval_cache;
-        } else {
-            let samples: Vec<&[f32]> = x.data().chunks(sample_len).collect(); // alloc-ok: parallel arm
-            let results = bf_par::par_map_indexed(&samples, |_, sample| {
-                let mut cache = SampleCache::default(); // alloc-ok: parallel arm
-                let mut zx = vec![0.0f32; steps * h4]; // alloc-ok: parallel arm
-                let mut z = vec![0.0f32; h4]; // alloc-ok: parallel arm
-                let mut c_prev = vec![0.0f32; h]; // alloc-ok: parallel arm
-                let mut h_prev = vec![0.0f32; h]; // alloc-ok: parallel arm
-                let mut hf = vec![0.0f32; h]; // alloc-ok: parallel arm
-                self.forward_sample_into(
-                    sample, feat, steps, &mut cache, &mut zx, &mut z, &mut c_prev, &mut h_prev,
-                    &mut hf,
-                );
-                (hf, cache)
-            });
-            if train {
-                self.caches.clear();
-            }
-            for (s, (hf, cache)) in results.into_iter().enumerate() {
-                out.data_mut()[s * h..(s + 1) * h].copy_from_slice(&hf);
-                if train {
-                    self.caches.push(cache);
-                }
-            }
+                self.forward_sample_into(sample, feat, steps, &mut cache[0], zx, z, c_prev, h_prev);
+            },
+        );
+        for (row, cache) in out.data_mut().chunks_mut(h).zip(&caches) {
+            row.copy_from_slice(&cache.h[(steps - 1) * h..]);
         }
         if train {
+            self.caches = caches;
             self.cache_meta = Some((feat, steps, n));
+        } else {
+            self.eval_caches = caches;
         }
         out
     }
@@ -389,79 +366,50 @@ impl Layer for Lstm {
         assert_eq!(grad.shape(), &[n, self.hidden]);
         let h = self.hidden;
         let h4 = 4 * h;
+        let slab_x = feat * steps;
         let mut dx = workspace::tensor(&[n, feat, steps]);
-        // Taken out of `self` (and restored below) so the gradient merge
-        // can borrow `self` mutably while the caches stay readable.
-        let caches = std::mem::take(&mut self.caches);
-        if bf_par::plan_units(n, 1, self.sample_flops(steps)) <= 1 {
-            // Inline arm: one pooled set of per-sample partial buffers,
-            // refilled per sample and merged in sample order — the same
-            // reduction order as the parallel arm.
-            let mut dwih = ScratchBuf::of_len(h4 * feat);
-            let mut dwhh = ScratchBuf::of_len(h4 * h);
-            let mut dbias = ScratchBuf::of_len(h4);
-            let mut dh = ScratchBuf::of_len(h);
-            let mut dh_prev = ScratchBuf::of_len(h);
-            let mut dc = ScratchBuf::of_len(h);
-            // Indexed loop: `s` also slices `grad` and the `dx` slab.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..n {
-                dwih.fill(0.0);
-                dwhh.fill(0.0);
-                dbias.fill(0.0);
-                dc.fill(0.0);
+        // Taken out of `self` (and restored below) so the in-order merge
+        // can add into them while every sample's chain reads `self`.
+        let mut grads = [
+            std::mem::take(&mut self.w_ih.grad),
+            std::mem::take(&mut self.w_hh.grad),
+            std::mem::take(&mut self.bias.grad),
+        ];
+        // One slab per sample: its `w_ih`, `w_hh` and bias partials, then
+        // its dx slab. Each chain touches only its own cache and slab;
+        // the partials are added in sample order, so the bits depend
+        // only on that fixed order, never on scheduling.
+        let (len_ih, len_hh) = (h4 * feat, h4 * h);
+        bf_par::par_map_merge(
+            n,
+            len_ih + len_hh + h4 + slab_x,
+            1,
+            self.sample_flops(steps),
+            ScratchBuf::of_len,
+            || (ScratchBuf::of_len(h), ScratchBuf::of_len(h), ScratchBuf::of_len(h)),
+            |s, slab, (dh, dh_prev, dc)| {
+                let (dwih, rest) = slab.split_at_mut(len_ih);
+                let (dwhh, rest) = rest.split_at_mut(len_hh);
+                let (dbias, dxs) = rest.split_at_mut(h4);
                 dh.copy_from_slice(&grad.data()[s * h..(s + 1) * h]);
-                // dx slab arrives zeroed from the workspace.
-                let dxs = &mut dx.data_mut()[s * feat * steps..(s + 1) * feat * steps];
+                dc.fill(0.0);
                 self.backward_sample(
-                    &caches[s], feat, steps, &mut dwih, &mut dwhh, &mut dbias, dxs, &mut dh,
-                    &mut dh_prev, &mut dc,
+                    &self.caches[s], feat, steps, dwih, dwhh, dbias, dxs, dh, dh_prev, dc,
                 );
-                for (dst, src) in self.w_ih.grad.iter_mut().zip(dwih.iter()) {
-                    *dst += src;
+            },
+            |s, slab| {
+                let (dwih, rest) = slab.split_at(len_ih);
+                let (dwhh, rest) = rest.split_at(len_hh);
+                let (dbias, dxs) = rest.split_at(h4);
+                for (g, part) in grads.iter_mut().zip([dwih, dwhh, dbias]) {
+                    for (dst, src) in g.iter_mut().zip(part) {
+                        *dst += src;
+                    }
                 }
-                for (dst, src) in self.w_hh.grad.iter_mut().zip(dwhh.iter()) {
-                    *dst += src;
-                }
-                for (dst, src) in self.bias.grad.iter_mut().zip(dbias.iter()) {
-                    *dst += src;
-                }
-            }
-        } else {
-            let sample_ids: Vec<usize> = (0..n).collect(); // alloc-ok: parallel arm
-            // Each sample's backward chain only touches its own cache and
-            // dx slab; parameter gradients are accumulated into
-            // per-sample partials and reduced in sample order below, so
-            // the bits depend only on that fixed order, never on
-            // scheduling.
-            let partials = bf_par::par_map_indexed(&sample_ids, |_, &s| {
-                let mut dwih = vec![0.0f32; h4 * feat]; // alloc-ok: parallel arm
-                let mut dwhh = vec![0.0f32; h4 * h]; // alloc-ok: parallel arm
-                let mut dbias = vec![0.0f32; h4]; // alloc-ok: parallel arm
-                let mut dxs = vec![0.0f32; feat * steps]; // alloc-ok: parallel arm
-                let mut dh = grad.data()[s * h..(s + 1) * h].to_vec(); // alloc-ok: parallel arm
-                let mut dh_prev = vec![0.0f32; h]; // alloc-ok: parallel arm
-                let mut dc = vec![0.0f32; h]; // alloc-ok: parallel arm
-                self.backward_sample(
-                    &caches[s], feat, steps, &mut dwih, &mut dwhh, &mut dbias, &mut dxs, &mut dh,
-                    &mut dh_prev, &mut dc,
-                );
-                (dxs, dwih, dwhh, dbias)
-            });
-            for (s, (dxs, dwih, dwhh, dbias)) in partials.into_iter().enumerate() {
-                dx.data_mut()[s * feat * steps..(s + 1) * feat * steps].copy_from_slice(&dxs);
-                for (dst, src) in self.w_ih.grad.iter_mut().zip(&dwih) {
-                    *dst += src;
-                }
-                for (dst, src) in self.w_hh.grad.iter_mut().zip(&dwhh) {
-                    *dst += src;
-                }
-                for (dst, src) in self.bias.grad.iter_mut().zip(&dbias) {
-                    *dst += src;
-                }
-            }
-        }
-        self.caches = caches;
+                dx.data_mut()[s * slab_x..(s + 1) * slab_x].copy_from_slice(dxs);
+            },
+        );
+        [self.w_ih.grad, self.w_hh.grad, self.bias.grad] = grads;
         dx
     }
 

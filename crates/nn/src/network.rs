@@ -200,26 +200,7 @@ impl CnnLstm {
     /// parameters through [`Layer::for_each_param`] without building a
     /// list (asserted end-to-end by `tests/alloc_regression.rs`).
     pub fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self.forward(x, true);
-        let (loss, grad) = softmax_cross_entropy(&logits, labels);
-        workspace::recycle(logits);
-        let mut g = grad;
-        for layer in self.layers.iter_mut().rev() {
-            let next = layer.backward(&g);
-            workspace::recycle(g);
-            g = next;
-        }
-        workspace::recycle(g);
-        self.optimizer.begin_step();
-        let CnnLstm { layers, optimizer, .. } = self;
-        let mut pi = 0usize;
-        for layer in layers.iter_mut() {
-            layer.for_each_param(&mut |p| {
-                optimizer.step_param(pi, p);
-                pi += 1;
-            });
-        }
-        loss
+        self.train_step(x, |logits| softmax_cross_entropy(logits, labels))
     }
 
     /// One training step against *soft* target distributions `(N, K)` —
@@ -228,8 +209,16 @@ impl CnnLstm {
     /// allocation-free), only the loss differs: soft cross-entropy via
     /// [`softmax_cross_entropy_soft`].
     pub fn train_batch_soft(&mut self, x: &Tensor, targets: &Tensor) -> f32 {
+        self.train_step(x, |logits| softmax_cross_entropy_soft(logits, targets))
+    }
+
+    /// The step both training entry points share: a training forward,
+    /// `loss_fn` on the logits (returning the loss and ∂loss/∂logits),
+    /// the backward through every layer with each gradient recycled, and
+    /// one Adam update.
+    fn train_step(&mut self, x: &Tensor, loss_fn: impl FnOnce(&Tensor) -> (f32, Tensor)) -> f32 {
         let logits = self.forward(x, true);
-        let (loss, grad) = softmax_cross_entropy_soft(&logits, targets);
+        let (loss, grad) = loss_fn(&logits);
         workspace::recycle(logits);
         let mut g = grad;
         for layer in self.layers.iter_mut().rev() {

@@ -24,8 +24,8 @@
 //!   arena and parallel batches never share buffers. Worker arenas die
 //!   with their threads; only the long-lived training thread's arena
 //!   stays warm, which is exactly the thread the zero-allocation
-//!   contract covers (the parallel arm spawns threads, which allocate
-//!   by nature).
+//!   contract covers (a kernel that fans out spawns threads, which
+//!   allocate by nature).
 //! - `take` always returns a buffer of *exactly* the requested length,
 //!   zero-filled — callers never see stale data.
 //!
@@ -195,9 +195,9 @@ pub fn clear_thread() {
 
 /// A pooled scratch buffer that returns its storage to the owning
 /// thread's arena on drop — the RAII form of [`take`]/[`give`], used
-/// where the buffer's lifetime is managed by a combinator (e.g.
-/// `bf_par::par_chunks_mut_scratch` drops per-worker scratch
-/// internally).
+/// where the buffer's lifetime is managed by a combinator
+/// (`bf_par::par_chunks_mut_scratch` drops per-worker scratch
+/// internally, and `bf_par::par_map_merge` its slab storage).
 #[derive(Debug)]
 pub struct ScratchBuf {
     buf: Vec<f32>,

@@ -91,7 +91,9 @@ proptest! {
 
     /// Batched predictions are bit-identical across thread counts: the
     /// fork-join gates only move work between workers, never reorder a
-    /// sample's accumulation.
+    /// sample's accumulation. The third leg disables the minimum-work
+    /// threshold, so the eval-mode kernels (the LSTM forward included)
+    /// fan out instead of staying inline at this small shape.
     #[test]
     fn batched_rows_are_thread_count_invariant(
         input_len in 210usize..380,
@@ -104,14 +106,42 @@ proptest! {
         let p1 = net.predict_proba_batch(&rows);
         bf_par::set_threads(Some(4));
         let p4 = net.predict_proba_batch(&rows);
+        let pf = {
+            let _fan_out = ThresholdOff::new();
+            net.predict_proba_batch(&rows)
+        };
         bf_par::set_threads(Some(1));
-        let (b1, b4): (Vec<u32>, Vec<u32>) = (
-            p1.data().iter().map(|v| v.to_bits()).collect(),
-            p4.data().iter().map(|v| v.to_bits()).collect(),
-        );
-        prop_assert_eq!(b1, b4);
+        let bits = |p: &bf_nn::Tensor| p.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&p1), bits(&p4));
+        prop_assert_eq!(bits(&p1), bits(&pf), "forced fan-out diverged");
         bf_nn::workspace::recycle(p1);
         bf_nn::workspace::recycle(p4);
+        bf_nn::workspace::recycle(pf);
+    }
+}
+
+/// Sets `BF_PAR_MIN_UNITS=0` for its lifetime and restores the previous
+/// value on drop (callers hold `SERIAL`).
+struct ThresholdOff {
+    saved: Option<std::ffi::OsString>,
+}
+
+impl ThresholdOff {
+    fn new() -> Self {
+        let saved = std::env::var_os("BF_PAR_MIN_UNITS");
+        std::env::set_var("BF_PAR_MIN_UNITS", "0");
+        bf_par::reload_env();
+        ThresholdOff { saved }
+    }
+}
+
+impl Drop for ThresholdOff {
+    fn drop(&mut self) {
+        match self.saved.take() {
+            Some(v) => std::env::set_var("BF_PAR_MIN_UNITS", v),
+            None => std::env::remove_var("BF_PAR_MIN_UNITS"),
+        }
+        bf_par::reload_env();
     }
 }
 

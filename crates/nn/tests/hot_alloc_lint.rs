@@ -5,8 +5,8 @@
 //! runs. Every allocation-shaped expression (`vec!`,
 //! `Vec::with_capacity`, `.to_vec(`, `.collect(`) inside a hot module
 //! must carry an `// alloc-ok: <reason>` annotation stating why it is
-//! off the steady-state path (parallel arm, constructor, pool miss,
-//! checkpointing, first step). An unannotated hit fails the test with
+//! off the steady-state path (constructor, pool miss, checkpointing,
+//! first step). An unannotated hit fails the test with
 //! the file, line, and offending code.
 //!
 //! `scripts/check_hot_alloc.sh` runs the same scan without a compile.

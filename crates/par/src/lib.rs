@@ -36,10 +36,24 @@
 //! slots, so the outer level (folds) takes priority and inner levels
 //! (intra-batch kernels) parallelize only when slots remain. The budget
 //! is thread-local, costs nothing to read, and never changes results —
-//! only where items run. [`plan`] exposes the same sizing decision the
-//! maps make so callers can pick between an inline and a parallel code
-//! path (e.g. a zero-allocation sequential kernel vs a buffered
-//! fan-out) without second-guessing the pool.
+//! only where items run.
+//!
+//! ## Kernel primitives
+//!
+//! The NN kernels are written once against two primitives that decide
+//! internally whether to run inline or fan out:
+//!
+//! - [`par_chunks_mut_scratch`] hands each item a disjoint `&mut` window
+//!   of one output buffer (per-sample activations, input gradients);
+//! - [`par_map_merge`] maps items into per-item slabs and merges them
+//!   **in index order** on the calling thread (parameter gradients
+//!   reduced over channels or samples).
+//!
+//! Inline, both reuse one scratch value and, for the merge, one slab, so
+//! a warm inline call allocates nothing beyond what the caller's
+//! closures do. Fanned out, they spawn workers and the merge waits for
+//! the join. Which one runs changes only where items execute, never a
+//! result bit.
 //!
 //! ## Minimum-work threshold
 //!
@@ -47,8 +61,7 @@
 //! work items cannot amortize: the 2-thread smoke-shape training
 //! regression in `BENCH_train_throughput.json` came entirely from
 //! forking kernels whose per-item work was a few thousand multiply-adds.
-//! Callers that can estimate their per-item cost pass it to
-//! [`plan_units`] / [`par_chunks_mut_scratch_units`]; items below
+//! The kernel primitives take a per-item cost estimate; items below
 //! [`min_units`] (the `BF_PAR_MIN_UNITS` knob, default
 //! [`DEFAULT_MIN_UNITS`]) run inline, so fork-join is never a
 //! pessimization. Like the grain and the budget, the threshold only
@@ -76,7 +89,7 @@ const ENV_UNINIT: usize = usize::MAX;
 /// as [`ENV_THREADS`]: the hot path must never call `env::var`).
 static ENV_MIN_UNITS: AtomicUsize = AtomicUsize::new(ENV_UNINIT);
 
-/// Default per-item work threshold for the units-aware entry points, in
+/// Default per-item work threshold for the kernel primitives, in
 /// caller-estimated work units (the NN kernels pass multiply-add
 /// counts). Chosen so the CI smoke shape's kernels (≈6–13k MACs per
 /// sample) stay inline while the default experiment shape (≈40–200k)
@@ -161,12 +174,15 @@ fn set_budget(n: usize) {
     BUDGET.with(|b| b.set(n));
 }
 
-/// The worker count a parallel map over `n_items` with the given grain
-/// would use right now: `min(available(), n_items / min_per_worker)`,
-/// at least 1. Callers use `plan(n, g) <= 1` to choose an inline code
-/// path (and skip building parallel-only scratch) without duplicating
-/// the sizing rule.
-pub fn plan(n_items: usize, min_per_worker: usize) -> usize {
+/// The worker count a map over `n_items` uses right now:
+/// `min(available(), n_items / min_per_worker)`, at least 1 — and
+/// exactly 1 when each item is cheaper than [`min_units`] (by the
+/// caller's `units_per_item` estimate), because the fixed fork-join
+/// cost would dwarf the work itself.
+fn plan(n_items: usize, min_per_worker: usize, units_per_item: usize) -> usize {
+    if units_per_item < min_units() {
+        return 1;
+    }
     available()
         .min(n_items / min_per_worker.max(1))
         .min(n_items)
@@ -174,7 +190,7 @@ pub fn plan(n_items: usize, min_per_worker: usize) -> usize {
 }
 
 /// The minimum per-item work (in caller-estimated units) below which
-/// the units-aware entry points run inline: `BF_PAR_MIN_UNITS` when
+/// the kernel primitives run inline: `BF_PAR_MIN_UNITS` when
 /// set and parseable, else [`DEFAULT_MIN_UNITS`]. `0` disables the
 /// threshold entirely (every eligible workload forks); a malformed
 /// value is reported once and falls back to the default.
@@ -204,55 +220,16 @@ pub fn min_units() -> usize {
     resolved
 }
 
-/// [`plan`] with a per-item work estimate: items cheaper than
-/// [`min_units`] always plan inline (1 worker), because the fixed
-/// fork-join cost would dwarf the work itself. Callers use
-/// `plan_units(n, g, u) <= 1` exactly like `plan(n, g) <= 1` to pick
-/// between inline and parallel arms.
-pub fn plan_units(n_items: usize, min_per_worker: usize, units_per_item: usize) -> usize {
-    if units_per_item < min_units() {
-        return 1;
-    }
-    plan(n_items, min_per_worker)
-}
-
-/// [`par_chunks_mut_scratch`] with a per-chunk work estimate: chunks
-/// cheaper than [`min_units`] run on a plain inline loop with a single
-/// scratch (no threads spawned), regardless of the pool size.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`; propagates panics from `f`.
-pub fn par_chunks_mut_scratch_units<T, S, M, F>(
-    data: &mut [T],
-    chunk_len: usize,
-    min_per_worker: usize,
-    units_per_chunk: usize,
-    mk_scratch: M,
-    f: F,
-) where
-    T: Send,
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    if units_per_chunk < min_units() {
-        let mut scratch = mk_scratch();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk, &mut scratch);
-        }
-        return;
-    }
-    par_chunks_mut_scratch(data, chunk_len, min_per_worker, mk_scratch, f)
-}
-
 /// Map `f` over `items` on up to [`available`] workers, returning
 /// results **in input order**. Items are claimed dynamically (an atomic
 /// cursor), so uneven item costs still balance, but each result lands
 /// in the slot of its input index — scheduling never reorders outputs.
 ///
-/// Runs inline (no threads, no locks) when one worker suffices.
+/// Runs inline (no threads, no locks) when one worker suffices. Each
+/// spawned worker inherits `available() / workers` budget slots, so maps
+/// nested inside `f` split the pool instead of multiplying it.
+/// Determinism is unaffected — the budget only changes *where* items
+/// run, never their results or order.
 ///
 /// # Panics
 ///
@@ -264,25 +241,8 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_indexed_grained(items, 1, f)
-}
-
-/// [`par_map_indexed`] with a minimum number of items per worker: the
-/// pool is sized `min(available, items / min_per_worker)`, so
-/// fine-grained workloads (tiny dense layers, short batches) stay
-/// inline instead of paying thread spawn cost that dwarfs the work.
-/// Each spawned worker inherits `available() / workers` budget slots,
-/// so maps nested inside `f` split the pool instead of multiplying it.
-/// Determinism is unaffected — the grain and the budget only change
-/// *where* items run, never their results or order.
-pub fn par_map_indexed_grained<T, R, F>(items: &[T], min_per_worker: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let n = items.len();
-    let workers = plan(n, min_per_worker);
+    let workers = plan(n, 1, usize::MAX);
     // Capture the spawner's trace context once; whichever worker claims
     // item `i` restores it with branch namespace `i`, so spans traced
     // inside `f` mint identical IDs at every thread count (including the
@@ -345,19 +305,24 @@ where
         .collect()
 }
 
-/// Run `f` over the `chunk_len`-sized chunks of `data` in parallel,
-/// giving each worker one reusable `scratch` value (from `mk_scratch`)
-/// for all the chunks it processes. Chunks are distributed round-robin
-/// (chunk `i` → worker `i % workers`), which is deterministic and fair
-/// for the uniform chunk costs of NN batch kernels. The final chunk may
-/// be shorter than `chunk_len`.
+/// Run `f` over the `chunk_len`-sized chunks of `data`, giving each
+/// worker one reusable `scratch` value (from `mk_scratch`) for all the
+/// chunks it processes. The final chunk may be shorter than
+/// `chunk_len`.
 ///
-/// This is the writer-side counterpart of [`par_map_indexed_grained`]:
-/// instead of collecting per-item return values it hands each closure a
+/// This is the writer-side counterpart of [`par_map_indexed`]: instead
+/// of collecting per-item return values it hands each closure a
 /// disjoint `&mut` window of the output, so batch kernels can write
-/// results in place without per-item result buffers. Inline (one
-/// worker) it is a plain loop with a single scratch — no threads, no
-/// allocation beyond what `mk_scratch` does.
+/// results in place without per-item result buffers.
+///
+/// The pool is sized `min(available, chunks / min_per_worker)`, and
+/// chunks cheaper than [`min_units`] (by the caller's
+/// `units_per_chunk` estimate) never fork. Inline (one worker) it is a
+/// plain loop with a single scratch — no threads, no allocation beyond
+/// what `mk_scratch` does. Fanned out, chunks are distributed
+/// round-robin (chunk `i` → worker `i % workers`), which is
+/// deterministic and fair for the uniform chunk costs of NN batch
+/// kernels.
 ///
 /// # Panics
 ///
@@ -366,6 +331,7 @@ pub fn par_chunks_mut_scratch<T, S, M, F>(
     data: &mut [T],
     chunk_len: usize,
     min_per_worker: usize,
+    units_per_chunk: usize,
     mk_scratch: M,
     f: F,
 ) where
@@ -375,8 +341,19 @@ pub fn par_chunks_mut_scratch<T, S, M, F>(
     F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let n = data.len().div_ceil(chunk_len);
-    let workers = plan(n, min_per_worker);
+    let workers = plan(data.len().div_ceil(chunk_len), min_per_worker, units_per_chunk);
+    chunks_on(workers, data, chunk_len, mk_scratch, f);
+}
+
+/// The body of [`par_chunks_mut_scratch`] for an already-planned worker
+/// count.
+fn chunks_on<T, S, M, F>(workers: usize, data: &mut [T], chunk_len: usize, mk_scratch: M, f: F)
+where
+    T: Send,
+    S: Send,
+    M: Fn() -> S + Sync,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+{
     if workers <= 1 {
         let mut scratch = mk_scratch();
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
@@ -415,6 +392,67 @@ pub fn par_chunks_mut_scratch<T, S, M, F>(
         }
     })
     .expect("bf-par scope");
+}
+
+/// Map `n` items into zeroed `slab_len`-element slabs, then hand every
+/// slab to `merge` **in index order** on the calling thread: the ordered
+/// reduction behind the NN kernels' parameter gradients, where each
+/// item's partial must be added in a fixed order to stay bit-stable.
+///
+/// `map(i, slab, scratch)` fills item `i`'s slab; each worker owns one
+/// `scratch` value from `mk_scratch`. `slab(len)` supplies the slab
+/// storage (`len` elements; contents are overwritten), so a caller can
+/// back it with a pooled buffer.
+///
+/// The pool is planned exactly as [`par_chunks_mut_scratch`] plans its
+/// chunks. Inline, one slab is reused: item `i` is mapped and merged
+/// before item `i + 1` is mapped, so the working set is one slab.
+/// Fanned out, one `n × slab_len` buffer holds every item's slab,
+/// workers fill them in place, and the merges run after the join. Either
+/// way `merge(i, ..)` sees exactly the bits `map(i, ..)` left, in the
+/// same order, so the result does not depend on which path ran.
+///
+/// # Panics
+///
+/// Panics if `slab_len == 0`; propagates panics from `map` and `merge`.
+#[allow(clippy::too_many_arguments)]
+pub fn par_map_merge<T, B, S, K, F, G>(
+    n: usize,
+    slab_len: usize,
+    min_per_worker: usize,
+    units_per_item: usize,
+    slab: impl FnOnce(usize) -> B,
+    mk_scratch: K,
+    map: F,
+    mut merge: G,
+) where
+    T: Copy + Default + Send,
+    B: std::ops::DerefMut<Target = [T]>,
+    S: Send,
+    K: Fn() -> S + Sync,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+    G: FnMut(usize, &[T]),
+{
+    assert!(slab_len > 0, "slab_len must be positive");
+    let workers = plan(n, min_per_worker, units_per_item);
+    if workers <= 1 {
+        let mut one = slab(slab_len);
+        let mut scratch = mk_scratch();
+        for i in 0..n {
+            one.fill(T::default());
+            map(i, &mut one, &mut scratch);
+            merge(i, &one);
+        }
+        return;
+    }
+    let mut all = slab(n * slab_len);
+    chunks_on(workers, &mut all, slab_len, mk_scratch, |i, one, scratch| {
+        one.fill(T::default());
+        map(i, one, scratch);
+    });
+    for (i, one) in all.chunks(slab_len).enumerate() {
+        merge(i, one);
+    }
 }
 
 /// Like [`par_map_indexed`] but a panicking item yields `Err(payload)` in
@@ -516,8 +554,13 @@ mod tests {
     fn grain_keeps_small_batches_inline() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let main_id = std::thread::current().id();
-        let ids = with_threads(8, || {
-            par_map_indexed_grained(&[0u8; 8], 16, |_, _| std::thread::current().id())
+        let mut ids = vec![main_id; 8];
+        with_threads(8, || {
+            with_min_units("0", || {
+                par_chunks_mut_scratch(&mut ids, 1, 16, 1, || (), |_, chunk, ()| {
+                    chunk[0] = std::thread::current().id();
+                });
+            })
         });
         assert!(ids.iter().all(|&id| id == main_id));
     }
@@ -697,15 +740,17 @@ mod tests {
     #[test]
     fn plan_matches_map_sizing() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Items far above any threshold: only the pool and grain decide.
+        let sized = |n, grain| plan(n, grain, usize::MAX);
         with_threads(4, || {
-            assert_eq!(plan(16, 1), 4);
-            assert_eq!(plan(16, 8), 2);
-            assert_eq!(plan(3, 1), 3);
-            assert_eq!(plan(0, 1), 1);
-            assert_eq!(plan(16, 0), 4);
+            assert_eq!(sized(16, 1), 4);
+            assert_eq!(sized(16, 8), 2);
+            assert_eq!(sized(3, 1), 3);
+            assert_eq!(sized(0, 1), 1);
+            assert_eq!(sized(16, 0), 4);
         });
         with_threads(1, || {
-            assert_eq!(plan(1000, 1), 1);
+            assert_eq!(sized(1000, 1), 1);
         });
     }
 
@@ -732,33 +777,33 @@ mod tests {
     }
 
     #[test]
-    fn plan_units_keeps_cheap_items_inline() {
+    fn plan_keeps_cheap_items_inline() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         with_threads(4, || {
             with_min_units("1000", || {
-                assert_eq!(plan_units(16, 1, 999), 1, "below the threshold: inline");
-                assert_eq!(plan_units(16, 1, 1000), 4, "at the threshold: the plain plan");
-                assert_eq!(plan_units(16, 8, 5000), 2, "grain still applies above it");
+                assert_eq!(plan(16, 1, 999), 1, "below the threshold: inline");
+                assert_eq!(plan(16, 1, 1000), 4, "at the threshold: the plain plan");
+                assert_eq!(plan(16, 8, 5000), 2, "grain still applies above it");
             });
             with_min_units("0", || {
-                assert_eq!(plan_units(16, 1, 1), 4, "0 disables the threshold");
+                assert_eq!(plan(16, 1, 1), 4, "0 disables the threshold");
             });
         });
     }
 
     #[test]
-    fn chunks_units_variant_stays_inline_below_threshold() {
+    fn chunks_stay_inline_below_threshold() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let main_id = std::thread::current().id();
         with_threads(8, || {
             with_min_units("1000", || {
                 let mut cheap = vec![std::thread::current().id(); 32];
-                par_chunks_mut_scratch_units(&mut cheap, 4, 1, 999, || (), |_, chunk, ()| {
+                par_chunks_mut_scratch(&mut cheap, 4, 1, 999, || (), |_, chunk, ()| {
                     chunk.fill(std::thread::current().id());
                 });
                 assert!(cheap.iter().all(|&id| id == main_id), "cheap chunks run inline");
                 let mut costly = vec![std::thread::current().id(); 32];
-                par_chunks_mut_scratch_units(&mut costly, 4, 1, 1000, || (), |_, chunk, ()| {
+                par_chunks_mut_scratch(&mut costly, 4, 1, 1000, || (), |_, chunk, ()| {
                     chunk.fill(std::thread::current().id());
                 });
                 assert!(
@@ -770,13 +815,13 @@ mod tests {
     }
 
     #[test]
-    fn units_variants_are_bit_identical_to_the_parallel_path() {
+    fn threshold_is_bit_identical_to_the_parallel_path() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let fill = |min_units: &str| {
             with_threads(4, || {
                 with_min_units(min_units, || {
                     let mut data = vec![0f32; 64];
-                    par_chunks_mut_scratch_units(&mut data, 8, 1, 100, || (), |i, chunk, ()| {
+                    par_chunks_mut_scratch(&mut data, 8, 1, 100, || (), |i, chunk, ()| {
                         for (j, v) in chunk.iter_mut().enumerate() {
                             // `black_box` keeps LLVM from constant-folding
                             // `sin` on one arm only, which would compare
@@ -801,6 +846,7 @@ mod tests {
                 &mut data,
                 3,
                 1,
+                usize::MAX,
                 || 0usize,
                 |i, chunk, seen| {
                     *seen += 1;
@@ -827,6 +873,7 @@ mod tests {
                     &mut data,
                     8,
                     1,
+                    usize::MAX,
                     || (),
                     |i, chunk, ()| {
                         for (j, v) in chunk.iter_mut().enumerate() {
@@ -853,6 +900,7 @@ mod tests {
                 &mut data,
                 4,
                 1,
+                usize::MAX,
                 || {
                     made.fetch_add(1, Ordering::Relaxed);
                 },
@@ -861,5 +909,125 @@ mod tests {
         });
         // One worker → one scratch for all 8 chunks.
         assert_eq!(made.load(Ordering::Relaxed), 1);
+    }
+
+    /// A sum-of-sines reduction through [`par_map_merge`]: item `i`
+    /// writes `slab_len` values (plus a stale-data probe), and the merge
+    /// adds each slab into an accumulator in the order it is handed
+    /// over. Returns the accumulator bits, the merge order, and every
+    /// storage length requested.
+    fn merge_run(min_units: &str, threads: usize) -> (Vec<u32>, Vec<usize>, Vec<usize>) {
+        with_threads(threads, || {
+            with_min_units(min_units, || {
+                let mut acc = [0f32; 5];
+                let mut order = Vec::new();
+                let mut requested = Vec::new();
+                par_map_merge(
+                    24,
+                    5,
+                    1,
+                    100,
+                    |len| {
+                        requested.push(len);
+                        vec![f32::NAN; len]
+                    },
+                    || (),
+                    |i, slab: &mut [f32], ()| {
+                        assert!(slab.iter().all(|&v| v == 0.0), "slab {i} not zeroed");
+                        for (j, v) in slab.iter_mut().enumerate() {
+                            // `black_box` keeps LLVM from constant-folding
+                            // `sin` on one path only.
+                            *v = std::hint::black_box((i * 5 + j) as f32 * 0.37).sin() * 1e3;
+                        }
+                    },
+                    |i, slab| {
+                        order.push(i);
+                        for (a, v) in acc.iter_mut().zip(slab) {
+                            *a += v;
+                        }
+                    },
+                );
+                (acc.iter().map(|v| v.to_bits()).collect(), order, requested)
+            })
+        })
+    }
+
+    #[test]
+    fn map_merge_is_bit_identical_inline_and_fanned_out() {
+        let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (inline_bits, inline_order, inline_len) = merge_run("1000", 4);
+        let (fanned_bits, fanned_order, fanned_len) = merge_run("0", 4);
+        let (single_bits, _, single_len) = merge_run("0", 1);
+        let in_order: Vec<usize> = (0..24).collect();
+        assert_eq!(inline_order, in_order, "inline merges run in index order");
+        assert_eq!(fanned_order, in_order, "fanned-out merges run in index order");
+        assert_eq!(inline_bits, fanned_bits, "the path never changes results");
+        assert_eq!(inline_bits, single_bits);
+        // Inline (threshold or one worker) reuses one slab; fanned out,
+        // one buffer holds every item's slab.
+        assert_eq!(inline_len, vec![5]);
+        assert_eq!(single_len, vec![5]);
+        assert_eq!(fanned_len, vec![24 * 5]);
+    }
+
+    #[test]
+    fn map_merge_inline_merges_each_item_before_mapping_the_next() {
+        let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let events = Mutex::new(Vec::new());
+        let main_id = std::thread::current().id();
+        with_threads(1, || {
+            par_map_merge(
+                3,
+                2,
+                1,
+                usize::MAX,
+                |len| vec![0u64; len],
+                || (),
+                |i, slab: &mut [u64], ()| {
+                    assert_eq!(std::thread::current().id(), main_id);
+                    slab[0] = i as u64;
+                    events.lock().unwrap().push(format!("map{i}"));
+                },
+                |i, slab| {
+                    assert_eq!(slab, [i as u64, 0]);
+                    events.lock().unwrap().push(format!("merge{i}"));
+                },
+            );
+        });
+        assert_eq!(
+            events.into_inner().unwrap(),
+            ["map0", "merge0", "map1", "merge1", "map2", "merge2"]
+        );
+    }
+
+    #[test]
+    fn map_merge_fans_out_over_workers_with_one_scratch_each() {
+        let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let made = AtomicU64::new(0);
+        let main_id = std::thread::current().id();
+        let mut ran_on = Vec::new();
+        with_threads(4, || {
+            with_min_units("0", || {
+                par_map_merge(
+                    16,
+                    1,
+                    1,
+                    1,
+                    |len| vec![0u8; len],
+                    || {
+                        made.fetch_add(1, Ordering::Relaxed);
+                    },
+                    |_, _: &mut [u8], ()| {
+                        assert_ne!(std::thread::current().id(), main_id);
+                    },
+                    |i, _| {
+                        assert_eq!(std::thread::current().id(), main_id, "merges run on the caller");
+                        ran_on.push(i);
+                    },
+                );
+            })
+        });
+        assert_eq!(made.load(Ordering::Relaxed), 4, "one scratch per worker");
+        assert_eq!(ran_on, (0..16).collect::<Vec<_>>());
     }
 }

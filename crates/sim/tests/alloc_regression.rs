@@ -9,43 +9,59 @@
 //! counter the run flushes) counting is switched on for one more run,
 //! which must report zero allocations and zero deallocations. That holds
 //! both for a run whose other cores and kernel log are never built (the
-//! collection path) and for one that builds them on first read.
+//! collection path) and for one that builds them on first read. Only the
+//! measuring thread's calls count, so a sibling test's thread exiting
+//! inside the window cannot fail the run.
 
 use bf_sim::{workspace, Machine, MachineConfig, Workload, WorkloadEvent};
 use bf_timer::Nanos;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The counters and `TRACKING` flag are process-global; the tests below
-/// must not observe each other's windows.
+/// The counters are process-global; the tests below must not observe
+/// each other's windows.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Pass-through allocator that counts calls while `TRACKING` is set.
+/// Pass-through allocator that counts calls made by a thread whose
+/// `TRACKING` flag is set.
 struct CountingAlloc;
 
-static TRACKING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set by [`counted`] on the measuring thread only. The test harness
+    /// runs sibling tests on other threads, and one of them exiting
+    /// inside the window (dropping its thread-local arenas) is not the
+    /// measured step's allocation. `const`-initialised with no
+    /// destructor, so reading it from the allocator never allocates.
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn tracking() -> bool {
+    TRACKING.try_with(Cell::get).unwrap_or(false)
+}
+
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static DEALLOCS: AtomicUsize = AtomicUsize::new(0);
 static REALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
+        if tracking() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if TRACKING.load(Ordering::Relaxed) {
+        if tracking() {
             DEALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
+        if tracking() {
             REALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -55,14 +71,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` with counting enabled and return `(allocs, deallocs, reallocs)`.
+/// Run `f` with counting enabled on this thread and return
+/// `(allocs, deallocs, reallocs)`.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, (usize, usize, usize)) {
     ALLOCS.store(0, Ordering::SeqCst);
     DEALLOCS.store(0, Ordering::SeqCst);
     REALLOCS.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
+    TRACKING.with(|t| t.set(true));
     let out = f();
-    TRACKING.store(false, Ordering::SeqCst);
+    TRACKING.with(|t| t.set(false));
     (
         out,
         (
