@@ -23,10 +23,10 @@
 //! `BF_BATCH_FRONTIER_OUT`). Request count is `BF_FRONTIER_REQUESTS`
 //! (default 400).
 
-use bf_bench::{quantile, run_bin, ServingStack};
+use bf_bench::{run_bin, BatchMark, BatchStats, ServingStack, Tally};
 use bf_fault::FaultPlan;
 use bf_obs::Json;
-use bf_serve::{open_loop_arrivals, Outcome, Resolved, ServeConfig};
+use bf_serve::{open_loop_arrivals, ServeConfig};
 use bf_stats::rng::combine_seeds;
 use std::process::ExitCode;
 
@@ -45,79 +45,31 @@ const DEADLINES: [u64; 4] = [150, 300, 600, 1000];
 /// the monotonicity gate allows this much answered-fraction slack.
 const MONOTONE_SLACK: f64 = 0.02;
 
-/// One sweep cell's aggregates.
+/// One sweep cell.
 struct Cell {
     batch: usize,
     deadline: u64,
-    answered: u64,
-    correct: u64,
-    timeouts: u64,
-    shed: u64,
-    p50_units: u64,
-    p99_units: u64,
-    batch_assembled: u64,
-    mean_batch_size: f64,
+    tally: Tally,
+    shape: BatchStats,
 }
 
 impl Cell {
-    fn answered_fraction(&self, submitted: u64) -> f64 {
-        self.answered as f64 / submitted.max(1) as f64
-    }
-
-    /// End-to-end accuracy: a shed, timed out, or failed request counts
-    /// as wrong.
-    fn accuracy(&self, submitted: u64) -> f64 {
-        self.correct as f64 / submitted.max(1) as f64
-    }
-
-    fn to_json(&self, submitted: u64) -> Json {
+    fn to_json(&self) -> Json {
+        let t = &self.tally;
         Json::object([
             ("batch", Json::UInt(self.batch as u64)),
             ("deadline_units", Json::UInt(self.deadline)),
-            ("answered", Json::UInt(self.answered)),
-            ("answered_fraction", Json::Float(self.answered_fraction(submitted))),
-            ("accuracy", Json::Float(self.accuracy(submitted))),
-            ("timeouts", Json::UInt(self.timeouts)),
-            ("shed", Json::UInt(self.shed)),
-            ("p50_latency_units", Json::UInt(self.p50_units)),
-            ("p99_latency_units", Json::UInt(self.p99_units)),
-            ("batch_assembled", Json::UInt(self.batch_assembled)),
-            ("mean_batch_size", Json::Float(self.mean_batch_size)),
+            ("answered", Json::UInt(t.answered())),
+            ("answered_fraction", Json::Float(t.answered_fraction())),
+            ("accuracy", Json::Float(t.accuracy())),
+            ("timeouts", Json::UInt(t.timeouts)),
+            ("shed", Json::UInt(t.shed)),
+            ("p50_latency_units", Json::UInt(t.latency(0.50))),
+            ("p99_latency_units", Json::UInt(t.latency(0.99))),
+            ("batch_assembled", Json::UInt(self.shape.assembled)),
+            ("mean_batch_size", Json::Float(self.shape.mean_size)),
         ])
     }
-}
-
-fn tally(batch: usize, deadline: u64, resolved: &[Resolved]) -> Cell {
-    let mut latencies: Vec<u64> = resolved
-        .iter()
-        .filter(|r| matches!(r.outcome, Outcome::Prediction { .. } | Outcome::Degraded { .. }))
-        .map(Resolved::latency_units)
-        .collect();
-    latencies.sort_unstable();
-    let mut cell = Cell {
-        batch,
-        deadline,
-        answered: 0,
-        correct: 0,
-        timeouts: 0,
-        shed: 0,
-        p50_units: quantile(&latencies, 0.50),
-        p99_units: quantile(&latencies, 0.99),
-        batch_assembled: 0,
-        mean_batch_size: 0.0,
-    };
-    for r in resolved {
-        match &r.outcome {
-            Outcome::Prediction { class, .. } | Outcome::Degraded { class, .. } => {
-                cell.answered += 1;
-                cell.correct += (*class == r.site) as u64;
-            }
-            Outcome::Timeout { .. } => cell.timeouts += 1,
-            Outcome::Shed => cell.shed += 1,
-            _ => {}
-        }
-    }
-    cell
 }
 
 fn main() -> ExitCode {
@@ -156,8 +108,7 @@ fn main() -> ExitCode {
         for (bi, &batch) in BATCHES.iter().enumerate() {
             for (di, &deadline) in DEADLINES.iter().enumerate() {
                 svc.reconfigure(cfg_for(batch, deadline));
-                let assembled0 = bf_obs::counter("serve.batch.assembled").get();
-                let size0 = bf_obs::histogram("serve.batch.size").snapshot();
+                let mark = BatchMark::take();
                 let label = format!("sweep_b{batch}_d{deadline}");
                 let resolved = m.phase(&label, || svc.run(&requests));
                 assert_eq!(resolved.len(), n_requests);
@@ -171,12 +122,10 @@ fn main() -> ExitCode {
                         "frontier outcomes must be bit-deterministic for a fixed seed"
                     );
                 }
-                let mut cell = tally(batch, deadline, &resolved);
-                cell.batch_assembled =
-                    bf_obs::counter("serve.batch.assembled").get() - assembled0;
-                cell.mean_batch_size =
-                    bf_obs::histogram("serve.batch.size").snapshot().delta_since(&size0).mean();
-                cells.push(cell);
+                // The mark spans the replay too, so the replayed cell
+                // reports twice its batch count.
+                let (tally, shape) = (Tally::new(&resolved), mark.since());
+                cells.push(Cell { batch, deadline, tally, shape });
             }
         }
         bf_par::set_threads(None);
@@ -188,10 +137,10 @@ fn main() -> ExitCode {
                 "{:>5} {:>10} {:>10} {:>10.4} {:>6} {:>11.2}",
                 c.batch,
                 c.deadline,
-                c.answered,
-                c.accuracy(n_requests as u64),
-                c.p99_units,
-                c.mean_batch_size
+                c.tally.answered(),
+                c.tally.accuracy(),
+                c.tally.latency(0.99),
+                c.shape.mean_size
             );
         }
 
@@ -203,7 +152,7 @@ fn main() -> ExitCode {
                 let curve: Vec<f64> = cells
                     .iter()
                     .filter(|c| c.deadline == deadline)
-                    .map(|c| c.answered_fraction(n_requests as u64))
+                    .map(|c| c.tally.answered_fraction())
                     .collect();
                 for w in curve.windows(2) {
                     assert!(
@@ -233,10 +182,7 @@ fn main() -> ExitCode {
             ("requests", Json::UInt(n_requests as u64)),
             ("mean_gap_units", Json::Float(MEAN_GAP_UNITS)),
             ("deterministic", Json::Bool(true)),
-            (
-                "cells",
-                Json::Array(cells.iter().map(|c| c.to_json(n_requests as u64)).collect()),
-            ),
+            ("cells", Json::Array(cells.iter().map(Cell::to_json).collect())),
         ]);
         let out =
             bf_bench::artifact_path("BF_BATCH_FRONTIER_OUT", "BENCH_serve_batch_frontier.json");

@@ -24,11 +24,11 @@
 //! `BF_DEADLINE_FRONTIER_OUT`). Request count is
 //! `BF_FRONTIER_REQUESTS` (default 400).
 
-use bf_bench::{run_bin, ServingStack};
+use bf_bench::{run_bin, tier_slot, ServingStack, Tally, TIER_LABELS};
 use bf_fault::FaultPlan;
 use bf_ml::{metrics::argmax, Classifier, Dataset};
 use bf_obs::Json;
-use bf_serve::{open_loop_arrivals, Outcome, ServeConfig};
+use bf_serve::{open_loop_arrivals, ServeConfig, Tier};
 use bf_stats::rng::combine_seeds;
 use std::process::ExitCode;
 
@@ -46,92 +46,32 @@ const DEADLINES: [u64; 6] = [40, 60, 90, 130, 180, 320];
 /// Early-exit confidence thresholds swept (calibrated probability).
 const THRESHOLDS: [f64; 3] = [0.70, 0.85, 0.95];
 
-/// Answer tiers in ladder order, matching [`bf_serve::Tier::label`].
-const TIER_LABELS: [&str; 6] = [
-    "full",
-    "early_exit_25",
-    "early_exit_50",
-    "early_exit_75",
-    "distilled",
-    "centroid",
-];
-
 /// A rung's aggregate conditional accuracy is only compared against the
 /// centroid floor once it has answered this many requests across the
 /// whole sweep; rarely-hit rungs are reported but not gated.
 const MIN_RUNG_SAMPLES: u64 = 25;
 
-/// Index of the centroid tier in [`TIER_LABELS`] — the ladder's floor.
-const CENTROID_SLOT: usize = 5;
-
 /// Adjacent sweep cells may differ by a request or two on knife-edge
 /// budgets; the monotonicity gate allows this much accuracy slack.
 const MONOTONE_SLACK: f64 = 0.02;
 
-/// One sweep cell's outcome tallies. `tier_*` cover every answer at a
-/// rung; `conf_*` cover only confident exits (`Outcome::Prediction`),
-/// excluding forced budget-cutoff answers (`Outcome::Degraded`) whose
-/// accuracy is expected to sit near the floor — that's what "degrade
-/// smoothly" means.
-#[derive(Default)]
-struct Cell {
-    answered: u64,
-    correct: u64,
-    tier_counts: [u64; TIER_LABELS.len()],
-    tier_correct: [u64; TIER_LABELS.len()],
-    conf_counts: [u64; TIER_LABELS.len()],
-    conf_correct: [u64; TIER_LABELS.len()],
+/// `f(slot)` for every answer tier, keyed by its label.
+fn per_tier(f: impl Fn(usize) -> f64) -> Json {
+    Json::object(TIER_LABELS.iter().enumerate().map(|(i, label)| (*label, Json::Float(f(i)))))
 }
 
-impl Cell {
-    /// End-to-end accuracy over all submitted requests: a shed, timed
-    /// out, or failed request is an unanswered (wrong) one.
-    fn accuracy(&self, submitted: u64) -> f64 {
-        self.correct as f64 / submitted.max(1) as f64
-    }
-
-    fn to_json(&self, deadline: u64, threshold: f64, submitted: u64) -> Json {
-        let per_tier = |counts: &[u64], denom: &[u64]| {
-            Json::object(TIER_LABELS.iter().enumerate().map(|(i, label)| {
-                (*label, Json::Float(counts[i] as f64 / denom[i].max(1) as f64))
-            }))
-        };
-        let answered_denom = [self.answered; TIER_LABELS.len()];
-        Json::object([
-            ("deadline_units", Json::UInt(deadline)),
-            ("confidence_threshold", Json::Float(threshold)),
-            ("answered", Json::UInt(self.answered)),
-            ("answered_fraction", Json::Float(self.answered as f64 / submitted.max(1) as f64)),
-            ("accuracy", Json::Float(self.accuracy(submitted))),
-            ("tier_fractions", per_tier(&self.tier_counts, &answered_denom)),
-            ("tier_accuracy", per_tier(&self.tier_correct, &self.tier_counts)),
-        ])
-    }
-}
-
-fn tally(resolved: &[bf_serve::Resolved]) -> Cell {
-    let mut cell = Cell::default();
-    for r in resolved {
-        let (class, tier, confident) = match &r.outcome {
-            Outcome::Prediction { class, tier, .. } => (*class, tier, true),
-            Outcome::Degraded { class, tier, .. } => (*class, tier, false),
-            _ => continue,
-        };
-        let slot = TIER_LABELS
-            .iter()
-            .position(|l| *l == tier.label())
-            .unwrap_or_else(|| panic!("unknown answer tier {:?}", tier.label()));
-        let hit = class == r.site;
-        cell.answered += 1;
-        cell.tier_counts[slot] += 1;
-        cell.correct += hit as u64;
-        cell.tier_correct[slot] += hit as u64;
-        if confident {
-            cell.conf_counts[slot] += 1;
-            cell.conf_correct[slot] += hit as u64;
-        }
-    }
-    cell
+/// One sweep cell's artifact entry. `tier_accuracy` covers every answer
+/// at a rung, forced budget-cutoff answers included.
+fn cell_json(deadline: u64, threshold: f64, t: &Tally) -> Json {
+    Json::object([
+        ("deadline_units", Json::UInt(deadline)),
+        ("confidence_threshold", Json::Float(threshold)),
+        ("answered", Json::UInt(t.answered())),
+        ("answered_fraction", Json::Float(t.answered_fraction())),
+        ("accuracy", Json::Float(t.accuracy())),
+        ("tier_fractions", per_tier(|i| t.tier_fraction(i))),
+        ("tier_accuracy", per_tier(|i| t.tier_accuracy(i))),
+    ])
 }
 
 /// Offline accuracy of a classifier on a labelled dataset (argmax).
@@ -180,10 +120,8 @@ fn main() -> ExitCode {
         let mut svc = stack.into_service(plan, cfg_for(DEADLINES[0], THRESHOLDS[0]));
 
         let mut cells = Vec::new();
-        let mut rung_counts = [0u64; TIER_LABELS.len()];
-        let mut rung_correct = [0u64; TIER_LABELS.len()];
-        let mut rung_conf_counts = [0u64; TIER_LABELS.len()];
-        let mut rung_conf_correct = [0u64; TIER_LABELS.len()];
+        // Every record of the sweep, for the per-rung totals.
+        let mut swept = Vec::with_capacity(n_requests * DEADLINES.len() * THRESHOLDS.len());
         let mid = (DEADLINES.len() / 2, THRESHOLDS.len() / 2);
         for (ti, &threshold) in THRESHOLDS.iter().enumerate() {
             for (di, &deadline) in DEADLINES.iter().enumerate() {
@@ -201,16 +139,11 @@ fn main() -> ExitCode {
                         "frontier outcomes must be bit-deterministic for a fixed seed"
                     );
                 }
-                let cell = tally(&resolved);
-                for i in 0..TIER_LABELS.len() {
-                    rung_counts[i] += cell.tier_counts[i];
-                    rung_correct[i] += cell.tier_correct[i];
-                    rung_conf_counts[i] += cell.conf_counts[i];
-                    rung_conf_correct[i] += cell.conf_correct[i];
-                }
-                cells.push((deadline, threshold, cell));
+                cells.push((deadline, threshold, Tally::new(&resolved)));
+                swept.extend(resolved);
             }
         }
+        let rungs = Tally::new(&swept);
         svc.record_in_manifest(m);
 
         // Report the frontier.
@@ -220,18 +153,18 @@ fn main() -> ExitCode {
         for (deadline, threshold, cell) in &cells {
             println!(
                 "{threshold:>9.2} {deadline:>10} {:>10} {:>10.4}",
-                cell.answered,
-                cell.accuracy(n_requests as u64)
+                cell.answered(),
+                cell.accuracy()
             );
         }
         println!("\nrung                 answers   accuracy   confident   conf accuracy");
         for (i, label) in TIER_LABELS.iter().enumerate() {
             println!(
                 "{label:<20} {:>7} {:>10.4} {:>11} {:>15.4}",
-                rung_counts[i],
-                rung_correct[i] as f64 / rung_counts[i].max(1) as f64,
-                rung_conf_counts[i],
-                rung_conf_correct[i] as f64 / rung_conf_counts[i].max(1) as f64
+                rungs.tier_counts[i],
+                rungs.tier_accuracy(i),
+                rungs.conf_counts[i],
+                rungs.confident_accuracy(i)
             );
         }
 
@@ -243,7 +176,7 @@ fn main() -> ExitCode {
                 let curve: Vec<f64> = cells
                     .iter()
                     .filter(|(_, t, _)| *t == threshold)
-                    .map(|(_, _, c)| c.accuracy(n_requests as u64))
+                    .map(|(_, _, c)| c.accuracy())
                     .collect();
                 for w in curve.windows(2) {
                     assert!(
@@ -260,27 +193,26 @@ fn main() -> ExitCode {
             // confident exits must beat it; forced budget-cutoff answers
             // are expected to sit near it, that's the smooth-degradation
             // deal.
-            if rung_counts[CENTROID_SLOT] >= MIN_RUNG_SAMPLES {
-                let online_floor = rung_correct[CENTROID_SLOT] as f64
-                    / rung_counts[CENTROID_SLOT].max(1) as f64;
+            let centroid = tier_slot(Tier::Centroid);
+            if rungs.tier_counts[centroid] >= MIN_RUNG_SAMPLES {
+                let online_floor = rungs.tier_accuracy(centroid);
                 for (i, label) in TIER_LABELS.iter().enumerate() {
-                    if i == CENTROID_SLOT || rung_conf_counts[i] < MIN_RUNG_SAMPLES {
+                    if i == centroid || rungs.conf_counts[i] < MIN_RUNG_SAMPLES {
                         continue;
                     }
-                    let acc =
-                        rung_conf_correct[i] as f64 / rung_conf_counts[i].max(1) as f64;
+                    let acc = rungs.confident_accuracy(i);
                     assert!(
                         acc >= online_floor,
                         "rung {label}'s confident exits ({acc:.4} over {} answers) must \
                          beat the online centroid floor {online_floor:.4}",
-                        rung_conf_counts[i]
+                        rungs.conf_counts[i]
                     );
                 }
             } else {
                 println!(
                     "note: centroid tier answered only {} request(s); rung-vs-floor \
                      gate skipped",
-                    rung_counts[CENTROID_SLOT]
+                    rungs.tier_counts[centroid]
                 );
             }
         }
@@ -310,34 +242,15 @@ fn main() -> ExitCode {
                     (
                         *label,
                         Json::object([
-                            ("answers", Json::UInt(rung_counts[i])),
-                            (
-                                "accuracy",
-                                Json::Float(
-                                    rung_correct[i] as f64 / rung_counts[i].max(1) as f64,
-                                ),
-                            ),
-                            ("confident_answers", Json::UInt(rung_conf_counts[i])),
-                            (
-                                "confident_accuracy",
-                                Json::Float(
-                                    rung_conf_correct[i] as f64
-                                        / rung_conf_counts[i].max(1) as f64,
-                                ),
-                            ),
+                            ("answers", Json::UInt(rungs.tier_counts[i])),
+                            ("accuracy", Json::Float(rungs.tier_accuracy(i))),
+                            ("confident_answers", Json::UInt(rungs.conf_counts[i])),
+                            ("confident_accuracy", Json::Float(rungs.confident_accuracy(i))),
                         ]),
                     )
                 })),
             ),
-            (
-                "cells",
-                Json::Array(
-                    cells
-                        .iter()
-                        .map(|(d, t, c)| c.to_json(*d, *t, n_requests as u64))
-                        .collect(),
-                ),
-            ),
+            ("cells", Json::Array(cells.iter().map(|(d, t, c)| cell_json(*d, *t, c)).collect())),
         ]);
         let out =
             bf_bench::artifact_path("BF_DEADLINE_FRONTIER_OUT", "BENCH_deadline_frontier.json");

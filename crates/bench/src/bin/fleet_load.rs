@@ -9,12 +9,17 @@
 //! a [`bf_serve::Fleet`], at 1 and 4 threads, in three scenarios:
 //!
 //! 1. **baseline** — every shard healthy for the whole run;
-//! 2. **kill** — the `BF_FLEET_KILL` schedule (default: two kills of
-//!    one shard mid-stream) crashes shards; the supervisor restarts
-//!    them after the configured backoff and queued/arriving requests
-//!    resolve `ShardDown`;
+//! 2. **kill** — two mid-stream kills of the last shard; the supervisor
+//!    restarts it after the restart backoff and queued/arriving
+//!    requests resolve `ShardDown`;
 //! 3. **kill+hedge** (fleets with ≥ 2 shards) — same kills with hedged
 //!    retry on: `ShardDown` requests replay on the next healthy shard.
+//!
+//! The fleet is configured in code: each shard serves with micro-batch
+//! capacity 8 and the anytime ladder on, the restart backoff and the
+//! load model are the `FleetConfig` and `LoadConfig` defaults. Only the
+//! shard count comes from the environment: `BF_FLEET_SHARDS` (default
+//! 4; `0` is rejected with a warning and keeps the default).
 //!
 //! Every configuration runs twice and is asserted bit-identical, kill
 //! runs included — outcomes are pure functions of
@@ -28,23 +33,26 @@
 //! volume — plus a per-shard breakdown. Request count is
 //! `BF_FLEET_REQUESTS` (default 600; CI smoke uses less).
 
-use bf_bench::{quantile, run_bin, LoadConfig};
+use bf_bench::{run_bin, LoadConfig, Tally};
 use bf_core::{AttackKind, CollectionConfig};
 use bf_fault::{FaultPlan, ShardKillPlan};
 use bf_ml::{CentroidClassifier, Classifier};
 use bf_obs::Json;
-use bf_serve::{route, Fleet, FleetConfig, Outcome, Resolved};
+use bf_serve::{route, Fleet, FleetConfig, Outcome, Resolved, ServeConfig, TierConfig};
 use bf_stats::rng::combine_seeds;
 use bf_timer::BrowserKind;
 use bf_victim::Catalog;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// Shard health that the fleet's own snapshot counts: each shard's
+/// answers and outages as it executed them, hedge replays included.
 struct ShardStats {
     answered: u64,
     shard_down: u64,
     restarts: u64,
     flaps: u64,
+    /// Answer latency p99 of the requests routed to the shard.
     p99_units: u64,
 }
 
@@ -52,16 +60,7 @@ struct RunStats {
     threads: usize,
     scenario: &'static str,
     wall_seconds: f64,
-    makespan_units: u64,
-    p50_units: u64,
-    p99_units: u64,
-    p999_units: u64,
-    predictions: u64,
-    degraded: u64,
-    timeouts: u64,
-    shed: u64,
-    failed: u64,
-    shard_down: u64,
+    tally: Tally,
     restarts: u64,
     flaps: u64,
     hedged: u64,
@@ -69,50 +68,66 @@ struct RunStats {
 }
 
 impl RunStats {
-    fn total(&self) -> u64 {
-        self.predictions + self.degraded + self.timeouts + self.shed + self.failed
-            + self.shard_down
-    }
-
-    fn answered(&self) -> u64 {
-        self.predictions + self.degraded
-    }
-
-    fn throughput_per_kunit(&self) -> f64 {
-        self.answered() as f64 * 1000.0 / self.makespan_units.max(1) as f64
-    }
-
-    fn rate(&self, n: u64) -> f64 {
-        n as f64 / self.total().max(1) as f64
+    fn new(
+        threads: usize,
+        scenario: &'static str,
+        wall_seconds: f64,
+        resolved: &[Resolved],
+        fleet: &Fleet,
+    ) -> Self {
+        let health = fleet.health();
+        let per_shard = (0..fleet.shards())
+            .map(|k| {
+                let routed = resolved.iter().filter(|r| route(r.id, fleet.shards()) == k);
+                ShardStats {
+                    answered: health.shards[k].predictions + health.shards[k].degraded,
+                    shard_down: health.shards[k].shard_down,
+                    restarts: health.shards[k].restarts,
+                    flaps: health.flaps[k],
+                    p99_units: Tally::new(routed).latency(0.99),
+                }
+            })
+            .collect();
+        RunStats {
+            threads,
+            scenario,
+            wall_seconds,
+            tally: Tally::new(resolved),
+            restarts: health.total(|s| s.restarts),
+            flaps: health.flaps.iter().sum(),
+            hedged: health.hedged,
+            per_shard,
+        }
     }
 
     /// Breaker flaps per 1000 virtual units — the SLO-facing view of
     /// breaker churn (raw counts scale with the stream length).
     fn flap_rate_per_kunit(&self) -> f64 {
-        self.flaps as f64 * 1000.0 / self.makespan_units.max(1) as f64
+        self.flaps as f64 * 1000.0 / self.tally.makespan_units.max(1) as f64
     }
 
     fn to_json(&self) -> Json {
+        let t = &self.tally;
         Json::object([
             ("threads", Json::UInt(self.threads as u64)),
             ("scenario", Json::Str(self.scenario.to_owned())),
             ("wall_seconds", Json::Float(self.wall_seconds)),
-            ("makespan_units", Json::UInt(self.makespan_units)),
-            ("p50_latency_units", Json::UInt(self.p50_units)),
-            ("p99_latency_units", Json::UInt(self.p99_units)),
-            ("p999_latency_units", Json::UInt(self.p999_units)),
-            ("throughput_per_kunit", Json::Float(self.throughput_per_kunit())),
-            ("predictions", Json::UInt(self.predictions)),
-            ("degraded", Json::UInt(self.degraded)),
-            ("timeouts", Json::UInt(self.timeouts)),
-            ("shed", Json::UInt(self.shed)),
-            ("failed", Json::UInt(self.failed)),
-            ("shard_down", Json::UInt(self.shard_down)),
-            ("answered", Json::UInt(self.answered())),
-            ("answered_fraction", Json::Float(self.rate(self.answered()))),
-            ("shed_rate", Json::Float(self.rate(self.shed))),
-            ("degraded_fraction", Json::Float(self.degraded as f64 / self.answered().max(1) as f64)),
-            ("shard_down_rate", Json::Float(self.rate(self.shard_down))),
+            ("makespan_units", Json::UInt(t.makespan_units)),
+            ("p50_latency_units", Json::UInt(t.latency(0.50))),
+            ("p99_latency_units", Json::UInt(t.latency(0.99))),
+            ("p999_latency_units", Json::UInt(t.latency(0.999))),
+            ("throughput_per_kunit", Json::Float(t.throughput_per_kunit())),
+            ("predictions", Json::UInt(t.predictions)),
+            ("degraded", Json::UInt(t.degraded)),
+            ("timeouts", Json::UInt(t.timeouts)),
+            ("shed", Json::UInt(t.shed)),
+            ("failed", Json::UInt(t.failed)),
+            ("shard_down", Json::UInt(t.shard_down)),
+            ("answered", Json::UInt(t.answered())),
+            ("answered_fraction", Json::Float(t.answered_fraction())),
+            ("shed_rate", Json::Float(t.rate(t.shed))),
+            ("degraded_fraction", Json::Float(t.degraded_fraction())),
+            ("shard_down_rate", Json::Float(t.rate(t.shard_down))),
             // Fault-injection echoes (Info in bench_diff): their scale
             // is set by the kill plan, not by serving quality.
             ("restarts", Json::UInt(self.restarts)),
@@ -140,74 +155,34 @@ impl RunStats {
     }
 }
 
-fn stats_for(
-    threads: usize,
-    scenario: &'static str,
-    wall_seconds: f64,
-    resolved: &[Resolved],
-    fleet: &Fleet,
-) -> RunStats {
-    let answered_latency = |rs: &mut dyn Iterator<Item = &Resolved>| -> Vec<u64> {
-        let mut v: Vec<u64> = rs
-            .filter(|r| matches!(r.outcome, Outcome::Prediction { .. } | Outcome::Degraded { .. }))
-            .map(Resolved::latency_units)
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    let fleet_latency = answered_latency(&mut resolved.iter());
-    let count = |f: fn(&Outcome) -> bool| resolved.iter().filter(|r| f(&r.outcome)).count() as u64;
-    let health = fleet.health();
-    let per_shard = (0..fleet.shards())
-        .map(|k| {
-            let lat = answered_latency(
-                &mut resolved.iter().filter(|r| route(r.id, fleet.shards()) == k),
-            );
-            ShardStats {
-                answered: health.shards[k].predictions + health.shards[k].degraded,
-                shard_down: health.shards[k].shard_down,
-                restarts: health.shards[k].restarts,
-                flaps: health.flaps[k],
-                p99_units: quantile(&lat, 0.99),
-            }
-        })
-        .collect();
-    RunStats {
-        threads,
-        scenario,
-        wall_seconds,
-        makespan_units: resolved.iter().map(|r| r.completed).max().unwrap_or(0),
-        p50_units: quantile(&fleet_latency, 0.50),
-        p99_units: quantile(&fleet_latency, 0.99),
-        p999_units: quantile(&fleet_latency, 0.999),
-        predictions: count(|o| matches!(o, Outcome::Prediction { .. })),
-        degraded: count(|o| matches!(o, Outcome::Degraded { .. })),
-        timeouts: count(|o| matches!(o, Outcome::Timeout { .. })),
-        shed: count(|o| matches!(o, Outcome::Shed)),
-        failed: count(|o| matches!(o, Outcome::Failed { .. })),
-        shard_down: count(|o| matches!(o, Outcome::ShardDown)),
-        restarts: health.total(|s| s.restarts),
-        flaps: health.flaps.iter().sum(),
-        hedged: health.hedged,
-        per_shard,
-    }
-}
-
 fn main() -> ExitCode {
     run_bin("fleet serving under open-system load", "fleet_load", |m, scale, seed| {
         let n_requests: usize =
             bf_obs::env::parse_or("BF_FLEET_REQUESTS", 600, "a positive request count").max(1);
-        let fleet_cfg = FleetConfig::from_env();
-        let load_cfg = LoadConfig::from_env();
-        let kills = match std::env::var("BF_FLEET_KILL") {
-            Ok(spec) => ShardKillPlan::parse(&spec),
-            // Default schedule: two mid-stream kills of the last shard,
-            // far enough apart that the first restart completes.
-            Err(_) => {
-                let victim = fleet_cfg.shards - 1;
-                ShardKillPlan::new([(victim, 4_000), (victim, 12_000)])
+        let default_shards = FleetConfig::default().shards;
+        let shards: usize = match bf_obs::env::parse("BF_FLEET_SHARDS", "a positive shard count") {
+            // A zero-shard fleet cannot serve: reject it, don't clamp.
+            Some(0) => {
+                bf_obs::env::warn_invalid("BF_FLEET_SHARDS", "0", "a positive shard count");
+                default_shards
             }
+            Some(n) => n,
+            None => default_shards,
         };
+        let fleet_cfg = FleetConfig {
+            shards,
+            serve: ServeConfig {
+                tiers: TierConfig { ladder: true, ..TierConfig::default() },
+                batch: 8,
+                ..ServeConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let load_cfg = LoadConfig::default();
+        // Two mid-stream kills of the last shard, far enough apart that
+        // the first restart completes.
+        let victim = shards - 1;
+        let kills = ShardKillPlan::new([(victim, 4_000), (victim, 12_000)]);
         m.config("fleet.shards", fleet_cfg.shards);
         m.config("fleet.requests", n_requests);
         m.config("fleet.kill_plan", kills.summary());
@@ -293,7 +268,7 @@ fn main() -> ExitCode {
                     );
                     match replay.take() {
                         None => {
-                            runs.push(stats_for(threads, name, wall, &resolved, &fleet));
+                            runs.push(RunStats::new(threads, name, wall, &resolved, &fleet));
                             replay = Some(resolved);
                         }
                         Some(first) => {
@@ -328,9 +303,9 @@ fn main() -> ExitCode {
                         }
                         let down = runs.last().expect("stats recorded");
                         assert!(
-                            down.shard_down > 0 && down.restarts > 0,
+                            down.tally.shard_down > 0 && down.restarts > 0,
                             "the kill plan must actually bite: {} down / {} restarts",
-                            down.shard_down,
+                            down.tally.shard_down,
                             down.restarts
                         );
                     } else {
@@ -349,15 +324,16 @@ fn main() -> ExitCode {
             "\nthreads scenario      p50      p99     p99.9   shed%  down%  restarts flaps hedged"
         );
         for r in &runs {
+            let t = &r.tally;
             println!(
                 "{:<7} {:<12} {:>6} {:>8} {:>9}   {:>5.2}  {:>5.2}  {:>8} {:>5} {:>6}",
                 r.threads,
                 r.scenario,
-                r.p50_units,
-                r.p99_units,
-                r.p999_units,
-                r.rate(r.shed) * 100.0,
-                r.rate(r.shard_down) * 100.0,
+                t.latency(0.50),
+                t.latency(0.99),
+                t.latency(0.999),
+                t.rate(t.shed) * 100.0,
+                t.rate(t.shard_down) * 100.0,
                 r.restarts,
                 r.flaps,
                 r.hedged,

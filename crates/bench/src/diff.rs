@@ -10,9 +10,10 @@
 //!   throughput per kunit, outcome counts) get a tight 0.5% band —
 //!   they are pure functions of `(seed, threads)` and any drift is a
 //!   real behaviour change;
-//! * **wall-clock metrics** (`*_ns`, `*_seconds`, `steps_per_sec`)
-//!   get a loose 25% band, wide enough for same-machine run-to-run
-//!   noise but narrow enough to catch a real slowdown;
+//! * **wall-clock metrics** (`*_ns`, `*_seconds`, `steps_per_sec`, and
+//!   the sim-throughput rates `runs_per_sec` / `events_per_sec`) get a
+//!   loose 25% band, wide enough for same-machine run-to-run noise but
+//!   narrow enough to catch a real slowdown;
 //! * config echoes (`seed`, `threads`, `batch`, …) and anything not
 //!   matching a direction rule are reported but never fail.
 //!
@@ -107,11 +108,17 @@ fn flatten_into(json: &Json, prefix: String, out: &mut Vec<(String, f64)>) {
     }
 }
 
+/// Measured wall-clock rates of `BENCH_sim_throughput.json`, matched by
+/// exact leaf name: `baseline_runs_per_sec` next to them is a constant
+/// echo, not a measurement.
+const WALL_RATES: &[&str] = &["runs_per_sec", "events_per_sec"];
+
 /// Does the final path segment name a wall-clock quantity?
 fn is_wall(path: &str) -> bool {
     let leaf = path.rsplit('.').next().unwrap_or(path);
     ["_ns", "_seconds", "steps_per_sec"].iter().any(|s| leaf.ends_with(s))
         || leaf == "ns_per_step"
+        || WALL_RATES.contains(&leaf)
         || leaf.starts_with("wall")
 }
 
@@ -138,6 +145,9 @@ pub fn direction_for(path: &str) -> Direction {
     // `flushed` must not match the `shed` rule below.
     if leaf == "wall_seconds" || leaf.starts_with("batch_") || leaf == "mean_batch_size" {
         return Direction::Info;
+    }
+    if WALL_RATES.contains(&leaf) {
+        return Direction::HigherBetter;
     }
     const HIGHER: &[&str] = &[
         "throughput", "steps_per_sec", "speedup", "predictions", "accuracy", "answered",
@@ -280,6 +290,11 @@ mod tests {
         assert_eq!(direction_for("runs[0].wall_seconds"), Direction::Info);
         assert_eq!(direction_for("runs[0].batch_flushed_full"), Direction::Info);
         assert_eq!(direction_for("cells[3].mean_batch_size"), Direction::Info);
+        // Sim throughput rates are guarded; the constant they are
+        // compared against is an echo.
+        assert_eq!(direction_for("rows[0].runs_per_sec"), Direction::HigherBetter);
+        assert_eq!(direction_for("rows[0].events_per_sec"), Direction::HigherBetter);
+        assert_eq!(direction_for("rows[0].baseline_runs_per_sec"), Direction::Info);
     }
 
     #[test]
@@ -287,6 +302,8 @@ mod tests {
         assert_eq!(tolerance_for("rows[0].ns_per_step"), TOL_WALL);
         assert_eq!(tolerance_for("runs[0].wall_seconds"), TOL_WALL);
         assert_eq!(tolerance_for("rows[0].steps_per_sec"), TOL_WALL);
+        assert_eq!(tolerance_for("rows[0].runs_per_sec"), TOL_WALL);
+        assert_eq!(tolerance_for("rows[0].events_per_sec"), TOL_WALL);
         assert_eq!(tolerance_for("runs[0].p99_latency_units"), TOL_VIRTUAL);
         assert_eq!(tolerance_for("runs[0].throughput_per_kunit"), TOL_VIRTUAL);
     }
@@ -318,6 +335,22 @@ mod tests {
         assert!(diff(&old, &noisy).ok());
         let slow = parse(r#"{"rows":[{"ns_per_step":1400000.0}]}"#); // +40%
         assert!(!diff(&old, &slow).ok());
+    }
+
+    #[test]
+    fn halved_sim_throughput_row_fails_the_gate() {
+        let row = |runs: f64, events: f64| {
+            parse(&format!(
+                r#"{{"rows":[{{"baseline_runs_per_sec":270.0,"duration_ms":2000,
+                    "events_per_sec":{events},"mode":"cold","runs_per_sec":{runs},
+                    "speedup_vs_baseline":0.0,"threads":1,"timed_runs":40}}]}}"#
+            ))
+        };
+        let old = row(300.0, 6.0e6);
+        assert!(diff(&old, &row(255.0, 5.1e6)).ok(), "15% wall noise stays inside the band");
+        let report = diff(&old, &row(150.0, 3.0e6));
+        let paths: Vec<_> = report.regressions().map(|d| d.path.as_str()).collect();
+        assert_eq!(paths, ["rows[0].events_per_sec", "rows[0].runs_per_sec"]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod load;
 pub mod serving;
 
 pub use load::{open_system_requests, LoadConfig};
-pub use serving::ServingStack;
+pub use serving::{tier_slot, BatchMark, BatchStats, ServingStack, Tally, TIER_LABELS};
 
 use bf_core::ExperimentScale;
 use bf_fault::{FaultPlan, ResumeConfig};
@@ -54,16 +54,6 @@ pub fn artifact_path(env_key: &str, default: &str) -> String {
         .map(|s| s.trim().to_owned())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| default.to_owned())
-}
-
-/// Nearest-rank quantile `q` of an ascending slice (0 when empty): the
-/// latency quantile the serving bins report, in virtual units.
-pub fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Print a standard header for a regeneration binary.

@@ -32,7 +32,7 @@ use bf_stats::Zipf;
 /// Stream id of the session-arrival process.
 const ARRIVALS_SEED: u64 = 0x10AD_5E55;
 
-/// The `BF_LOAD_*` knob set: shape of the open-system arrival process.
+/// Shape of the open-system arrival process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadConfig {
     /// Mean virtual units between session starts (Poisson arrivals).
@@ -61,63 +61,6 @@ impl Default for LoadConfig {
     }
 }
 
-impl LoadConfig {
-    /// Defaults overridden by `BF_LOAD_SESSION_GAP`, `BF_LOAD_VISITS`,
-    /// `BF_LOAD_THINK`, and `BF_LOAD_ZIPF`, each parsed through the
-    /// hardened `bf_obs::env` layer. Semantically invalid values —
-    /// non-positive or non-finite rates, a NaN or negative Zipf
-    /// exponent — warn once and keep the default rather than seeding a
-    /// degenerate process.
-    pub fn from_env() -> Self {
-        let d = LoadConfig::default();
-        LoadConfig {
-            session_gap_units: positive_knob(
-                "BF_LOAD_SESSION_GAP",
-                d.session_gap_units,
-                "a positive mean session gap in work units",
-            ),
-            mean_visits: positive_knob(
-                "BF_LOAD_VISITS",
-                d.mean_visits,
-                "a positive mean visit count per session",
-            ),
-            think_units: positive_knob(
-                "BF_LOAD_THINK",
-                d.think_units,
-                "a positive mean think gap in work units",
-            ),
-            zipf_exponent: match bf_obs::env::parse::<f64>(
-                "BF_LOAD_ZIPF",
-                "a finite non-negative Zipf exponent",
-            ) {
-                Some(s) if s.is_finite() && s >= 0.0 => s,
-                Some(bad) => {
-                    bf_obs::env::warn_invalid(
-                        "BF_LOAD_ZIPF",
-                        &bad.to_string(),
-                        "a finite non-negative Zipf exponent",
-                    );
-                    d.zipf_exponent
-                }
-                None => d.zipf_exponent,
-            },
-        }
-    }
-}
-
-/// Parse a rate-like knob that must be finite and strictly positive;
-/// anything else warns once and keeps `default`.
-fn positive_knob(key: &str, default: f64, accepted: &str) -> f64 {
-    match bf_obs::env::parse::<f64>(key, accepted) {
-        Some(v) if v.is_finite() && v > 0.0 => v,
-        Some(bad) => {
-            bf_obs::env::warn_invalid(key, &bad.to_string(), accepted);
-            default
-        }
-        None => default,
-    }
-}
-
 /// Generate the first `n_requests` visits of an open-system population:
 /// Poisson session arrivals, per-session think-gap visit trains, and
 /// Zipf site popularity over `n_sites` catalog entries. Requests come
@@ -126,10 +69,8 @@ fn positive_knob(key: &str, default: f64, accepted: &str) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics when `n_sites == 0` or the config holds values
-/// [`LoadConfig::from_env`] would have rejected (NaN exponent,
-/// non-positive rates) — callers constructing configs by hand get the
-/// same contract the env path enforces.
+/// Panics when `n_sites == 0`, a rate is not positive, or the Zipf
+/// exponent is not a finite non-negative number.
 pub fn open_system_requests(
     cfg: &LoadConfig,
     n_requests: usize,
@@ -180,19 +121,6 @@ pub fn open_system_requests(
 mod tests {
     use super::*;
 
-    /// Serializes tests that mutate process environment.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    const LOAD_KEYS: [&str; 4] =
-        ["BF_LOAD_SESSION_GAP", "BF_LOAD_VISITS", "BF_LOAD_THINK", "BF_LOAD_ZIPF"];
-
-    fn clear_load_env() {
-        for k in LOAD_KEYS {
-            std::env::remove_var(k);
-        }
-        bf_obs::env::reset_warnings();
-    }
-
     #[test]
     fn stream_is_bit_deterministic_and_sorted() {
         let cfg = LoadConfig::default();
@@ -239,43 +167,5 @@ mod tests {
             mean_gap < 5_000.0,
             "visit trains must cluster well below the session gap, got {mean_gap}"
         );
-    }
-
-    #[test]
-    fn from_env_reads_the_knobs() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        clear_load_env();
-        std::env::set_var("BF_LOAD_SESSION_GAP", "120.5");
-        std::env::set_var("BF_LOAD_VISITS", "3");
-        std::env::set_var("BF_LOAD_THINK", "40");
-        std::env::set_var("BF_LOAD_ZIPF", "0.9");
-        let cfg = LoadConfig::from_env();
-        assert_eq!(cfg.session_gap_units, 120.5);
-        assert_eq!(cfg.mean_visits, 3.0);
-        assert_eq!(cfg.think_units, 40.0);
-        assert_eq!(cfg.zipf_exponent, 0.9);
-        clear_load_env();
-        assert_eq!(LoadConfig::from_env(), LoadConfig::default());
-    }
-
-    #[test]
-    fn from_env_rejects_degenerate_rates_and_nan_exponent() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        clear_load_env();
-        std::env::set_var("BF_LOAD_SESSION_GAP", "-4.0");
-        std::env::set_var("BF_LOAD_VISITS", "0");
-        std::env::set_var("BF_LOAD_THINK", "inf");
-        std::env::set_var("BF_LOAD_ZIPF", "NaN");
-        let cfg = LoadConfig::from_env();
-        assert_eq!(
-            cfg,
-            LoadConfig::default(),
-            "negative/zero/non-finite rates and a NaN exponent all fall back"
-        );
-        // Unparsable text falls back through the same path.
-        std::env::set_var("BF_LOAD_ZIPF", "steep");
-        bf_obs::env::reset_warnings();
-        assert_eq!(LoadConfig::from_env().zipf_exponent, LoadConfig::default().zipf_exponent);
-        clear_load_env();
     }
 }

@@ -394,9 +394,10 @@ const GOLDEN_MATRIX: [(bool, usize, usize, u64); 12] = [
 #[test]
 fn batched_replay_matrix_is_bit_identical_at_every_batch_and_thread_count() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    // The full knob matrix the CI serve legs sweep: the anytime ladder
-    // off and on, BF_SERVE_BATCH in {1, 4, 16}, and BF_THREADS in
-    // {1, 4}, under an active fault storm plus a slow storm, so
+    // The full configuration matrix: the anytime ladder off and on
+    // (`TierConfig::ladder`), micro-batch capacity
+    // (`ServeConfig::batch`) in {1, 4, 16}, and BF_THREADS in {1, 4},
+    // under an active fault storm plus a slow storm, so
     // fault-flagged requests reach both the plain and the ladder
     // predict path. Every cell must replay bit-identically — batching
     // regroups the predict stage but never introduces ordering or cost

@@ -6,11 +6,11 @@
 //! [`crate::BackoffPolicy::delay_units`]) so the whole outage schedule is a
 //! pure function of the plan — chaos runs replay bit-identically.
 //!
-//! Spec grammar (also accepted from `BF_FLEET_KILL`): a comma-separated
-//! list of `shard@tick` entries, e.g. `1@5000,1@9000,3@12000`. The same
-//! shard may be killed repeatedly; kill ticks that land inside an earlier
-//! down window for that shard are coalesced by the supervisor rather than
-//! stacking.
+//! Plans are built in code from `(shard, tick)` pairs
+//! ([`ShardKillPlan::new`]) and print as `shard@tick,…`, e.g.
+//! `1@5000,1@9000,3@12000`. The same shard may be killed repeatedly;
+//! kill ticks that land inside an earlier down window for that shard are
+//! coalesced by the supervisor rather than stacking.
 
 /// One scheduled shard crash, in virtual work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -33,56 +33,15 @@ impl ShardKillPlan {
         Self::default()
     }
 
-    /// Build from explicit `(shard, at_units)` pairs.
+    /// Build from explicit `(shard, at_units)` pairs, kept in canonical
+    /// order (by shard, then by kill tick) with duplicates dropped, so
+    /// the plan's identity is independent of entry order.
     pub fn new<I: IntoIterator<Item = (usize, u64)>>(kills: I) -> Self {
-        let mut plan = Self::off();
-        for (shard, at_units) in kills {
-            plan.kills.push(ShardKill { shard, at_units });
-        }
-        plan.normalize();
-        plan
-    }
-
-    /// Parse a `shard@tick,...` spec. Malformed entries are reported via
-    /// `bf_obs::error!` and skipped rather than aborting the run, matching
-    /// [`crate::FaultPlan::parse`].
-    pub fn parse(spec: &str) -> Self {
-        let spec = spec.trim();
-        if spec.is_empty() || spec.eq_ignore_ascii_case("off") {
-            return Self::off();
-        }
-        let mut plan = Self::off();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let Some((shard, tick)) = part.split_once('@') else {
-                bf_obs::error!("BF_FLEET_KILL: ignoring malformed entry `{part}` (want shard@tick)");
-                continue;
-            };
-            match (shard.trim().parse::<usize>(), tick.trim().parse::<u64>()) {
-                (Ok(shard), Ok(at_units)) => plan.kills.push(ShardKill { shard, at_units }),
-                _ => bf_obs::error!("BF_FLEET_KILL: ignoring unparsable entry `{part}`"),
-            }
-        }
-        plan.normalize();
-        plan
-    }
-
-    /// Parse from the `BF_FLEET_KILL` environment variable (unset → off).
-    pub fn from_env() -> Self {
-        match std::env::var("BF_FLEET_KILL") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => Self::off(),
-        }
-    }
-
-    /// Canonical order: by shard, then by kill tick. Keeps the plan's
-    /// identity independent of spec entry order.
-    fn normalize(&mut self) {
-        self.kills.sort_by_key(|k| (k.shard, k.at_units));
-        self.kills.dedup();
+        let mut kills: Vec<ShardKill> =
+            kills.into_iter().map(|(shard, at_units)| ShardKill { shard, at_units }).collect();
+        kills.sort_by_key(|k| (k.shard, k.at_units));
+        kills.dedup();
+        ShardKillPlan { kills }
     }
 
     /// True when at least one kill is scheduled.
@@ -124,16 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_roundtrips_through_summary() {
-        let plan = ShardKillPlan::parse("1@5000, 3@12000 ,1@9000");
-        assert!(plan.is_active());
-        assert_eq!(plan.summary(), "1@5000,1@9000,3@12000");
-        assert_eq!(ShardKillPlan::parse(&plan.summary()), plan);
-    }
-
-    #[test]
     fn kills_for_filters_and_sorts() {
         let plan = ShardKillPlan::new([(2, 900), (0, 100), (2, 300)]);
+        assert!(plan.is_active());
+        assert_eq!(plan.summary(), "0@100,2@300,2@900");
         assert_eq!(plan.kills_for(2), vec![300, 900]);
         assert_eq!(plan.kills_for(0), vec![100]);
         assert_eq!(plan.kills_for(1), Vec::<u64>::new());
@@ -141,27 +94,13 @@ mod tests {
 
     #[test]
     fn entry_order_does_not_matter() {
-        assert_eq!(
-            ShardKillPlan::parse("3@9,1@5"),
-            ShardKillPlan::parse("1@5,3@9"),
-        );
+        assert_eq!(ShardKillPlan::new([(3, 9), (1, 5)]), ShardKillPlan::new([(1, 5), (3, 9)]));
     }
 
     #[test]
     fn duplicate_kills_collapse() {
-        let plan = ShardKillPlan::parse("1@5,1@5");
+        let plan = ShardKillPlan::new([(1, 5), (1, 5)]);
         assert_eq!(plan.kills_for(1), vec![5]);
-    }
-
-    #[test]
-    fn malformed_entries_are_skipped() {
-        let plan = ShardKillPlan::parse("1@5000,bogus,@7,2@,x@y,2@8000");
-        assert_eq!(plan.summary(), "1@5000,2@8000");
-    }
-
-    #[test]
-    fn off_keyword_and_empty_are_inert() {
-        assert!(!ShardKillPlan::parse("off").is_active());
-        assert!(!ShardKillPlan::parse("  ").is_active());
+        assert_eq!(plan.kills().len(), 1);
     }
 }

@@ -178,16 +178,7 @@ impl Classifier for CnnLstmClassifier {
     /// [`CnnLstm::predict_proba_batch`].
     fn predict_proba_prefix(&mut self, traces: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let net = self.net.as_mut().expect("classifier not fitted");
-        let k = self.arch.n_classes;
-        let mut out = Vec::with_capacity(traces.len()); // alloc-ok: per-request result rows (trait API)
-        for chunk in traces.chunks(64) {
-            let p = net.predict_proba_batch(chunk);
-            for i in 0..chunk.len() {
-                out.push(p.data()[i * k..(i + 1) * k].to_vec()); // alloc-ok: per-request result rows (trait API)
-            }
-            bf_nn::workspace::recycle(p);
-        }
-        out
+        predict_rows(net, self.arch.n_classes, traces)
     }
 
     /// Deadline-aware inference: checkpoints the token before every
@@ -214,12 +205,40 @@ impl Classifier for CnnLstmClassifier {
     }
 
     fn save_network(&mut self, path: &std::path::Path) -> Result<bool, String> {
-        match self.net.as_mut() {
-            Some(net) => bf_nn::save_network(net, path)
-                .map(|()| true)
-                .map_err(|e| e.to_string()),
-            None => Ok(false),
+        save_fitted(self.net.as_mut(), path)
+    }
+}
+
+/// Class probabilities of rows up to `net`'s input length: bounded
+/// 64-row chunks, each one stacked forward pass of
+/// [`CnnLstm::predict_proba_batch`] whose pooled probability tensor is
+/// recycled. The one inference path of the CNN+LSTM and the distilled
+/// student.
+pub(crate) fn predict_rows(
+    net: &mut CnnLstm,
+    n_classes: usize,
+    traces: &[Vec<f32>],
+) -> Vec<Vec<f32>> {
+    let mut out = Vec::with_capacity(traces.len()); // alloc-ok: per-request result rows (trait API)
+    for chunk in traces.chunks(64) {
+        let p = net.predict_proba_batch(chunk);
+        for row in p.data().chunks_exact(n_classes).take(chunk.len()) {
+            out.push(row.to_vec()); // alloc-ok: per-request result rows (trait API)
         }
+        bf_nn::workspace::recycle(p);
+    }
+    out
+}
+
+/// [`Classifier::save_network`] for a network that exists once fitted:
+/// `Ok(false)` before then.
+pub(crate) fn save_fitted(
+    net: Option<&mut CnnLstm>,
+    path: &std::path::Path,
+) -> Result<bool, String> {
+    match net {
+        Some(net) => bf_nn::save_network(net, path).map(|()| true).map_err(|e| e.to_string()),
+        None => Ok(false),
     }
 }
 

@@ -176,16 +176,7 @@ impl Classifier for DistilledClassifier {
     /// rows, so full-trace and prefix inference share one code path.
     fn predict_proba(&mut self, traces: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let net = self.net.as_mut().expect("classifier not fitted");
-        let k = self.arch.n_classes;
-        let mut out = Vec::with_capacity(traces.len()); // alloc-ok: per-request output
-        for chunk in traces.chunks(64) {
-            let p = net.predict_proba_batch(chunk);
-            for i in 0..chunk.len() {
-                out.push(p.data()[i * k..(i + 1) * k].to_vec()); // alloc-ok: per-request output
-            }
-            bf_nn::workspace::recycle(p);
-        }
-        out
+        crate::cnn::predict_rows(net, self.arch.n_classes, traces)
     }
 
     fn predict_proba_prefix(&mut self, traces: &[Vec<f32>]) -> Vec<Vec<f32>> {
@@ -197,12 +188,7 @@ impl Classifier for DistilledClassifier {
     }
 
     fn save_network(&mut self, path: &std::path::Path) -> Result<bool, String> {
-        match self.net.as_mut() {
-            Some(net) => bf_nn::save_network(net, path)
-                .map(|()| true)
-                .map_err(|e| e.to_string()),
-            None => Ok(false),
-        }
+        crate::cnn::save_fitted(self.net.as_mut(), path)
     }
 }
 

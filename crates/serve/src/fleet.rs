@@ -25,6 +25,10 @@
 //! function of `(stream, fleet config, BF_THREADS)` — and per shard, of
 //! that shard's slice of the stream alone. Wall time is the only thing
 //! parallelism changes.
+//!
+//! The fleet config and the kill plan are plain values the caller
+//! builds in code ([`FleetConfig`], [`ShardKillPlan::new`]); the fleet
+//! reads nothing from the environment.
 
 use crate::service::{HealthSnapshot, Service};
 use crate::{Outcome, Resolved, ServeConfig, ServeRequest};
@@ -46,8 +50,7 @@ pub fn route(id: u64, shards: usize) -> usize {
     (combine_seeds(id, ROUTE_SALT) % shards.max(1) as u64) as usize
 }
 
-/// Fleet tuning. See [`FleetConfig::from_env`] for the environment
-/// knobs.
+/// Fleet tuning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of independent service shards (≥ 1).
@@ -70,67 +73,6 @@ impl Default for FleetConfig {
             hedge: false,
             restart_backoff: BackoffPolicy { base_units: 2_000, max_units: 16_000, jitter: 0.0 },
             serve: ServeConfig::default(),
-        }
-    }
-}
-
-impl FleetConfig {
-    /// Defaults overridden by the `BF_FLEET_*` environment knobs, all
-    /// parsed through the hardened `bf_obs::env` layer (malformed
-    /// values warn once and fall back):
-    ///
-    /// * `BF_FLEET_SHARDS` — shard count (default 4). `0` is rejected
-    ///   as invalid, not clamped silently: a zero-shard fleet cannot
-    ///   serve.
-    /// * `BF_FLEET_HEDGE` — `1` enables the hedged-retry pass
-    ///   (default 0).
-    /// * `BF_FLEET_RESTART_BACKOFF` — base restart delay in work units
-    ///   (default 2000, capped at 8× base; `0` is rejected — a
-    ///   zero-length outage window would make kills unobservable).
-    ///
-    /// The per-shard service tuning comes from
-    /// [`ServeConfig::from_env`] (the `BF_SERVE_*` knobs).
-    pub fn from_env() -> Self {
-        let d = FleetConfig::default();
-        let shards = match bf_obs::env::parse::<usize>(
-            "BF_FLEET_SHARDS",
-            "a positive shard count",
-        ) {
-            Some(0) => {
-                bf_obs::env::warn_invalid("BF_FLEET_SHARDS", "0", "a positive shard count");
-                d.shards
-            }
-            Some(n) => n,
-            None => d.shards,
-        };
-        let base = match bf_obs::env::parse::<u64>(
-            "BF_FLEET_RESTART_BACKOFF",
-            "a positive restart backoff in work units",
-        ) {
-            Some(0) => {
-                bf_obs::env::warn_invalid(
-                    "BF_FLEET_RESTART_BACKOFF",
-                    "0",
-                    "a positive restart backoff in work units",
-                );
-                d.restart_backoff.base_units
-            }
-            Some(n) => n,
-            None => d.restart_backoff.base_units,
-        };
-        FleetConfig {
-            shards,
-            hedge: bf_obs::env::parse_or(
-                "BF_FLEET_HEDGE",
-                0u8,
-                "1 to enable hedged retry, 0 to disable",
-            ) != 0,
-            restart_backoff: BackoffPolicy {
-                base_units: base,
-                max_units: base.saturating_mul(8),
-                jitter: 0.0,
-            },
-            serve: ServeConfig::from_env(),
         }
     }
 }
@@ -366,9 +308,6 @@ fn down_windows(kills: &[u64], backoff: &BackoffPolicy, shard: usize) -> Vec<(u6
 mod tests {
     use super::*;
 
-    // Serializes tests that mutate process environment.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn route_is_stable_and_in_range() {
         for shards in [1usize, 2, 4, 7] {
@@ -404,52 +343,5 @@ mod tests {
         assert_eq!(w[0].1 - w[0].0, 100);
         assert_eq!(w[1].1 - w[1].0, 150, "exponential delay is capped");
         assert_eq!(w[2].1 - w[2].0, 150);
-    }
-
-    #[test]
-    fn config_from_env_reads_knobs_and_rejects_zero_shards() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        bf_obs::env::reset_warnings();
-        std::env::set_var("BF_FLEET_SHARDS", "6");
-        std::env::set_var("BF_FLEET_HEDGE", "1");
-        std::env::set_var("BF_FLEET_RESTART_BACKOFF", "500");
-        let cfg = FleetConfig::from_env();
-        assert_eq!(cfg.shards, 6);
-        assert!(cfg.hedge);
-        assert_eq!(cfg.restart_backoff.base_units, 500);
-        assert_eq!(cfg.restart_backoff.max_units, 4_000, "cap is 8x base");
-
-        // Semantically invalid values are rejected with a warning, not
-        // silently clamped into a different topology.
-        std::env::set_var("BF_FLEET_SHARDS", "0");
-        std::env::set_var("BF_FLEET_RESTART_BACKOFF", "0");
-        bf_obs::env::reset_warnings();
-        let cfg = FleetConfig::from_env();
-        assert_eq!(cfg.shards, FleetConfig::default().shards);
-        assert_eq!(
-            cfg.restart_backoff.base_units,
-            FleetConfig::default().restart_backoff.base_units
-        );
-
-        // Unparsable values fall back too.
-        std::env::set_var("BF_FLEET_SHARDS", "many");
-        std::env::set_var("BF_FLEET_HEDGE", "yes-please");
-        std::env::set_var("BF_FLEET_RESTART_BACKOFF", "-3");
-        bf_obs::env::reset_warnings();
-        let cfg = FleetConfig::from_env();
-        assert_eq!(cfg.shards, FleetConfig::default().shards);
-        assert!(!cfg.hedge);
-        assert_eq!(
-            cfg.restart_backoff.base_units,
-            FleetConfig::default().restart_backoff.base_units
-        );
-
-        for k in ["BF_FLEET_SHARDS", "BF_FLEET_HEDGE", "BF_FLEET_RESTART_BACKOFF"] {
-            std::env::remove_var(k);
-        }
-        bf_obs::env::reset_warnings();
-        let cfg = FleetConfig::from_env();
-        assert_eq!(cfg.shards, 4, "unset keys keep the defaults");
-        assert!(!cfg.hedge);
     }
 }

@@ -291,8 +291,7 @@ pub struct ServeConfig {
     /// timeline a pure function of `seed` alone, byte-identical at any
     /// `BF_THREADS` (physical threads then only change wall time).
     pub wave_cap: Option<usize>,
-    /// Anytime-ladder tuning (off by default; [`ServeConfig::from_env`]
-    /// enables it).
+    /// Anytime-ladder tuning (off by default).
     pub tiers: TierConfig,
     /// Micro-batch capacity for the predict stage: up to this many
     /// same-wave requests share one stacked forward pass, each charged
@@ -301,11 +300,10 @@ pub struct ServeConfig {
     /// divided). The micro-batch path is the only predict path, so `1`
     /// (the default) is just a capacity of one: every request is a
     /// singleton group paying the undivided cost, bit-identical to the
-    /// pre-batching per-request scheduler; [`ServeConfig::from_env`]
-    /// defaults to 8. Fault-flagged requests (injected slow model, slow
-    /// storm, injected panic) are never batched with others — each runs
-    /// as an uncounted singleton group, so a fault stays contained to
-    /// its own request.
+    /// pre-batching per-request scheduler. Fault-flagged requests
+    /// (injected slow model, slow storm, injected panic) are never
+    /// batched with others — each runs as an uncounted singleton group,
+    /// so a fault stays contained to its own request.
     pub batch: usize,
     /// Supervised shard outage schedule: sorted, non-overlapping
     /// half-open `[crash, restart)` windows in virtual ticks. When the
@@ -342,93 +340,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults overridden by the `BF_SERVE_*` environment knobs:
-    /// `BF_SERVE_QUEUE` (queue capacity), `BF_SERVE_DEADLINE`
-    /// (per-request budget), `BF_SERVE_BREAKER_OPEN` (consecutive
-    /// primary failures before opening), `BF_SERVE_BREAKER_COOLDOWN`
-    /// (open-state units before probing), `BF_SERVE_BREAKER_PROBES`
-    /// (half-open successes before closing), `BF_SERVE_WAVE_CAP`
-    /// (logical jobs per scheduler wave; 0 or unset follows the
-    /// physical `BF_THREADS` pool), and `BF_SERVE_BATCH` (predict-stage
-    /// micro-batch capacity, **8** by default here versus 1 in the plain
-    /// [`Default`]). The anytime ladder is **on** by
-    /// default here and tuned by `BF_SERVE_TIER_LADDER` (0 disables),
-    /// `BF_SERVE_TIER_CONF` (early-exit confidence threshold in
-    /// percent), and `BF_SERVE_TIER_DISTILLED_UNITS` (distilled-tier
-    /// inference cost). Malformed values warn once
-    /// through `bf_obs` and fall back to the default; zeros are clamped
-    /// to 1 where a zero would deadlock the service.
-    pub fn from_env() -> Self {
-        let d = ServeConfig::default();
-        ServeConfig {
-            tiers: TierConfig {
-                ladder: bf_obs::env::parse_or(
-                    "BF_SERVE_TIER_LADDER",
-                    1u8,
-                    "1 to enable the anytime ladder, 0 to disable",
-                ) != 0,
-                confidence_threshold: (bf_obs::env::parse_or(
-                    "BF_SERVE_TIER_CONF",
-                    (d.tiers.confidence_threshold * 100.0).round() as u64,
-                    "an early-exit confidence threshold in percent (0-100)",
-                )
-                .min(100) as f64)
-                    / 100.0,
-                distilled_units: bf_obs::env::parse_or(
-                    "BF_SERVE_TIER_DISTILLED_UNITS",
-                    d.tiers.distilled_units,
-                    "the distilled-tier inference cost in work units",
-                )
-                .max(1),
-            },
-            batch: bf_obs::env::parse_or(
-                "BF_SERVE_BATCH",
-                8usize,
-                "a predict-stage micro-batch capacity",
-            )
-            .max(1),
-            wave_cap: match bf_obs::env::parse_or(
-                "BF_SERVE_WAVE_CAP",
-                0usize,
-                "a logical wave capacity (0 follows BF_THREADS)",
-            ) {
-                0 => None,
-                n => Some(n),
-            },
-            queue_cap: bf_obs::env::parse_or(
-                "BF_SERVE_QUEUE",
-                d.queue_cap,
-                "a positive queue capacity",
-            )
-            .max(1),
-            deadline_units: bf_obs::env::parse_or(
-                "BF_SERVE_DEADLINE",
-                d.deadline_units,
-                "a per-request budget in work units",
-            ),
-            breaker: BreakerConfig {
-                open_after: bf_obs::env::parse_or(
-                    "BF_SERVE_BREAKER_OPEN",
-                    d.breaker.open_after,
-                    "consecutive failures before the breaker opens",
-                )
-                .max(1),
-                cooldown_units: bf_obs::env::parse_or(
-                    "BF_SERVE_BREAKER_COOLDOWN",
-                    d.breaker.cooldown_units,
-                    "open-state cooldown in work units",
-                ),
-                close_after: bf_obs::env::parse_or(
-                    "BF_SERVE_BREAKER_PROBES",
-                    d.breaker.close_after,
-                    "half-open probe successes before closing",
-                )
-                .max(1),
-            },
-            ..d
-        }
-    }
-
     /// Whether `id` falls inside the configured slow-model storm.
     pub fn in_slow_storm(&self, id: u64) -> bool {
         self.slow_storm.is_some_and(|(start, end)| id >= start && id < end)
@@ -467,9 +378,6 @@ pub fn open_loop_arrivals(
 mod tests {
     use super::*;
 
-    // Serializes tests that mutate process environment.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn arrivals_are_deterministic_monotone_and_in_range() {
         let a = open_loop_arrivals(200, 7, 40.0, 99);
@@ -486,80 +394,6 @@ mod tests {
     fn burst_arrivals_share_tick_zero() {
         let a = open_loop_arrivals(10, 3, 0.0, 1);
         assert!(a.iter().all(|r| r.arrival == 0));
-    }
-
-    #[test]
-    fn config_from_env_reads_knobs_and_survives_garbage() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        bf_obs::env::reset_warnings();
-        std::env::set_var("BF_SERVE_QUEUE", "8");
-        std::env::set_var("BF_SERVE_DEADLINE", "500");
-        std::env::set_var("BF_SERVE_BREAKER_OPEN", "not-a-number");
-        std::env::set_var("BF_SERVE_BREAKER_COOLDOWN", "750");
-        std::env::set_var("BF_SERVE_BREAKER_PROBES", "2");
-        std::env::set_var("BF_SERVE_TIER_LADDER", "0");
-        std::env::set_var("BF_SERVE_TIER_CONF", "70");
-        std::env::set_var("BF_SERVE_TIER_DISTILLED_UNITS", "9");
-        std::env::set_var("BF_SERVE_BATCH", "4");
-        let cfg = ServeConfig::from_env();
-        std::env::remove_var("BF_SERVE_QUEUE");
-        std::env::remove_var("BF_SERVE_DEADLINE");
-        std::env::remove_var("BF_SERVE_BREAKER_OPEN");
-        std::env::remove_var("BF_SERVE_BREAKER_COOLDOWN");
-        std::env::remove_var("BF_SERVE_BREAKER_PROBES");
-        std::env::remove_var("BF_SERVE_TIER_LADDER");
-        std::env::remove_var("BF_SERVE_TIER_CONF");
-        std::env::remove_var("BF_SERVE_TIER_DISTILLED_UNITS");
-        std::env::remove_var("BF_SERVE_BATCH");
-        bf_obs::env::reset_warnings();
-        assert_eq!(cfg.batch, 4);
-        assert_eq!(cfg.queue_cap, 8);
-        assert_eq!(cfg.deadline_units, 500);
-        let d = ServeConfig::default();
-        assert_eq!(cfg.breaker.open_after, d.breaker.open_after, "garbage falls back");
-        assert_eq!(cfg.breaker.cooldown_units, 750);
-        assert_eq!(cfg.breaker.close_after, 2);
-        assert_eq!(cfg.collect_attempt_units, d.collect_attempt_units);
-        assert!(!cfg.tiers.ladder, "BF_SERVE_TIER_LADDER=0 disables the ladder");
-        assert!((cfg.tiers.confidence_threshold - 0.70).abs() < 1e-9);
-        assert_eq!(cfg.tiers.distilled_units, 9);
-    }
-
-    #[test]
-    fn env_config_defaults_enable_the_ladder() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        for k in [
-            "BF_SERVE_TIER_LADDER",
-            "BF_SERVE_TIER_CONF",
-            "BF_SERVE_TIER_DISTILLED_UNITS",
-            "BF_SERVE_BATCH",
-        ] {
-            std::env::remove_var(k);
-        }
-        let cfg = ServeConfig::from_env();
-        assert!(cfg.tiers.ladder, "from_env turns the ladder on by default");
-        assert!(
-            (cfg.tiers.confidence_threshold - TierConfig::default().confidence_threshold).abs()
-                < 1e-9
-        );
-        assert_eq!(cfg.batch, 8, "from_env turns micro-batching on by default");
-        assert!(!ServeConfig::default().tiers.ladder, "plain default stays legacy");
-        assert_eq!(ServeConfig::default().batch, 1, "plain default stays per-request");
-    }
-
-    #[test]
-    fn zero_knobs_are_clamped_where_they_would_deadlock() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        std::env::set_var("BF_SERVE_QUEUE", "0");
-        std::env::set_var("BF_SERVE_BREAKER_OPEN", "0");
-        std::env::set_var("BF_SERVE_BATCH", "0");
-        let cfg = ServeConfig::from_env();
-        std::env::remove_var("BF_SERVE_QUEUE");
-        std::env::remove_var("BF_SERVE_BREAKER_OPEN");
-        std::env::remove_var("BF_SERVE_BATCH");
-        assert_eq!(cfg.queue_cap, 1);
-        assert_eq!(cfg.breaker.open_after, 1);
-        assert_eq!(cfg.batch, 1);
     }
 
     #[test]
