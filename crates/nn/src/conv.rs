@@ -7,6 +7,14 @@
 //! `(ci, k)`-major — so results are bit-identical to the scalar path and
 //! independent of `BF_THREADS`. Tiny shapes skip the im2col detour and
 //! take a hoisted scalar path instead.
+//!
+//! The parameter-gradient sweep walks, per output channel, each
+//! sample's gradient row (and, on the im2col paths, that sample's block
+//! of im2col rows): the flat loop's `(i, p)` order, with no index
+//! division per element. Its zero skip lists each row block's nonzero
+//! positions without a branch per entry (`for_each_nonzero`).
+//! [`Layer::backward_params`] runs the same backward body without the
+//! input-gradient pass: the network's first layer has no reader for it.
 
 use crate::param::Param;
 use crate::tensor::{axpy2_unrolled, axpy_unrolled, dot_unrolled_from, im2col_into, matmul_abt, Tensor};
@@ -18,6 +26,31 @@ use bf_stats::SeedRng;
 /// than it saves; take the scalar path. Both paths produce identical
 /// bits, so the threshold only affects speed.
 const IM2COL_MIN_FLOPS: usize = 8 * 1024;
+
+/// Calls `f(p, row[p])` for every entry of `row` that is not `±0` (a
+/// NaN counts), in index order: the weight-gradient sweep's zero skip,
+/// exactly as `if g == 0.0 { continue }` would skip. Each block of 64
+/// entries is first scanned without a per-entry branch into a stack
+/// list of its nonzero positions. Gradients behind a ReLU and a
+/// max-pool are mostly zero in no pattern a branch predictor learns, so
+/// a branch per entry would mispredict often.
+#[inline]
+fn for_each_nonzero(row: &[f32], mut f: impl FnMut(usize, f32)) {
+    const BLOCK: usize = 64;
+    let mut nonzero = [0u8; BLOCK];
+    for (b, block) in row.chunks(BLOCK).enumerate() {
+        let mut m = 0;
+        for (p, &g) in block.iter().enumerate() {
+            // Written unconditionally, kept only when `g` is nonzero.
+            nonzero[m] = p as u8;
+            m += usize::from(g != 0.0);
+        }
+        for &p in &nonzero[..m] {
+            let p = usize::from(p);
+            f(b * BLOCK + p, block[p]);
+        }
+    }
+}
 
 /// Strided valid 1-D convolution mapping `(N, C_in, L)` to
 /// `(N, C_out, L_out)` with `L_out = (L - kernel) / stride + 1`.
@@ -102,8 +135,11 @@ impl Conv1d {
 
     /// One channel's parameter-gradient partial, accumulated over
     /// `(i, p)` in index order (the per-element order of the sequential
-    /// quadruple loop). `cols` is the batch's im2col matrix when the
-    /// im2col gate is open; `wg` must arrive zeroed.
+    /// quadruple loop): samples in order, and within a sample the
+    /// nonzero entries of the channel's gradient row in position order.
+    /// `cols` is the batch's im2col matrix when the im2col gate is open
+    /// (sample `i`'s `lo` rows of `ck` start at row `i * lo`); `wg` must
+    /// arrive zeroed.
     #[allow(clippy::too_many_arguments)]
     fn backward_channel(
         &self,
@@ -120,7 +156,12 @@ impl Conv1d {
         let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
         let ck = cin * k;
         let sample_len = cin * l;
+        let grad_row = |i: usize| {
+            let base = (i * self.out_channels + co) * lo;
+            &grad.data()[base..base + lo]
+        };
         if let Some(cols) = cols {
+            let sample_cols = |i: usize| &cols[i * lo * ck..(i + 1) * lo * ck];
             if ck <= 16 {
                 // Narrow rows (e.g. a 1-channel first conv): keep the
                 // whole partial in a stack accumulator so the `(i, p)`
@@ -129,62 +170,49 @@ impl Conv1d {
                 // `(i, p)` order.
                 let mut acc = [0.0f32; 16];
                 let acc = &mut acc[..ck];
-                for t in 0..n * lo {
-                    let (i, p) = (t / lo, t % lo);
-                    let g = grad.data()[(i * self.out_channels + co) * lo + p];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    *bg += g;
-                    let colrow = &cols[t * ck..(t + 1) * ck];
-                    for (av, cv) in acc.iter_mut().zip(colrow) {
-                        *av += g * cv;
-                    }
+                for i in 0..n {
+                    let icols = sample_cols(i);
+                    for_each_nonzero(grad_row(i), |p, g| {
+                        *bg += g;
+                        for (av, cv) in acc.iter_mut().zip(&icols[p * ck..(p + 1) * ck]) {
+                            *av += g * cv;
+                        }
+                    });
                 }
                 wg.copy_from_slice(acc);
             } else {
-                // Wide rows: fuse pairs of nonzero-`g` updates so each
-                // sweep over `wg` applies two products per element —
-                // same per-element order, half the row traffic.
-                let mut pending: Option<(f32, usize)> = None;
-                for t in 0..n * lo {
-                    let (i, p) = (t / lo, t % lo);
-                    let g = grad.data()[(i * self.out_channels + co) * lo + p];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    *bg += g;
-                    match pending.take() {
-                        Some((g0, t0)) => axpy2_unrolled(
-                            wg,
-                            g0,
-                            &cols[t0 * ck..(t0 + 1) * ck],
-                            g,
-                            &cols[t * ck..(t + 1) * ck],
-                        ),
-                        None => pending = Some((g, t)),
-                    }
+                // Wide rows: fuse pairs of nonzero-`g` updates (a pair
+                // may straddle two samples) so each sweep over `wg`
+                // applies two products per element — same per-element
+                // order, half the row traffic.
+                let mut pending: Option<(f32, &[f32])> = None;
+                for i in 0..n {
+                    let icols = sample_cols(i);
+                    for_each_nonzero(grad_row(i), |p, g| {
+                        *bg += g;
+                        let colrow = &icols[p * ck..(p + 1) * ck];
+                        match pending.take() {
+                            Some((g0, row0)) => axpy2_unrolled(wg, g0, row0, g, colrow),
+                            None => pending = Some((g, colrow)),
+                        }
+                    });
                 }
-                if let Some((g0, t0)) = pending {
-                    axpy_unrolled(wg, g0, &cols[t0 * ck..(t0 + 1) * ck]);
+                if let Some((g0, row0)) = pending {
+                    axpy_unrolled(wg, g0, row0);
                 }
             }
             return;
         }
         for i in 0..n {
-            for p in 0..lo {
-                let g = grad.data()[(i * self.out_channels + co) * lo + p];
-                if g == 0.0 {
-                    continue;
-                }
+            let sample = &x.data()[i * sample_len..(i + 1) * sample_len];
+            for_each_nonzero(grad_row(i), |p, g| {
                 *bg += g;
                 let start = p * stride;
-                let sample = &x.data()[i * sample_len..(i + 1) * sample_len];
                 for ci in 0..cin {
                     let xs = &sample[ci * l + start..ci * l + start + k];
                     axpy_unrolled(&mut wg[ci * k..(ci + 1) * k], g, xs);
                 }
-            }
+            });
         }
     }
 
@@ -229,6 +257,79 @@ impl Conv1d {
                 }
             }
         }
+    }
+
+    /// The one backward body: pass A accumulates the parameter
+    /// gradients, then pass B builds ∂loss/∂input when `input_grad` is
+    /// set. Pass B reads only the weights and `grad`, so skipping it
+    /// leaves every parameter-gradient bit as it was.
+    fn backward_pass(&mut self, grad: &Tensor, input_grad: bool) -> Option<Tensor> {
+        // Taken out of `self` (and restored below) so the in-order merge
+        // can add into them while every channel's pass reads `self`.
+        let mut wgrad = std::mem::take(&mut self.weight.grad);
+        let mut bgrad = std::mem::take(&mut self.bias.grad);
+        let x = self.cached_input.as_ref().expect("backward without forward");
+        let n = x.shape()[0];
+        let l = x.shape()[2];
+        let lo = self.out_len(l);
+        assert_eq!(grad.shape(), &[n, self.out_channels, lo]);
+        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
+        let ck = cin * k;
+        let sample_len = cin * l;
+
+        // The whole batch's im2col matrix, built once (sequentially — it
+        // is pure memcpy) and shared read-only by every channel worker.
+        let use_im2col = self.sample_flops(lo) >= IM2COL_MIN_FLOPS;
+        let mut col_buf = ScratchBuf::of_len(if use_im2col { n * lo * ck } else { 0 });
+        if use_im2col {
+            for (i, sample) in x.data().chunks(sample_len).enumerate() {
+                im2col_into(sample, cin, l, k, stride, &mut col_buf[i * lo * ck..(i + 1) * lo * ck]);
+            }
+        }
+        let cols: Option<&[f32]> = use_im2col.then_some(&col_buf);
+
+        // Pass A — parameter gradients, parallel over output channels:
+        // each channel's slab holds its `weight.grad` row partial and its
+        // bias partial, accumulated over `(i, p)` in index order (the
+        // same per-element order as the sequential quadruple loop) and
+        // added in channel order.
+        bf_par::par_map_merge(
+            self.out_channels,
+            ck + 1,
+            8,
+            n * lo * ck,
+            ScratchBuf::of_len,
+            || (),
+            |co, slab, ()| {
+                let (wg, bg) = slab.split_at_mut(ck);
+                self.backward_channel(co, x, grad, cols, n, l, lo, wg, &mut bg[0]);
+            },
+            |co, slab| {
+                for (dst, src) in wgrad[co * ck..(co + 1) * ck].iter_mut().zip(&slab[..ck]) {
+                    *dst += src;
+                }
+                bgrad[co] += slab[ck];
+            },
+        );
+
+        // Pass B — input gradients, parallel over samples: each sample's
+        // dx slab is disjoint, accumulated in `(co, p, ci, k)` order as
+        // the sequential loop did. Skipped for `backward_params`.
+        let dx = input_grad.then(|| {
+            let mut dx = workspace::tensor(&[n, cin, l]);
+            bf_par::par_chunks_mut_scratch(
+                dx.data_mut(),
+                sample_len,
+                1,
+                self.sample_flops(lo),
+                || (),
+                |i, dxi, ()| self.backward_sample_dx(i, grad, l, lo, dxi),
+            );
+            dx
+        });
+        self.weight.grad = wgrad;
+        self.bias.grad = bgrad;
+        dx
     }
 }
 
@@ -284,70 +385,11 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        // Taken out of `self` (and restored below) so the in-order merge
-        // can add into them while every channel's pass reads `self`.
-        let mut wgrad = std::mem::take(&mut self.weight.grad);
-        let mut bgrad = std::mem::take(&mut self.bias.grad);
-        let x = self.cached_input.as_ref().expect("backward without forward");
-        let n = x.shape()[0];
-        let l = x.shape()[2];
-        let lo = self.out_len(l);
-        assert_eq!(grad.shape(), &[n, self.out_channels, lo]);
-        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
-        let ck = cin * k;
-        let sample_len = cin * l;
+        self.backward_pass(grad, true).expect("input gradient requested")
+    }
 
-        // The whole batch's im2col matrix, built once (sequentially — it
-        // is pure memcpy) and shared read-only by every channel worker.
-        let use_im2col = self.sample_flops(lo) >= IM2COL_MIN_FLOPS;
-        let mut col_buf = ScratchBuf::of_len(if use_im2col { n * lo * ck } else { 0 });
-        if use_im2col {
-            for (i, sample) in x.data().chunks(sample_len).enumerate() {
-                im2col_into(sample, cin, l, k, stride, &mut col_buf[i * lo * ck..(i + 1) * lo * ck]);
-            }
-        }
-        let cols: Option<&[f32]> = use_im2col.then_some(&col_buf);
-
-        // Pass A — parameter gradients, parallel over output channels:
-        // each channel's slab holds its `weight.grad` row partial and its
-        // bias partial, accumulated over `(i, p)` in index order (the
-        // same per-element order as the sequential quadruple loop) and
-        // added in channel order.
-        bf_par::par_map_merge(
-            self.out_channels,
-            ck + 1,
-            8,
-            n * lo * ck,
-            ScratchBuf::of_len,
-            || (),
-            |co, slab, ()| {
-                let (wg, bg) = slab.split_at_mut(ck);
-                self.backward_channel(co, x, grad, cols, n, l, lo, wg, &mut bg[0]);
-            },
-            |co, slab| {
-                for (dst, src) in wgrad[co * ck..(co + 1) * ck].iter_mut().zip(&slab[..ck]) {
-                    *dst += src;
-                }
-                bgrad[co] += slab[ck];
-            },
-        );
-
-        // Pass B — input gradients, parallel over samples: each sample's
-        // dx slab is disjoint, accumulated in `(co, p, ci, k)` order as
-        // the sequential loop did.
-        let mut dx = workspace::tensor(&[n, cin, l]);
-        let this = &*self;
-        bf_par::par_chunks_mut_scratch(
-            dx.data_mut(),
-            sample_len,
-            1,
-            self.sample_flops(lo),
-            || (),
-            |i, dxi, ()| this.backward_sample_dx(i, grad, l, lo, dxi),
-        );
-        self.weight.grad = wgrad;
-        self.bias.grad = bgrad;
-        dx
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.backward_pass(grad, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -452,6 +494,103 @@ mod tests {
                 (numeric - analytic).abs() < 2e-2 * (1.0 + numeric.abs()),
                 "x[{xi}]: numeric {numeric} analytic {analytic}"
             );
+        }
+    }
+
+    /// The sweep's contract, written as the flat quadruple loop: each
+    /// channel's partial summed over `(i, p)` in index order with zero
+    /// gradients skipped, then added to the gradient already held.
+    fn reference_param_grads(c: &Conv1d, x: &Tensor, grad: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (n, cin, l) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (cout, k, lo) = (c.out_channels, c.kernel, c.out_len(l));
+        let mut wgrad = c.weight.grad.clone();
+        let mut bgrad = c.bias.grad.clone();
+        for co in 0..cout {
+            let mut wp = vec![0.0f32; cin * k];
+            let mut bp = 0.0f32;
+            for i in 0..n {
+                for p in 0..lo {
+                    let g = grad.data()[(i * cout + co) * lo + p];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    bp += g;
+                    for ci in 0..cin {
+                        for kk in 0..k {
+                            wp[ci * k + kk] += g * x.data()[(i * cin + ci) * l + p * c.stride + kk];
+                        }
+                    }
+                }
+            }
+            for (w, v) in wgrad[co * cin * k..(co + 1) * cin * k].iter_mut().zip(&wp) {
+                *w += v;
+            }
+            bgrad[co] += bp;
+        }
+        (wgrad, bgrad)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn for_each_nonzero_visits_what_the_zero_skip_keeps_in_order() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let row: Vec<f32> = (0..len)
+                .map(|p| match p % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 if p % 3 == 0 => f32::NAN,
+                    _ => p as f32 - 7.5,
+                })
+                .collect();
+            let want: Vec<(usize, u32)> = (row.iter().enumerate())
+                .filter(|(_, g)| **g != 0.0)
+                .map(|(p, g)| (p, g.to_bits()))
+                .collect();
+            let mut got = Vec::new();
+            for_each_nonzero(&row, |p, g| got.push((p, g.to_bits())));
+            assert_eq!(got, want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn param_grads_match_the_ordered_reference_on_every_path() {
+        // (label, in, out, kernel, stride, length, im2col, ck <= 16)
+        let cases = [
+            ("narrow im2col", 1, 16, 8, 3, 301, true, true),
+            ("wide im2col", 16, 16, 8, 3, 61, true, false),
+            ("scalar", 2, 3, 3, 2, 20, false, true),
+        ];
+        let n = 3;
+        for (seed, (path, cin, cout, k, stride, l, im2col, narrow)) in (7u64..).zip(cases) {
+            let mut rng = SeedRng::new(seed);
+            let mut c = Conv1d::new(cin, cout, k, stride, &mut rng);
+            let lo = c.out_len(l);
+            assert_eq!(c.sample_flops(lo) >= IM2COL_MIN_FLOPS, im2col, "{path}: gate");
+            assert_eq!(cin * k <= 16, narrow, "{path}: row width");
+            let mut normal = |std: f64| rng.normal(0.0, std) as f32;
+            let x = Tensor::new(&[n, cin, l], (0..n * cin * l).map(|_| normal(1.0)).collect());
+            // Gradients already accumulated by an earlier batch.
+            c.weight.grad = (0..cout * cin * k).map(|_| normal(0.1)).collect();
+            c.bias.grad = (0..cout).map(|_| normal(0.1)).collect();
+            // Mostly zeros, as behind a ReLU and a max-pool.
+            let g: Vec<f32> = (0..n * cout * lo)
+                .map(|t| if t % 4 == 1 || t % 7 == 0 { normal(1.0) } else { 0.0 })
+                .collect();
+            let g = Tensor::new(&[n, cout, lo], g);
+
+            let _ = c.forward(&x, true);
+            let (want_w, want_b) = reference_param_grads(&c, &x, &g);
+            let mut params_only = c.clone();
+            let dx = c.backward(&g);
+            assert_eq!(dx.shape(), &[n, cin, l]);
+            assert_eq!(bits(&c.weight.grad), bits(&want_w), "{path}: weight.grad");
+            assert_eq!(bits(&c.bias.grad), bits(&want_b), "{path}: bias.grad");
+            params_only.backward_params(&g);
+            let only = (bits(&params_only.weight.grad), bits(&params_only.bias.grad));
+            assert_eq!(only, (bits(&c.weight.grad), bits(&c.bias.grad)), "{path}: backward_params");
         }
     }
 

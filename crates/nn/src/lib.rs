@@ -75,6 +75,20 @@ pub trait Layer: std::fmt::Debug + Send {
     /// [`Layer::forward`] in training mode.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that needs only the parameter
+    /// gradients: [`CnnLstm`]'s training step calls it on the network's
+    /// first layer, whose ∂loss/∂input (the gradient with respect to the
+    /// traces) nothing reads. The default runs `backward` and recycles
+    /// the result; [`Conv1d`] overrides it to skip its input-gradient
+    /// pass, which leaves every parameter-gradient bit unchanged.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad: &Tensor) {
+        workspace::recycle(self.backward(grad));
+    }
+
     /// Mutable access to the layer's parameters (empty for stateless
     /// layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -91,5 +105,39 @@ pub trait Layer: std::fmt::Debug + Send {
         for p in self.params_mut() {
             f(p);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bf_stats::SeedRng;
+
+    fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        layer.for_each_param(&mut |p| out.push(p.grad.iter().map(|v| v.to_bits()).collect()));
+        out
+    }
+
+    /// After one training forward, `backward_params` on a clone leaves
+    /// the parameter gradients `backward` leaves, bit for bit.
+    fn assert_params_only_matches(mut layer: impl Layer + Clone, x: &Tensor, g: &Tensor) {
+        let y = layer.forward(x, true);
+        assert_eq!(y.shape(), g.shape());
+        let mut params_only = layer.clone();
+        let _ = layer.backward(g);
+        params_only.backward_params(g);
+        assert_eq!(grad_bits(&mut params_only), grad_bits(&mut layer));
+    }
+
+    #[test]
+    fn default_backward_params_leaves_the_gradients_backward_leaves() {
+        let mut rng = SeedRng::new(31);
+        let mut fill = |len: usize| (0..len).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+        let (x, g) = (Tensor::new(&[3, 5], fill(15)), Tensor::new(&[3, 4], fill(12)));
+        let (xs, gs) = (Tensor::new(&[3, 2, 6], fill(36)), Tensor::new(&[3, 4], fill(12)));
+        let mut rng = SeedRng::new(32);
+        assert_params_only_matches(Dense::new(5, 4, &mut rng), &x, &g);
+        assert_params_only_matches(Lstm::new(2, 4, &mut rng), &xs, &gs);
     }
 }

@@ -215,17 +215,21 @@ impl CnnLstm {
     /// The step both training entry points share: a training forward,
     /// `loss_fn` on the logits (returning the loss and ∂loss/∂logits),
     /// the backward through every layer with each gradient recycled, and
-    /// one Adam update.
+    /// one Adam update. The first layer runs
+    /// [`Layer::backward_params`]: the gradient with respect to the
+    /// input traces has no reader.
     fn train_step(&mut self, x: &Tensor, loss_fn: impl FnOnce(&Tensor) -> (f32, Tensor)) -> f32 {
         let logits = self.forward(x, true);
         let (loss, grad) = loss_fn(&logits);
         workspace::recycle(logits);
+        let (first, rest) = self.layers.split_first_mut().expect("network has no layers");
         let mut g = grad;
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             let next = layer.backward(&g);
             workspace::recycle(g);
             g = next;
         }
+        first.backward_params(&g);
         workspace::recycle(g);
         self.optimizer.begin_step();
         let CnnLstm { layers, optimizer, .. } = self;
