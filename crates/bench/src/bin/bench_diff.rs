@@ -12,9 +12,9 @@
 //! when any guarded metric regressed or disappeared.
 //!
 //! `--synthetic PCT` is the gate's self-test: it ignores the second
-//! file, perturbs every guarded metric of the first by `PCT` percent in
-//! its bad direction, and exits 0 **iff** the gate trips — so CI proves
-//! the alarm still rings before trusting its silence.
+//! file, moves every guarded metric of the first `PCT` percent past its
+//! band in its bad direction, and exits 0 **iff** the gate trips — so CI
+//! proves the alarm still rings before trusting its silence.
 
 use bf_bench::diff::{diff_flat, flatten, perturb_worse, Direction, MetricDelta};
 use bf_obs::Json;
@@ -75,7 +75,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
     let old_flat = flatten(&load(old_path)?);
     if let Some(pct) = synthetic {
-        // Self-test: a PCT% across-the-board regression MUST trip.
+        // Self-test: a regression PCT% past every band MUST trip.
         let report = diff_flat(&old_flat, &perturb_worse(&old_flat, pct));
         let tripped: Vec<_> = report.regressions().collect();
         println!(

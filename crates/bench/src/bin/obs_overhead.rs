@@ -1,273 +1,114 @@
-//! `obs_overhead` — the observability overhead budget gate.
+//! `obs_overhead` — what the instrumentation on measured paths costs per
+//! call.
 //!
-//! Re-measures the exact fixtures behind the checked-in
-//! `BENCH_obs_baseline.json` criterion summary (workload synthesis,
-//! machine simulation, loop replay — all 2 s traces) with tracing and
-//! logging off, and asserts the pipeline has not slowed past
-//! `BF_OVERHEAD_TOLERANCE` (default 0.02, i.e. the 2% budget) relative
-//! to the baseline's `mean_ns` numbers. It then measures the same
-//! resilient-collection path with `BF_TRACE`-style tracing fully on
-//! (sampling 1) and records — without gating — what a traced run costs.
-//!
-//! Cross-machine absolute comparisons are meaningless at 2%, so CI
-//! first regenerates a machine-local baseline and compares against
-//! that:
+//! Times the two primitives that sit inside the timed pipeline: a
+//! `bf_obs::span!` guard (entered and dropped; `BF_LOG` does not gate
+//! it) and a `bf_obs::trace::span_at(..).finish(..)` pair, the pair once
+//! with tracing off and once on under an adopted root (sampling 1), the
+//! record buffer drained between rounds. Each is timed over [`ROUNDS`]
+//! rounds of [`CALLS`] calls, and the artifact keeps the fastest and the
+//! median round's ns per call. Ambient load only adds time, so the
+//! fastest round is the steadiest estimate of the cost itself; the
+//! median shows the load. Both sides of the tracing comparison run in this process, so no
+//! number needs a baseline from another run.
 //!
 //! ```sh
-//! obs_overhead --write-baseline /tmp/obs_baseline.json
-//! BF_OBS_BASELINE=/tmp/obs_baseline.json BF_OVERHEAD_TOLERANCE=0.25 obs_overhead
+//! cargo run --release -p bf-bench --bin obs_overhead
 //! ```
 //!
 //! Results land in `BENCH_obs_overhead.json` (override with
 //! `BF_OBS_OVERHEAD_OUT`).
 
-use bf_attack::LoopCountingAttacker;
-use bf_core::{AttackKind, CollectionConfig, ExperimentScale};
-use bf_obs::Json;
-use bf_sim::{Machine, MachineConfig};
-use bf_timer::{BrowserKind, Nanos};
-use bf_victim::WebsiteProfile;
+use bf_obs::{trace, Json, TraceCtx};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Same trace duration as `benches/pipeline.rs`.
-const TRACE_SECS: u64 = 2;
+/// Calls per timed round.
+const CALLS: u64 = 1_000;
+/// Timed rounds per primitive, after [`WARMUP_ROUNDS`] untimed ones.
+const ROUNDS: usize = 2_001;
+const WARMUP_ROUNDS: usize = 20;
 
-/// Mean wall ns per call of `f` after `warmup` discarded calls.
-fn time_ns(warmup: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
+/// Mean wall ns per call of `f` over one round of [`CALLS`] calls.
+fn round_ns(f: impl Fn(u64)) -> f64 {
     let t = Instant::now();
-    for _ in 0..iters {
-        f();
+    for i in 0..CALLS {
+        f(black_box(i));
     }
-    t.elapsed().as_nanos() as f64 / f64::from(iters.max(1))
+    t.elapsed().as_nanos() as f64 / CALLS as f64
 }
 
-struct Fixture {
-    bench: &'static str,
-    iters: u32,
-    measured_ns: f64,
-}
-
-/// Re-run the three cheap pipeline fixtures exactly as the criterion
-/// bench builds them (same site, same duration, same seeds).
-fn measure_fixtures() -> Vec<Fixture> {
-    let site = WebsiteProfile::for_hostname("nytimes.com");
-    let duration = Nanos::from_secs(TRACE_SECS);
-    let machine = Machine::new(MachineConfig::default());
-    let workload = site.generate(duration, 1);
-    let sim = machine.run(&workload, 1);
-    let atk = LoopCountingAttacker::for_browser(BrowserKind::Chrome, Nanos::from_millis(5));
-
-    vec![
-        Fixture {
-            bench: "pipeline/victim_workload_synthesis_2s",
-            iters: 30,
-            measured_ns: time_ns(3, 30, || {
-                black_box(site.generate(duration, black_box(2)));
-            }),
-        },
-        Fixture {
-            bench: "pipeline/machine_simulation_2s",
-            iters: 30,
-            measured_ns: time_ns(3, 30, || {
-                black_box(machine.run(black_box(&workload), 3));
-            }),
-        },
-        Fixture {
-            bench: "pipeline/loop_replay_2s",
-            iters: 120,
-            measured_ns: time_ns(10, 120, || {
-                let mut timer = BrowserKind::Chrome.timer(4);
-                black_box(atk.collect(black_box(&sim), &mut timer));
-            }),
-        },
-    ]
-}
-
-/// `mean_ns` of `bench` inside a `BENCH_obs_baseline.json`-shaped file.
-fn baseline_mean_ns(baseline: &Json, bench: &str) -> Option<f64> {
-    let pipeline = baseline.get("groups")?.get("pipeline")?;
-    let Json::Array(entries) = pipeline else { return None };
-    entries.iter().find_map(|e| {
-        let name = e.get("bench")?;
-        if matches!(name, Json::Str(s) if s == bench) {
-            e.get("mean_ns")?.as_f64()
-        } else {
-            None
-        }
-    })
-}
-
-/// Tracing-on vs tracing-off cost of the resilient collection path at
-/// smoke scale. Returns `(off_ns, on_ns, records_per_trace)`.
-fn measure_tracing_cost() -> (f64, f64, u64) {
-    let cfg = CollectionConfig::new(BrowserKind::Chrome, AttackKind::LoopCounting)
-        .with_scale(ExperimentScale::Smoke);
-    let site = WebsiteProfile::for_hostname("nytimes.com");
-    const ITERS: u32 = 8;
-
-    bf_obs::trace::set_enabled(false);
-    let off_ns = time_ns(2, ITERS, || {
-        black_box(cfg.collect_trace_resilient(&site, 42));
-    });
-
-    bf_obs::trace::set_enabled(true);
-    bf_obs::trace::set_sample(1);
-    let mut i = 0u64;
-    let on_ns = time_ns(2, ITERS, || {
-        let _g = bf_obs::trace::adopt(Some(bf_obs::TraceCtx::root(42, i)), 0);
-        i += 1;
-        black_box(cfg.collect_trace_resilient(&site, 42));
-    });
-    let records = bf_obs::trace::drain().len() as u64;
-    bf_obs::trace::set_enabled(false);
-
-    (off_ns, on_ns, records / u64::from(ITERS + 2).max(1))
-}
-
-fn write_baseline(path: &str, fixtures: &[Fixture]) -> Result<(), String> {
-    let entries: Vec<Json> = fixtures
-        .iter()
-        .map(|f| {
-            Json::object([
-                ("bench", Json::Str(f.bench.to_owned())),
-                ("mean_ns", Json::Float(f.measured_ns)),
-                ("samples", Json::UInt(1)),
-                ("iters_per_sample", Json::UInt(u64::from(f.iters))),
-            ])
-        })
-        .collect();
-    let json = Json::object([
-        (
-            "note",
-            Json::Str(
-                "machine-local obs overhead baseline regenerated by obs_overhead \
-                 --write-baseline; same fixtures as benches/pipeline.rs"
-                    .into(),
-            ),
-        ),
-        ("groups", Json::object([("pipeline", Json::Array(entries))])),
-    ]);
-    std::fs::write(path, json.to_pretty_string()).map_err(|e| format!("{path}: {e}"))
+fn trace_span_pair(i: u64) {
+    trace::span_at("obs_overhead_probe", i).finish(i + 1);
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(ok) => {
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+    bf_obs::set_level(None);
+    // `adopt` installs a root only while tracing is on.
+    trace::set_enabled(true);
+    trace::set_sample(1);
+    let _root = trace::adopt(Some(TraceCtx::root(42, 0)), 0);
+    trace::set_enabled(false);
+
+    // The three primitives take turns round by round, so a shift in
+    // ambient load lands on all of them alike.
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for round in 0..WARMUP_ROUNDS + ROUNDS {
+        let span_guard = round_ns(|_| drop(bf_obs::span!("obs_overhead_probe")));
+        let trace_off = round_ns(trace_span_pair);
+        trace::set_enabled(true);
+        let trace_on = round_ns(trace_span_pair);
+        trace::set_enabled(false);
+        drop(trace::drain());
+        if round >= WARMUP_ROUNDS {
+            for (rounds, ns) in samples.iter_mut().zip([span_guard, trace_off, trace_on]) {
+                rounds.push(ns);
             }
         }
-        Err(e) => {
-            eprintln!("obs_overhead: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<bool, String> {
-    // Match the baseline's conditions: logging off, tracing off.
-    bf_obs::set_level(None);
-    bf_obs::trace::set_enabled(false);
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--write-baseline") {
-        let out = args
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_obs_local_baseline.json".to_owned());
-        let fixtures = measure_fixtures();
-        write_baseline(&out, &fixtures)?;
-        println!("wrote machine-local baseline -> {out}");
-        return Ok(true);
-    } else if let Some(other) = args.first() {
-        return Err(format!("unknown argument `{other}` (only --write-baseline [PATH])"));
     }
 
-    let tol = bf_obs::env::parse_or("BF_OVERHEAD_TOLERANCE", 0.02f64, "a relative fraction")
-        .clamp(0.0, 10.0);
-    let baseline_path = bf_bench::artifact_path("BF_OBS_BASELINE", "BENCH_obs_baseline.json");
-    let text =
-        std::fs::read_to_string(&baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let baseline = Json::parse(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-
-    println!(
-        "=== obs overhead budget (baseline: {baseline_path}, tolerance {:.0}%) ===\n",
-        tol * 100.0
-    );
-    let fixtures = measure_fixtures();
+    println!("=== instrumentation cost per call ({ROUNDS} rounds of {CALLS} calls) ===\n");
+    println!("primitive          min ns   median ns");
     let mut rows = Vec::new();
-    let mut ok = true;
-    for f in &fixtures {
-        let base = baseline_mean_ns(&baseline, f.bench)
-            .ok_or_else(|| format!("{baseline_path}: no mean_ns for {}", f.bench))?;
-        let ratio = f.measured_ns / base.max(1.0);
-        let within = ratio <= 1.0 + tol;
-        ok &= within;
-        println!(
-            "{:<42} {:>12.0} ns vs {:>12.0} ns  ratio {:.3}  [{}]",
-            f.bench,
-            f.measured_ns,
-            base,
-            ratio,
-            if within { "ok" } else { "OVER BUDGET" }
-        );
+    for (name, rounds) in ["span_guard", "trace_span_off", "trace_span_on"]
+        .into_iter()
+        .zip(&mut samples)
+    {
+        rounds.sort_by(f64::total_cmp);
+        let (min, median) = (rounds[0], rounds[rounds.len() / 2]);
+        println!("{name:<16} {min:>8.1} {median:>11.1}");
         rows.push(Json::object([
-            ("bench", Json::Str(f.bench.to_owned())),
-            ("baseline_mean_ns", Json::Float(base)),
-            ("measured_mean_ns", Json::Float(f.measured_ns)),
-            ("ratio", Json::Float(ratio)),
-            ("within_budget", Json::Bool(within)),
+            ("primitive", Json::Str(name.into())),
+            ("min_ns", Json::Float(min)),
+            ("median_ns", Json::Float(median)),
         ]));
     }
-
-    let (off_ns, on_ns, records) = measure_tracing_cost();
-    let overhead = on_ns / off_ns.max(1.0) - 1.0;
-    println!(
-        "\ncollect_trace_resilient (smoke): {off_ns:.0} ns off, {on_ns:.0} ns traced \
-         ({overhead:+.2}% tracing cost, ~{records} span record(s)/trace)",
-        overhead = overhead * 100.0
-    );
 
     let json = Json::object([
         (
             "note",
             Json::Str(
-                "tracing-off pipeline cost vs BENCH_obs_baseline (gated at \
-                 BF_OVERHEAD_TOLERANCE) plus the measured cost of running with \
-                 BF_TRACE=1 sampling 1 (recorded, not gated). Wall times are \
-                 machine-local."
+                "wall ns per call of the instrumentation on measured paths: a span! guard \
+                 (enter + drop), and a trace::span_at(..).finish(..) pair with tracing off \
+                 and on (adopted root, sampling 1, buffer drained between rounds). Fastest \
+                 and median round, the three taking turns round by round in one process."
                     .into(),
             ),
         ),
-        ("baseline", Json::Str(baseline_path.clone())),
-        ("tolerance", Json::Float(tol)),
-        ("within_budget", Json::Bool(ok)),
-        ("fixtures", Json::Array(rows)),
+        ("calls_per_round", Json::UInt(CALLS)),
+        ("rounds", Json::UInt(ROUNDS as u64)),
         (
-            "tracing_on",
-            Json::object([
-                ("collect_off_ns", Json::Float(off_ns)),
-                ("collect_on_ns", Json::Float(on_ns)),
-                ("overhead_fraction", Json::Float(overhead)),
-                ("records_per_trace", Json::UInt(records)),
-            ]),
+            "hardware_threads",
+            Json::UInt(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
         ),
+        ("primitives", Json::Array(rows)),
     ]);
     let out = bf_bench::artifact_path("BF_OBS_OVERHEAD_OUT", "BENCH_obs_overhead.json");
-    std::fs::write(&out, json.to_pretty_string()).map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    if !ok {
-        eprintln!(
-            "obs_overhead: tracing-off pipeline exceeded the {:.0}% budget",
-            tol * 100.0
-        );
+    if let Err(e) = std::fs::write(&out, json.to_pretty_string()) {
+        eprintln!("obs_overhead: {out}: {e}");
+        return ExitCode::FAILURE;
     }
-    Ok(ok)
+    println!("\nwrote {out}");
+    ExitCode::SUCCESS
 }

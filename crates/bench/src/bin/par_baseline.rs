@@ -164,8 +164,8 @@ fn main() -> ExitCode {
                     "note",
                     Json::Str(
                         "seq (1 thread) vs par wall times for the bf-par layers; results \
-                         asserted bit-identical across thread counts. Speedup is bounded \
-                         by hardware_threads — ~1x on a single-core host."
+                         asserted bit-identical across thread counts. Speedup (seq/par) is \
+                         bounded by hardware_threads — ~1x on a single-core host."
                             .into(),
                     ),
                 ),
@@ -187,7 +187,6 @@ fn main() -> ExitCode {
                                     ("phase", Json::Str(p.name.into())),
                                     ("seq_seconds", Json::Float(p.seq_seconds)),
                                     ("par_seconds", Json::Float(p.par_seconds)),
-                                    ("speedup", Json::Float(p.speedup())),
                                 ])
                             })
                             .collect(),

@@ -15,10 +15,6 @@
 //! Events/sec counts dispatched arrivals and preemptions
 //! (`sim.events_dispatched`), the same in every mode.
 //!
-//! The committed pre-PR reference numbers (materialize-then-sort engine,
-//! 1 thread) are embedded per shape so the summary carries its own
-//! speedup-vs-baseline column.
-//!
 //! ```sh
 //! BF_SCALE=smoke   cargo run --release -p bf-bench --bin sim_throughput
 //! BF_SCALE=default cargo run --release -p bf-bench --bin sim_throughput
@@ -34,7 +30,7 @@ use bf_victim::{LoadEnv, WebsiteProfile};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// One benchmark shape plus its pre-PR single-thread reference.
+/// One benchmark shape.
 struct Shape {
     name: &'static str,
     hostname: &'static str,
@@ -42,9 +38,6 @@ struct Shape {
     /// collect-phase trace length used by `collect_trace`).
     duration_ms: u64,
     timed_runs: usize,
-    /// Runs/sec of the materialize-then-sort implementation this PR
-    /// replaced, measured with this exact fixture at `BF_THREADS=1`.
-    baseline_runs_per_sec: f64,
 }
 
 const SHAPES: &[Shape] = &[
@@ -53,14 +46,12 @@ const SHAPES: &[Shape] = &[
         hostname: "github.com",
         duration_ms: 2_000,
         timed_runs: 40,
-        baseline_runs_per_sec: 270.0,
     },
     Shape {
         name: "default",
         hostname: "github.com",
         duration_ms: 15_000,
         timed_runs: 30,
-        baseline_runs_per_sec: 145.0,
     },
 ];
 
@@ -159,11 +150,8 @@ fn main() -> ExitCode {
                 SHAPES
             };
 
-            println!(
-                "shape     mode         threads   runs/s     events/s     ms/run    vs pre-PR (1t)"
-            );
+            println!("shape     mode         threads   runs/s     events/s     ms/run");
             let mut rows = Vec::new();
-            let mut smoke_steady_speedup = f64::NAN;
             for shape in shapes {
                 let machine = Machine::new(MachineConfig::default());
                 let workload = shape_workload(shape, 7);
@@ -183,18 +171,9 @@ fn main() -> ExitCode {
                     });
                     bf_par::set_threads(None);
                     let ms_per_run = 1e3 / runs_per_sec;
-                    let vs_baseline = if mode == "steady" {
-                        runs_per_sec / shape.baseline_runs_per_sec
-                    } else {
-                        0.0
-                    };
-                    if mode == "steady" && shape.name == "smoke" {
-                        smoke_steady_speedup = vs_baseline;
-                    }
                     println!(
-                        "{:<9} {:<12} {:<9} {:>8.2}  {:>10.0}  {:>8.2}    {:>5.2}x",
+                        "{:<9} {:<12} {:<9} {:>8.2}  {:>10.0}  {:>8.2}",
                         shape.name, mode, threads, runs_per_sec, events_per_sec, ms_per_run,
-                        vs_baseline,
                     );
                     bf_obs::gauge("sim.runs_per_sec").set(runs_per_sec);
                     rows.push(Json::object([
@@ -205,25 +184,8 @@ fn main() -> ExitCode {
                         ("timed_runs", Json::UInt(shape.timed_runs as u64)),
                         ("runs_per_sec", Json::Float(runs_per_sec)),
                         ("events_per_sec", Json::Float(events_per_sec)),
-                        (
-                            "baseline_runs_per_sec",
-                            Json::Float(shape.baseline_runs_per_sec),
-                        ),
-                        ("speedup_vs_baseline", Json::Float(vs_baseline)),
                     ]));
                 }
-            }
-
-            // Regression floor for CI: the streamed engine must never be
-            // slower than the pre-PR engine on the smoke fixture. (The
-            // recorded speedups are well above this; the floor only
-            // tolerates shared-runner noise.)
-            if smoke_steady_speedup < 1.0 || smoke_steady_speedup.is_nan() {
-                return Err(format!(
-                    "smoke steady-state speedup vs pre-PR baseline is {smoke_steady_speedup:.2}x \
-                     (must be >= 1.0x)"
-                )
-                .into());
             }
 
             let json = Json::object([
@@ -235,9 +197,7 @@ fn main() -> ExitCode {
                          steady = recycled workspace arenas (zero-alloc path), cold = pool \
                          cleared before every run, par = one sim per seed on the bf_par \
                          pool, materialized = steady plus a kernel-log read that builds \
-                         every core. events_per_sec counts sim.events_dispatched. \
-                         baseline_runs_per_sec is the pre-streaming materialize-then-sort \
-                         engine at 1 thread on the same fixture."
+                         every core. events_per_sec counts sim.events_dispatched."
                             .into(),
                     ),
                 ),

@@ -7,15 +7,20 @@
 //! every step, isolating how much of the win comes from buffer reuse
 //! versus the unrolled kernels.
 //!
-//! The committed pre-PR reference numbers (allocate-every-step
-//! implementation, 1 thread) are embedded per shape so the summary
-//! carries its own speedup-vs-baseline column.
+//! At the smoke shape the pool may be at most [`TOL_WALL`] slower than
+//! one thread, measured in the same run: its kernels sit under
+//! `BF_PAR_MIN_UNITS` and must run inline rather than pay dispatch
+//! overhead for sub-threshold slices (before that minimum-work gate
+//! existed, the 2-thread row ran at 0.58x). The check takes the fastest
+//! of [`FLOOR_ROUNDS`] alternating 1-thread / pool timings per side, so
+//! one slow window on a shared host cannot decide it.
 //!
 //! ```sh
 //! BF_SCALE=smoke   cargo run --release -p bf-bench --bin train_throughput
 //! BF_SCALE=default cargo run --release -p bf-bench --bin train_throughput
 //! ```
 
+use bf_bench::diff::TOL_WALL;
 use bf_bench::run_bin;
 use bf_core::ExperimentScale;
 use bf_nn::{CnnLstm, CnnLstmConfig, Tensor};
@@ -24,16 +29,13 @@ use bf_stats::SeedRng;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// One benchmark shape plus its pre-PR single-thread reference.
+/// One benchmark shape.
 struct Shape {
     name: &'static str,
     trace_len: usize,
     n_classes: usize,
     filters: usize,
     batch: usize,
-    /// Steps/sec of the allocate-every-step implementation this PR
-    /// replaced, measured with this exact fixture at `BF_THREADS=1`.
-    baseline_steps_per_sec: f64,
 }
 
 const SHAPES: &[Shape] = &[
@@ -43,7 +45,6 @@ const SHAPES: &[Shape] = &[
         n_classes: 4,
         filters: 16,
         batch: 8,
-        baseline_steps_per_sec: 1967.42,
     },
     Shape {
         name: "default",
@@ -51,12 +52,12 @@ const SHAPES: &[Shape] = &[
         n_classes: 10,
         filters: 32,
         batch: 16,
-        baseline_steps_per_sec: 104.66,
     },
 ];
 
 const WARMUP_STEPS: usize = 3;
 const TIMED_STEPS: usize = 30;
+const FLOOR_ROUNDS: usize = 5;
 
 /// Steady-state steps/sec for one shape at the current thread setting.
 /// `cold_arena` clears the thread's workspace pool before every step,
@@ -90,6 +91,20 @@ fn measure(shape: &Shape, cold_arena: bool) -> f64 {
     TIMED_STEPS as f64 / secs.max(1e-12)
 }
 
+/// Pool rate over 1-thread rate, each the fastest of [`FLOOR_ROUNDS`]
+/// timings taken in turns.
+fn best_pool_ratio(shape: &Shape, par_threads: usize) -> f64 {
+    let (mut seq, mut par) = (0.0f64, 0.0f64);
+    for _ in 0..FLOOR_ROUNDS {
+        for (threads, best) in [(1, &mut seq), (par_threads, &mut par)] {
+            bf_par::set_threads(Some(threads));
+            *best = best.max(measure(shape, false));
+        }
+    }
+    bf_par::set_threads(None);
+    par / seq
+}
+
 fn main() -> ExitCode {
     run_bin(
         "training-step throughput",
@@ -105,9 +120,7 @@ fn main() -> ExitCode {
                 SHAPES
             };
 
-            println!(
-                "shape     threads   steps/s    ns/step    cold-arena    vs pre-PR (1t)"
-            );
+            println!("shape     threads   steps/s    ns/step    cold-arena");
             let mut rows = Vec::new();
             for shape in shapes {
                 for (mode, threads) in [("seq", 1usize), ("par", par_threads)] {
@@ -117,28 +130,11 @@ fn main() -> ExitCode {
                     let cold_steps_per_sec = measure(shape, true);
                     bf_par::set_threads(None);
                     let ns_per_step = 1e9 / steps_per_sec;
-                    let vs_baseline = steps_per_sec / shape.baseline_steps_per_sec;
                     println!(
-                        "{:<9} {:<9} {:>8.2}  {:>9.0}   {:>8.2}/s    {:>5.2}x",
-                        shape.name, threads, steps_per_sec, ns_per_step,
-                        cold_steps_per_sec, vs_baseline,
+                        "{:<9} {:<9} {:>8.2}  {:>9.0}   {:>8.2}/s",
+                        shape.name, threads, steps_per_sec, ns_per_step, cold_steps_per_sec,
                     );
                     bf_obs::gauge("train.steps_per_sec").set(steps_per_sec);
-                    // The small smoke shape must never lose to the
-                    // pre-workspace baseline at *any* pool size: its
-                    // per-sample work sits under BF_PAR_MIN_UNITS, so
-                    // the kernels run inline and the multi-thread row
-                    // matches the 1-thread row instead of paying
-                    // dispatch overhead for sub-threshold slices (the
-                    // 2-thread row regressed to 0.58x before the
-                    // minimum-work gate existed).
-                    if shape.name == "smoke" {
-                        assert!(
-                            vs_baseline >= 1.0,
-                            "smoke shape at {threads} thread(s) fell below the \
-                             allocate-every-step baseline: {vs_baseline:.2}x"
-                        );
-                    }
                     rows.push(Json::object([
                         ("shape", Json::Str(shape.name.into())),
                         ("threads", Json::UInt(threads as u64)),
@@ -149,23 +145,25 @@ fn main() -> ExitCode {
                         ("steps_per_sec", Json::Float(steps_per_sec)),
                         ("ns_per_step", Json::Float(ns_per_step)),
                         ("cold_arena_steps_per_sec", Json::Float(cold_steps_per_sec)),
-                        (
-                            "baseline_steps_per_sec",
-                            Json::Float(shape.baseline_steps_per_sec),
-                        ),
-                        ("speedup_vs_baseline", Json::Float(vs_baseline)),
                     ]));
                 }
             }
+            let ratio = best_pool_ratio(&SHAPES[0], par_threads);
+            println!("smoke pool / 1-thread, best of {FLOOR_ROUNDS} rounds: {ratio:.2}x");
+            assert!(
+                ratio >= 1.0 - TOL_WALL,
+                "smoke shape at {par_threads} threads ran at {ratio:.2}x its 1-thread rate \
+                 (floor {:.2}x)",
+                1.0 - TOL_WALL
+            );
 
             let json = Json::object([
                 (
                     "note",
                     Json::Str(
-                        "steady-state CnnLstm::train_batch throughput; baseline_steps_per_sec \
-                         is the pre-workspace allocate-every-step implementation at 1 thread \
-                         on the same fixture. cold_arena re-times with the workspace pool \
-                         cleared before every step (isolates reuse vs kernel wins)."
+                        "steady-state CnnLstm::train_batch throughput. cold_arena re-times \
+                         with the workspace pool cleared before every step (isolates reuse vs \
+                         kernel wins)."
                             .into(),
                     ),
                 ),

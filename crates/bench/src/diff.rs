@@ -18,15 +18,15 @@
 //!   matching a direction rule are reported but never fail.
 //!
 //! The `bench_diff` binary wraps this into a CI gate with a
-//! `--synthetic PCT` self-test mode that perturbs every guarded metric
-//! and asserts the gate trips.
+//! `--synthetic PCT` self-test mode that moves every guarded metric `PCT`
+//! percent past its band and asserts the gate trips.
 
 use bf_obs::Json;
 
 /// Which direction is an improvement for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Bigger is better (throughput, accuracy, speedup).
+    /// Bigger is better (throughput, accuracy).
     HigherBetter,
     /// Smaller is better (latency, timeouts, ns/step).
     LowerBetter,
@@ -108,17 +108,11 @@ fn flatten_into(json: &Json, prefix: String, out: &mut Vec<(String, f64)>) {
     }
 }
 
-/// Measured wall-clock rates of `BENCH_sim_throughput.json`, matched by
-/// exact leaf name: `baseline_runs_per_sec` next to them is a constant
-/// echo, not a measurement.
-const WALL_RATES: &[&str] = &["runs_per_sec", "events_per_sec"];
-
 /// Does the final path segment name a wall-clock quantity?
 fn is_wall(path: &str) -> bool {
     let leaf = path.rsplit('.').next().unwrap_or(path);
-    ["_ns", "_seconds", "steps_per_sec"].iter().any(|s| leaf.ends_with(s))
+    ["_ns", "_seconds", "_per_sec"].iter().any(|s| leaf.ends_with(s))
         || leaf == "ns_per_step"
-        || WALL_RATES.contains(&leaf)
         || leaf.starts_with("wall")
 }
 
@@ -129,32 +123,26 @@ pub fn direction_for(path: &str) -> Direction {
     let leaf = leaf.split('[').next().unwrap_or(leaf);
     const CONFIG: &[&str] = &[
         "seed", "threads", "par_threads", "hardware_threads", "requests", "batch", "filters",
-        "n_classes", "trace_len", "samples", "iters_per_sample", "warmup_steps", "timed_steps",
-        "mean_gap_units", "scale", "tolerance", "shards", "session_gap_units", "mean_visits",
-        "think_units", "zipf_exponent",
+        "n_classes", "trace_len", "warmup_steps", "timed_steps", "mean_gap_units", "scale",
+        "shards", "session_gap_units", "mean_visits", "think_units", "zipf_exponent",
     ];
     if CONFIG.contains(&leaf) {
         return Direction::Info;
     }
     // Raw wall duration of a *virtual-time* run is ambient-load trivia;
     // the virtual metrics next to it are the guarded signal. Wall-based
-    // rates (`steps_per_sec`, `ns_per_step`) stay guarded — they ARE the
-    // benchmark in the training-throughput artifact.
+    // rates (`*_per_sec`, `ns_per_step`) stay guarded — they ARE the
+    // benchmark in the sim- and training-throughput artifacts.
     // Micro-batch shape (`batch_assembled`, `batch_flushed_*`,
     // `mean_batch_size`) describes the workload, not its quality — and
     // `flushed` must not match the `shed` rule below.
     if leaf == "wall_seconds" || leaf.starts_with("batch_") || leaf == "mean_batch_size" {
         return Direction::Info;
     }
-    if WALL_RATES.contains(&leaf) {
-        return Direction::HigherBetter;
-    }
-    const HIGHER: &[&str] = &[
-        "throughput", "steps_per_sec", "speedup", "predictions", "accuracy", "answered",
-    ];
+    const HIGHER: &[&str] = &["throughput", "_per_sec", "predictions", "accuracy", "answered"];
     const LOWER: &[&str] = &[
-        "p50", "p99", "latency", "ns_per_step", "mean_ns", "median_ns", "min_ns", "timeouts",
-        "shed", "failed", "makespan", "quarantined", "degraded", "seconds", "shard_down",
+        "p50", "p99", "latency", "ns_per_step", "median_ns", "min_ns", "timeouts", "shed",
+        "failed", "makespan", "quarantined", "degraded", "seconds", "shard_down",
     ];
     if HIGHER.iter().any(|s| leaf.contains(s)) {
         Direction::HigherBetter
@@ -223,14 +211,14 @@ pub fn diff(old: &Json, new: &Json) -> DiffReport {
     diff_flat(&flatten(old), &flatten(new))
 }
 
-/// Perturb every *guarded* metric of a flattened artifact by `pct`
-/// percent in its bad direction (throughputs shrink, latencies grow).
+/// Move every *guarded* metric of a flattened artifact `pct` percent past
+/// its own band in its bad direction (throughputs shrink, latencies grow).
 /// The `bench_diff --synthetic` self-test feeds this back through
 /// [`diff_flat`] and demands the gate trips.
 pub fn perturb_worse(flat: &[(String, f64)], pct: f64) -> Vec<(String, f64)> {
-    let f = pct / 100.0;
     flat.iter()
         .map(|(path, v)| {
+            let f = tolerance_for(path) + pct / 100.0;
             let v = match direction_for(path) {
                 Direction::HigherBetter => v * (1.0 - f),
                 Direction::LowerBetter => v * (1.0 + f) + f, // `+ f` moves zeros too
@@ -290,11 +278,11 @@ mod tests {
         assert_eq!(direction_for("runs[0].wall_seconds"), Direction::Info);
         assert_eq!(direction_for("runs[0].batch_flushed_full"), Direction::Info);
         assert_eq!(direction_for("cells[3].mean_batch_size"), Direction::Info);
-        // Sim throughput rates are guarded; the constant they are
-        // compared against is an echo.
+        // Every `*_per_sec` leaf is a guarded wall rate, whatever its
+        // prefix.
         assert_eq!(direction_for("rows[0].runs_per_sec"), Direction::HigherBetter);
         assert_eq!(direction_for("rows[0].events_per_sec"), Direction::HigherBetter);
-        assert_eq!(direction_for("rows[0].baseline_runs_per_sec"), Direction::Info);
+        assert_eq!(direction_for("rows[0].cold_arena_steps_per_sec"), Direction::HigherBetter);
     }
 
     #[test]
@@ -341,9 +329,8 @@ mod tests {
     fn halved_sim_throughput_row_fails_the_gate() {
         let row = |runs: f64, events: f64| {
             parse(&format!(
-                r#"{{"rows":[{{"baseline_runs_per_sec":270.0,"duration_ms":2000,
-                    "events_per_sec":{events},"mode":"cold","runs_per_sec":{runs},
-                    "speedup_vs_baseline":0.0,"threads":1,"timed_runs":40}}]}}"#
+                r#"{{"rows":[{{"duration_ms":2000,"events_per_sec":{events},
+                    "mode":"cold","runs_per_sec":{runs},"threads":1,"timed_runs":40}}]}}"#
             ))
         };
         let old = row(300.0, 6.0e6);
@@ -366,18 +353,55 @@ mod tests {
         assert!(report.ok(), "{report:?}");
     }
 
+    /// A committed artifact that is not a deterministic replay holds
+    /// wall-clock numbers only (raw measurements, or ratios whose base was
+    /// measured in the same run), so every leaf the gate guards there
+    /// must get the wall band.
+    #[test]
+    fn committed_wall_clock_artifacts_guard_every_leaf_at_the_wall_band() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let (mut artifacts, mut narrow) = (0, Vec::new());
+        for entry in std::fs::read_dir(root).expect("workspace root lists") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let json = parse(&std::fs::read_to_string(&path).expect("artifact reads"));
+            if json.get("deterministic") == Some(&Json::Bool(true)) {
+                continue;
+            }
+            artifacts += 1;
+            for (leaf, _) in flatten(&json) {
+                if direction_for(&leaf) != Direction::Info && tolerance_for(&leaf) != TOL_WALL {
+                    narrow.push(format!("{name}: {leaf}"));
+                }
+            }
+        }
+        assert!(artifacts > 0, "no wall-clock BENCH_*.json under {root}");
+        assert!(narrow.is_empty(), "wall-clock leaves under the virtual band: {narrow:#?}");
+    }
+
     #[test]
     fn synthetic_perturbation_always_trips_the_gate() {
         let j = parse(
             r#"{"runs":[{"p99_latency_units":900,"throughput_per_kunit":17.8,
-                "timeouts":0,"threads":4}],"seed":42}"#,
+                "timeouts":0,"threads":4,"runs_per_sec":300.0}],"seed":42}"#,
         );
         let flat = flatten(&j);
         let report = diff_flat(&flat, &perturb_worse(&flat, 10.0));
-        assert!(!report.ok(), "a 10% across-the-board regression must be flagged");
-        // Zero-valued lower-better counts regress too (0 -> 0.1).
-        assert!(report.regressions().any(|d| d.path.ends_with("timeouts")));
-        // Config echoes stay untouched.
-        assert!(report.deltas.iter().all(|d| !d.path.ends_with("threads") || !d.regressed));
+        // Every guarded metric leaves its band, the wall rate's 25% one
+        // included; zero-valued lower-better counts regress too, and
+        // config echoes stay untouched.
+        let paths: Vec<_> = report.regressions().map(|d| d.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "runs[0].p99_latency_units",
+                "runs[0].runs_per_sec",
+                "runs[0].throughput_per_kunit",
+                "runs[0].timeouts",
+            ]
+        );
     }
 }

@@ -8,6 +8,7 @@
 //!    (`off|error|info|debug|trace`, default `info`), and [`span!`] guards
 //!    that time scopes and nest into dotted paths (`table2.collect.site`).
 //!    A disabled event costs one relaxed atomic load; nothing is formatted.
+//!    Each span's wall time lands in the registry histogram `span.<path>`.
 //! 2. **A thread-safe metrics registry** — counters, gauges, and base-2
 //!    log-scale histograms, e.g. `sim.events_dispatched`,
 //!    `sim.interrupts{kind=timer}`, `collect.traces`, `nn.epochs`,
@@ -15,8 +16,8 @@
 //!    ([`metrics::LocalHistogram`], plain integers) and flush once so the
 //!    instrumented simulator stays within noise of the uninstrumented one.
 //! 3. **Run manifests** — every experiment runner records config, seed,
-//!    scale, per-phase wall-clock timing, span statistics, and the metric
-//!    delta of the run, then writes JSON to `$BF_MANIFEST_DIR`
+//!    scale, per-phase wall-clock timing, and the metric delta of the
+//!    run (span timings included), then writes JSON to `$BF_MANIFEST_DIR`
 //!    (default `manifests/`) via [`manifest::ManifestBuilder`].
 //!
 //! The crate depends only on `parking_lot` and `serde`, keeping it safe to
@@ -40,7 +41,7 @@ pub use metrics::{
     counter, gauge, histogram, Counter, Exemplar, Gauge, HistogramSnapshot, LocalHistogram,
     LogHistogram, MetricsSnapshot, Registry,
 };
-pub use span::{span, SpanGuard, SpanStats};
+pub use span::{span, SpanGuard};
 pub use trace::TraceCtx;
 
 #[cfg(test)]

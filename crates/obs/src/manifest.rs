@@ -1,6 +1,7 @@
 //! Run manifests: a JSON record of what an experiment runner did —
-//! config, seed, scale, per-phase wall-clock timing, span statistics,
-//! and a delta snapshot of every metric touched during the run.
+//! config, seed, scale, per-phase wall-clock timing, and a delta snapshot
+//! of every metric touched during the run (span timings included, as the
+//! `span.<path>` histograms).
 //!
 //! Builders take a metrics snapshot at construction and subtract it at
 //! [`ManifestBuilder::finish`], so several experiments in one process
@@ -8,7 +9,6 @@
 
 use crate::json::Json;
 use crate::metrics::{self, HistogramSnapshot, MetricValue, MetricsSnapshot};
-use crate::span::{drain_span_stats, SpanStats};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -42,8 +42,6 @@ pub struct RunManifest {
     /// Delta of every metric over the run (counters/histograms are
     /// run-local; gauges report their final value).
     pub metrics: MetricsSnapshot,
-    /// Aggregate span timings recorded during the run.
-    pub spans: BTreeMap<String, SpanStats>,
 }
 
 impl RunManifest {
@@ -84,27 +82,6 @@ impl RunManifest {
                     self.metrics
                         .iter()
                         .map(|(k, v)| (k.clone(), metric_to_json(v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "spans",
-                Json::Object(
-                    self.spans
-                        .iter()
-                        .map(|(k, s)| {
-                            (
-                                k.clone(),
-                                Json::object([
-                                    ("count", Json::UInt(s.count)),
-                                    ("total_seconds", Json::Float(s.total_seconds)),
-                                    ("min_seconds", Json::Float(s.min_seconds)),
-                                    ("p50_seconds", Json::Float(s.p50_seconds())),
-                                    ("p99_seconds", Json::Float(s.p99_seconds())),
-                                    ("max_seconds", Json::Float(s.max_seconds)),
-                                ]),
-                            )
-                        })
                         .collect(),
                 ),
             ),
@@ -197,10 +174,8 @@ pub struct ManifestBuilder {
 
 impl ManifestBuilder {
     /// Start building a manifest for runner `name`. Takes the metrics
-    /// baseline snapshot and clears accumulated span statistics so the
-    /// manifest covers only this run.
+    /// baseline snapshot so the manifest covers only this run.
     pub fn new(name: &str, scale: &str, seed: u64) -> Self {
-        drain_span_stats();
         ManifestBuilder {
             name: name.to_owned(),
             scale: scale.to_owned(),
@@ -238,8 +213,7 @@ impl ManifestBuilder {
         out
     }
 
-    /// Close the run: compute the metric delta against the baseline and
-    /// collect span statistics.
+    /// Close the run: compute the metric delta against the baseline.
     pub fn finish(self) -> RunManifest {
         let now = metrics::global().snapshot();
         RunManifest {
@@ -251,7 +225,6 @@ impl ManifestBuilder {
             total_seconds: self.start.elapsed().as_secs_f64(),
             phases: self.phases,
             metrics: metrics::snapshot_delta(&now, &self.baseline),
-            spans: drain_span_stats(),
         }
     }
 
@@ -271,8 +244,8 @@ impl ManifestBuilder {
 mod tests {
     use super::*;
 
-    // Builders drain the global span table, so tests that build
-    // manifests must not interleave.
+    // Builders diff the global registry, so tests that build manifests
+    // must not interleave.
     static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     #[test]
@@ -297,7 +270,10 @@ mod tests {
             Some(MetricValue::Counter(n)) => assert_eq!(*n, 5),
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(m.spans.contains_key("work"));
+        match m.metrics.get("span.work") {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 1),
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]

@@ -217,10 +217,15 @@ impl LogHistogram {
                     Err(actual) => cur = actual,
                 }
             }
-            self.min_bits
-                .fetch_min(order_encode(value), Ordering::Relaxed);
-            self.max_bits
-                .fetch_max(order_encode(value), Ordering::Relaxed);
+            // A plain load first: most values move neither bound, and a
+            // read-modify-write costs a locked instruction even then.
+            let enc = order_encode(value);
+            if enc < self.min_bits.load(Ordering::Relaxed) {
+                self.min_bits.fetch_min(enc, Ordering::Relaxed);
+            }
+            if enc > self.max_bits.load(Ordering::Relaxed) {
+                self.max_bits.fetch_max(enc, Ordering::Relaxed);
+            }
         }
     }
 
