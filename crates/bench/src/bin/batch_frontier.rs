@@ -111,21 +111,21 @@ fn main() -> ExitCode {
                 let mark = BatchMark::take();
                 let label = format!("sweep_b{batch}_d{deadline}");
                 let resolved = m.phase(&label, || svc.run(&requests));
+                let shape = mark.since();
                 assert_eq!(resolved.len(), n_requests);
                 if (bi, di) == mid {
-                    // Rerun one representative cell: the sweep must be
-                    // bit-deterministic for a fixed seed.
+                    // Rerun one representative cell: outcomes and batch
+                    // shape must be bit-deterministic for a fixed seed.
                     svc.reconfigure(cfg_for(batch, deadline));
+                    let mark = BatchMark::take();
                     let again = m.phase(&format!("{label}_replay"), || svc.run(&requests));
                     assert_eq!(
                         resolved, again,
                         "frontier outcomes must be bit-deterministic for a fixed seed"
                     );
+                    assert_eq!(shape, mark.since(), "the replay must assemble the same batches");
                 }
-                // The mark spans the replay too, so the replayed cell
-                // reports twice its batch count.
-                let (tally, shape) = (Tally::new(&resolved), mark.since());
-                cells.push(Cell { batch, deadline, tally, shape });
+                cells.push(Cell { batch, deadline, tally: Tally::new(&resolved), shape });
             }
         }
         bf_par::set_threads(None);

@@ -43,7 +43,6 @@ use bf_stats::rng::combine_seeds;
 use bf_timer::BrowserKind;
 use bf_victim::Catalog;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Shard health that the fleet's own snapshot counts: each shard's
 /// answers and outages as it executed them, hedge replays included.
@@ -59,7 +58,6 @@ struct ShardStats {
 struct RunStats {
     threads: usize,
     scenario: &'static str,
-    wall_seconds: f64,
     tally: Tally,
     restarts: u64,
     flaps: u64,
@@ -68,13 +66,7 @@ struct RunStats {
 }
 
 impl RunStats {
-    fn new(
-        threads: usize,
-        scenario: &'static str,
-        wall_seconds: f64,
-        resolved: &[Resolved],
-        fleet: &Fleet,
-    ) -> Self {
+    fn new(threads: usize, scenario: &'static str, resolved: &[Resolved], fleet: &Fleet) -> Self {
         let health = fleet.health();
         let per_shard = (0..fleet.shards())
             .map(|k| {
@@ -91,7 +83,6 @@ impl RunStats {
         RunStats {
             threads,
             scenario,
-            wall_seconds,
             tally: Tally::new(resolved),
             restarts: health.total(|s| s.restarts),
             flaps: health.flaps.iter().sum(),
@@ -111,7 +102,6 @@ impl RunStats {
         Json::object([
             ("threads", Json::UInt(self.threads as u64)),
             ("scenario", Json::Str(self.scenario.to_owned())),
-            ("wall_seconds", Json::Float(self.wall_seconds)),
             ("makespan_units", Json::UInt(t.makespan_units)),
             ("p50_latency_units", Json::UInt(t.latency(0.50))),
             ("p99_latency_units", Json::UInt(t.latency(0.99))),
@@ -128,8 +118,8 @@ impl RunStats {
             ("shed_rate", Json::Float(t.rate(t.shed))),
             ("degraded_fraction", Json::Float(t.degraded_fraction())),
             ("shard_down_rate", Json::Float(t.rate(t.shard_down))),
-            // Fault-injection echoes (Info in bench_diff): their scale
-            // is set by the kill plan, not by serving quality.
+            // Fault-injection echoes: their scale is set by the kill
+            // plan, not by serving quality.
             ("restarts", Json::UInt(self.restarts)),
             ("breaker_flaps", Json::UInt(self.flaps)),
             ("flap_rate_per_kunit", Json::Float(self.flap_rate_per_kunit())),
@@ -251,12 +241,10 @@ fn main() -> ExitCode {
                 let mut replay = None;
                 for pass in 0..2 {
                     fleet.reset();
-                    let t = Instant::now();
                     let resolved = m
                         .phase(&format!("fleet_{name}_t{threads}_pass{pass}"), || {
                             fleet.run(&requests)
                         });
-                    let wall = t.elapsed().as_secs_f64();
                     assert_eq!(resolved.len(), n_requests);
                     let health = fleet.health();
                     assert_eq!(
@@ -268,7 +256,7 @@ fn main() -> ExitCode {
                     );
                     match replay.take() {
                         None => {
-                            runs.push(RunStats::new(threads, name, wall, &resolved, &fleet));
+                            runs.push(RunStats::new(threads, name, &resolved, &fleet));
                             replay = Some(resolved);
                         }
                         Some(first) => {

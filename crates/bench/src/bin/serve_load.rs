@@ -35,7 +35,6 @@ use bf_obs::Json;
 use bf_serve::{open_loop_arrivals, ServeConfig, TierConfig};
 use bf_stats::rng::combine_seeds;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Mean virtual inter-arrival gap: well under the ~150-unit per-request
 /// service cost, so a single worker saturates (shedding visible) while
@@ -47,7 +46,6 @@ const BATCH: usize = 8;
 
 struct RunStats {
     threads: usize,
-    wall_seconds: f64,
     tally: Tally,
     transitions: String,
     batch: BatchStats,
@@ -58,7 +56,6 @@ impl RunStats {
         let t = &self.tally;
         Json::object([
             ("threads", Json::UInt(self.threads as u64)),
-            ("wall_seconds", Json::Float(self.wall_seconds)),
             ("makespan_units", Json::UInt(t.makespan_units)),
             ("p50_latency_units", Json::UInt(t.latency(0.50))),
             ("p99_latency_units", Json::UInt(t.latency(0.99))),
@@ -89,9 +86,9 @@ impl RunStats {
                 ),
             ),
             ("breaker_transitions", Json::Str(self.transitions.clone())),
-            // Micro-batch shape of the predict stage (Info metrics:
-            // deterministic per (seed, threads, batch), echoed so the
-            // frontier artifact can be cross-checked against this run).
+            // Micro-batch shape of the predict stage: deterministic per
+            // (seed, threads, batch), echoed so the frontier artifact can
+            // be cross-checked against this run.
             ("batch_assembled", Json::UInt(self.batch.assembled)),
             ("batch_flushed_full", Json::UInt(self.batch.flushed_full)),
             ("batch_flushed_deadline", Json::UInt(self.batch.flushed_deadline)),
@@ -138,10 +135,8 @@ fn main() -> ExitCode {
             for pass in 0..2 {
                 svc.reset();
                 let mark = BatchMark::take();
-                let t = Instant::now();
                 let resolved =
                     m.phase(&format!("serve_t{threads}_pass{pass}"), || svc.run(&requests));
-                let wall = t.elapsed().as_secs_f64();
 
                 let health = svc.health();
                 assert_eq!(
@@ -182,7 +177,6 @@ fn main() -> ExitCode {
                         );
                         runs.push(RunStats {
                             threads,
-                            wall_seconds: wall,
                             tally: Tally::new(&resolved),
                             transitions: svc.breaker().transitions_summary(),
                             batch: mark.since(),

@@ -18,7 +18,6 @@
 //! machine simulation, attack replay, timer queries, NN training steps,
 //! and end-to-end trace collection.
 
-pub mod diff;
 pub mod load;
 pub mod serving;
 

@@ -255,7 +255,7 @@ impl Tally {
 
 /// The micro-batch shape of a serving pass, from the `serve.batch.*`
 /// metrics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchStats {
     /// Micro-batches assembled.
     pub assembled: u64,

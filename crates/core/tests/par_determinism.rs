@@ -34,33 +34,26 @@ fn at_thread_counts<R>(f: impl Fn() -> R) -> (R, R) {
     (seq, par)
 }
 
-/// Restores `BF_PAR_MIN_UNITS` (and the pool size) on drop, so a
+/// Restores the minimum-work threshold and the pool size on drop, so a
 /// failing fanned-out leg cannot leak its settings into later tests.
-struct FanOutGuard {
-    saved: Option<std::ffi::OsString>,
-}
+struct FanOutGuard;
 
 impl Drop for FanOutGuard {
     fn drop(&mut self) {
-        match self.saved.take() {
-            Some(v) => std::env::set_var("BF_PAR_MIN_UNITS", v),
-            None => std::env::remove_var("BF_PAR_MIN_UNITS"),
-        }
-        bf_par::reload_env();
+        bf_par::set_min_units(None);
         bf_par::set_threads(None);
     }
 }
 
 /// Run `f` at 4 threads with the minimum-work threshold disabled
-/// (`BF_PAR_MIN_UNITS=0`), so every kernel whose grain admits more than
-/// one worker fans out instead of running inline.
+/// (`bf_par::set_min_units(Some(0))`), so every kernel whose grain
+/// admits more than one worker fans out instead of running inline.
 fn fanned_out<R>(f: impl FnOnce() -> R) -> R {
     let _lock = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = FanOutGuard { saved: std::env::var_os("BF_PAR_MIN_UNITS") };
-    std::env::set_var("BF_PAR_MIN_UNITS", "0");
-    bf_par::reload_env();
+    let _restore = FanOutGuard;
+    bf_par::set_min_units(Some(0));
     bf_par::set_threads(Some(4));
     f()
 }

@@ -120,28 +120,20 @@ proptest! {
     }
 }
 
-/// Sets `BF_PAR_MIN_UNITS=0` for its lifetime and restores the previous
-/// value on drop (callers hold `SERIAL`).
-struct ThresholdOff {
-    saved: Option<std::ffi::OsString>,
-}
+/// Disables the minimum-work threshold for its lifetime and restores
+/// the default on drop (callers hold `SERIAL`).
+struct ThresholdOff;
 
 impl ThresholdOff {
     fn new() -> Self {
-        let saved = std::env::var_os("BF_PAR_MIN_UNITS");
-        std::env::set_var("BF_PAR_MIN_UNITS", "0");
-        bf_par::reload_env();
-        ThresholdOff { saved }
+        bf_par::set_min_units(Some(0));
+        ThresholdOff
     }
 }
 
 impl Drop for ThresholdOff {
     fn drop(&mut self) {
-        match self.saved.take() {
-            Some(v) => std::env::set_var("BF_PAR_MIN_UNITS", v),
-            None => std::env::remove_var("BF_PAR_MIN_UNITS"),
-        }
-        bf_par::reload_env();
+        bf_par::set_min_units(None);
     }
 }
 

@@ -133,8 +133,8 @@ impl Json {
     }
 }
 
-/// Recursive-descent JSON parser (used by `bench_diff` and the overhead
-/// gate to read checked-in `BENCH_*.json` artifacts back).
+/// Recursive-descent JSON parser (reads persisted anytime ladders, the
+/// benchmark's run reports and exported trace timelines back).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -11,6 +11,9 @@
 //! is one trie lookup and a `u32` push on entry and an atomic histogram
 //! record on exit. Run manifests report span timings in their metrics
 //! delta, like every other histogram.
+//!
+//! A worker thread starts with an empty stack; `bf_par` has it [`adopt`]
+//! its spawner's innermost span, so paths match at every thread count.
 
 use crate::level::{enabled, Level};
 use crate::metrics::{self, LogHistogram};
@@ -85,8 +88,39 @@ fn span_table() -> &'static Mutex<PathTable> {
 
 /// The dotted path of the innermost active span on this thread, if any.
 pub fn current_path() -> Option<String> {
-    let id = SPAN_STACK.with(|s| s.borrow().last().copied())?;
-    Some(path_of(id))
+    Some(path_of(current().0?))
+}
+
+/// The innermost active span on one thread, as a handle another thread
+/// can [`adopt`].
+#[derive(Debug, Clone, Copy)]
+pub struct SpanParent(Option<u32>);
+
+/// This thread's innermost active span.
+pub fn current() -> SpanParent {
+    SpanParent(SPAN_STACK.with(|s| s.borrow().last().copied()))
+}
+
+/// Nest the spans this thread opens under `parent` until the guard
+/// drops (no guard when no span was open). A parallel map hands its
+/// spawner's [`current`] span to each worker this way, so a span path
+/// does not depend on which thread ran it.
+pub fn adopt(parent: SpanParent) -> Option<ParentGuard> {
+    let id = parent.0?;
+    SPAN_STACK.with(|s| s.borrow_mut().push(id));
+    Some(ParentGuard(()))
+}
+
+/// Guard returned by [`adopt`]; pops the adopted parent on drop.
+#[derive(Debug)]
+pub struct ParentGuard(());
+
+impl Drop for ParentGuard {
+    fn drop(&mut self) {
+        SPAN_STACK.with(|s| {
+            s.borrow_mut().pop();
+        });
+    }
 }
 
 /// RAII guard for one span. Created by [`span`] or the `span!` macro.
@@ -101,7 +135,7 @@ pub struct SpanGuard {
 /// Steady-state cost is one mutex-guarded trie lookup and a `u32` push —
 /// no heap allocation after the first time a path is seen.
 pub fn span(name: &str) -> SpanGuard {
-    let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
+    let parent = current().0.unwrap_or(0);
     let (id, hist) = span_table().lock().child_of(parent, name);
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
     if enabled(Level::Trace) {
@@ -175,6 +209,28 @@ mod tests {
             assert_eq!(current_path().as_deref(), Some("outer_test_span.inner"));
         }
         assert_eq!(current_path().as_deref(), Some("outer_test_span"));
+    }
+
+    #[test]
+    fn adopted_parent_nests_another_threads_spans() {
+        let in_worker = |parent: SpanParent| {
+            std::thread::spawn(move || {
+                let _adopted = adopt(parent);
+                let b = span("child");
+                (current_path(), b.path())
+            })
+            .join()
+            .expect("worker")
+        };
+        {
+            let _a = span("adopt_probe");
+            let (path, child) = in_worker(current());
+            assert_eq!(path.as_deref(), Some("adopt_probe.child"));
+            assert_eq!(child, "adopt_probe.child");
+        }
+        // With no span open there is nothing to adopt.
+        let (_, child) = in_worker(current());
+        assert_eq!(child, "child");
     }
 
     #[test]

@@ -62,8 +62,8 @@
 //! regression in `BENCH_train_throughput.json` came entirely from
 //! forking kernels whose per-item work was a few thousand multiply-adds.
 //! The kernel primitives take a per-item cost estimate; items below
-//! [`min_units`] (the `BF_PAR_MIN_UNITS` knob, default
-//! [`DEFAULT_MIN_UNITS`]) run inline, so fork-join is never a
+//! [`min_units`] ([`DEFAULT_MIN_UNITS`] unless a test lowers it with
+//! [`set_min_units`]) run inline, so fork-join is never a
 //! pessimization. Like the grain and the budget, the threshold only
 //! changes *where* items run — never their results or order.
 
@@ -85,16 +85,16 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static ENV_THREADS: AtomicUsize = AtomicUsize::new(ENV_UNINIT);
 const ENV_UNINIT: usize = usize::MAX;
 
-/// Cached resolution of `BF_PAR_MIN_UNITS` (same memoization rationale
-/// as [`ENV_THREADS`]: the hot path must never call `env::var`).
-static ENV_MIN_UNITS: AtomicUsize = AtomicUsize::new(ENV_UNINIT);
-
 /// Default per-item work threshold for the kernel primitives, in
 /// caller-estimated work units (the NN kernels pass multiply-add
 /// counts). Chosen so the CI smoke shape's kernels (≈6–13k MACs per
 /// sample) stay inline while the default experiment shape (≈40–200k)
 /// still fans out.
 pub const DEFAULT_MIN_UNITS: usize = 16 * 1024;
+
+/// The threshold [`min_units`] returns: [`DEFAULT_MIN_UNITS`] unless
+/// [`set_min_units`] overrides it.
+static MIN_UNITS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_UNITS);
 
 thread_local! {
     /// Remaining parallelism budget for maps issued from this thread;
@@ -110,13 +110,18 @@ pub fn set_threads(n: Option<usize>) {
     OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
 }
 
-/// Drop the memoized `BF_THREADS` / `BF_PAR_MIN_UNITS` resolutions so
-/// the next [`threads`] / [`min_units`] call re-reads the environment.
-/// Only needed by tests that mutate those variables at runtime;
-/// processes configured at launch never call this.
+/// Override the kernel primitives' minimum per-item work for this
+/// process; `None` restores [`DEFAULT_MIN_UNITS`]. Tests pass `Some(0)`
+/// to make every eligible kernel fan out.
+pub fn set_min_units(n: Option<usize>) {
+    MIN_UNITS.store(n.unwrap_or(DEFAULT_MIN_UNITS), Ordering::SeqCst);
+}
+
+/// Drop the memoized `BF_THREADS` resolution so the next [`threads`]
+/// call re-reads the environment. Only needed by tests that mutate the
+/// variable at runtime; processes configured at launch never call this.
 pub fn reload_env() {
     ENV_THREADS.store(ENV_UNINIT, Ordering::SeqCst);
-    ENV_MIN_UNITS.store(ENV_UNINIT, Ordering::SeqCst);
 }
 
 fn env_threads() -> usize {
@@ -190,34 +195,11 @@ fn plan(n_items: usize, min_per_worker: usize, units_per_item: usize) -> usize {
 }
 
 /// The minimum per-item work (in caller-estimated units) below which
-/// the kernel primitives run inline: `BF_PAR_MIN_UNITS` when
-/// set and parseable, else [`DEFAULT_MIN_UNITS`]. `0` disables the
-/// threshold entirely (every eligible workload forks); a malformed
-/// value is reported once and falls back to the default.
+/// the kernel primitives run inline: [`DEFAULT_MIN_UNITS`], or the
+/// [`set_min_units`] override. `0` disables the threshold entirely
+/// (every eligible workload forks).
 pub fn min_units() -> usize {
-    let cached = ENV_MIN_UNITS.load(Ordering::Relaxed);
-    if cached != ENV_UNINIT {
-        return cached;
-    }
-    let resolved = std::env::var("BF_PAR_MIN_UNITS")
-        .ok()
-        .and_then(|s| {
-            let trimmed = s.trim();
-            match trimmed.parse::<usize>() {
-                Ok(n) if n != ENV_UNINIT => Some(n),
-                _ => {
-                    bf_obs::env::warn_invalid(
-                        "BF_PAR_MIN_UNITS",
-                        trimmed,
-                        "a per-item work threshold (0 disables it)",
-                    );
-                    None
-                }
-            }
-        })
-        .unwrap_or(DEFAULT_MIN_UNITS);
-    ENV_MIN_UNITS.store(resolved, Ordering::Relaxed);
-    resolved
+    MIN_UNITS.load(Ordering::Relaxed)
 }
 
 /// Map `f` over `items` on up to [`available`] workers, returning
@@ -246,9 +228,12 @@ where
     // Capture the spawner's trace context once; whichever worker claims
     // item `i` restores it with branch namespace `i`, so spans traced
     // inside `f` mint identical IDs at every thread count (including the
-    // inline path below). A `None` context makes the guards no-ops.
+    // inline path below). A `None` context makes the guards no-ops. Each
+    // worker likewise adopts the spawner's innermost `span!`, so the
+    // span paths `f` opens nest as they do inline.
     let tctx = bf_obs::trace::current();
     let toff = bf_obs::trace::virtual_offset();
+    let sparent = bf_obs::span::current();
     if workers <= 1 {
         return items
             .iter()
@@ -268,6 +253,7 @@ where
                 let cursor = &cursor;
                 scope.spawn(move |_| {
                     set_budget(child_budget);
+                    let _span = bf_obs::span::adopt(sparent);
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -541,6 +527,22 @@ mod tests {
     }
 
     #[test]
+    fn workers_nest_spans_under_the_spawners_span() {
+        let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let items = [0u8; 8];
+        for threads in [1, 4] {
+            let _outer = bf_obs::span!("outer");
+            let paths = with_threads(threads, || {
+                par_map_indexed(&items, |_, _| bf_obs::span::current_path())
+            });
+            assert!(
+                paths.iter().all(|p| p.as_deref() == Some("outer")),
+                "{threads} thread(s): {paths:?}"
+            );
+        }
+    }
+
+    #[test]
     fn single_thread_runs_inline() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let main_id = std::thread::current().id();
@@ -556,7 +558,7 @@ mod tests {
         let main_id = std::thread::current().id();
         let mut ids = vec![main_id; 8];
         with_threads(8, || {
-            with_min_units("0", || {
+            with_min_units(0, || {
                 par_chunks_mut_scratch(&mut ids, 1, 16, 1, || (), |_, chunk, ()| {
                     chunk[0] = std::thread::current().id();
                 });
@@ -754,38 +756,32 @@ mod tests {
         });
     }
 
-    fn with_min_units<R>(v: &str, f: impl FnOnce() -> R) -> R {
-        std::env::set_var("BF_PAR_MIN_UNITS", v);
-        reload_env();
+    fn with_min_units<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        set_min_units(Some(n));
         let r = f();
-        std::env::remove_var("BF_PAR_MIN_UNITS");
-        bf_obs::env::reset_warnings();
-        reload_env();
+        set_min_units(None);
         r
     }
 
     #[test]
-    fn min_units_defaults_and_reads_env() {
+    fn min_units_defaults_and_takes_the_override() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        std::env::remove_var("BF_PAR_MIN_UNITS");
-        reload_env();
         assert_eq!(min_units(), DEFAULT_MIN_UNITS);
-        with_min_units("512", || assert_eq!(min_units(), 512));
-        with_min_units("0", || assert_eq!(min_units(), 0));
-        // Malformed values fall back to the default (and warn once).
-        with_min_units("lots", || assert_eq!(min_units(), DEFAULT_MIN_UNITS));
+        with_min_units(512, || assert_eq!(min_units(), 512));
+        with_min_units(0, || assert_eq!(min_units(), 0));
+        assert_eq!(min_units(), DEFAULT_MIN_UNITS, "None restores the default");
     }
 
     #[test]
     fn plan_keeps_cheap_items_inline() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         with_threads(4, || {
-            with_min_units("1000", || {
+            with_min_units(1000, || {
                 assert_eq!(plan(16, 1, 999), 1, "below the threshold: inline");
                 assert_eq!(plan(16, 1, 1000), 4, "at the threshold: the plain plan");
                 assert_eq!(plan(16, 8, 5000), 2, "grain still applies above it");
             });
-            with_min_units("0", || {
+            with_min_units(0, || {
                 assert_eq!(plan(16, 1, 1), 4, "0 disables the threshold");
             });
         });
@@ -796,7 +792,7 @@ mod tests {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let main_id = std::thread::current().id();
         with_threads(8, || {
-            with_min_units("1000", || {
+            with_min_units(1000, || {
                 let mut cheap = vec![std::thread::current().id(); 32];
                 par_chunks_mut_scratch(&mut cheap, 4, 1, 999, || (), |_, chunk, ()| {
                     chunk.fill(std::thread::current().id());
@@ -817,7 +813,7 @@ mod tests {
     #[test]
     fn threshold_is_bit_identical_to_the_parallel_path() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let fill = |min_units: &str| {
+        let fill = |min_units: usize| {
             with_threads(4, || {
                 with_min_units(min_units, || {
                     let mut data = vec![0f32; 64];
@@ -833,7 +829,7 @@ mod tests {
                 })
             })
         };
-        assert_eq!(fill("1000000"), fill("0"), "the threshold never changes results");
+        assert_eq!(fill(1_000_000), fill(0), "the threshold never changes results");
     }
 
     #[test]
@@ -916,7 +912,7 @@ mod tests {
     /// adds each slab into an accumulator in the order it is handed
     /// over. Returns the accumulator bits, the merge order, and every
     /// storage length requested.
-    fn merge_run(min_units: &str, threads: usize) -> (Vec<u32>, Vec<usize>, Vec<usize>) {
+    fn merge_run(min_units: usize, threads: usize) -> (Vec<u32>, Vec<usize>, Vec<usize>) {
         with_threads(threads, || {
             with_min_units(min_units, || {
                 let mut acc = [0f32; 5];
@@ -955,9 +951,9 @@ mod tests {
     #[test]
     fn map_merge_is_bit_identical_inline_and_fanned_out() {
         let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (inline_bits, inline_order, inline_len) = merge_run("1000", 4);
-        let (fanned_bits, fanned_order, fanned_len) = merge_run("0", 4);
-        let (single_bits, _, single_len) = merge_run("0", 1);
+        let (inline_bits, inline_order, inline_len) = merge_run(1000, 4);
+        let (fanned_bits, fanned_order, fanned_len) = merge_run(0, 4);
+        let (single_bits, _, single_len) = merge_run(0, 1);
         let in_order: Vec<usize> = (0..24).collect();
         assert_eq!(inline_order, in_order, "inline merges run in index order");
         assert_eq!(fanned_order, in_order, "fanned-out merges run in index order");
@@ -1007,7 +1003,7 @@ mod tests {
         let main_id = std::thread::current().id();
         let mut ran_on = Vec::new();
         with_threads(4, || {
-            with_min_units("0", || {
+            with_min_units(0, || {
                 par_map_merge(
                     16,
                     1,
