@@ -2,10 +2,13 @@
 //! batch 32, the §4.1 architecture's layer geometry (conv 256 filters
 //! k=8 s=3, LSTM 32 units over 256-channel/34-step input, dense 32→100).
 //!
-//! These isolate the im2col + blocked-matmul kernels from end-to-end
-//! training; run at `BF_THREADS=1` they measure pure cache-layout wins
-//! over the naive loops, at higher thread counts the intra-batch
-//! parallelism on top.
+//! These isolate the layer kernels from end-to-end training: the
+//! im2col unfolding and the one `bf_nn::tensor::matmul`, whose SIMD
+//! lanes hold independent outputs (conv positions or channels, LSTM
+//! gate rows, dense features) while each output adds its products in
+//! order. Run at `BF_THREADS=1` they measure the kernels' wins over the
+//! naive loops; at higher thread counts, the intra-batch parallelism on
+//! top.
 
 use bf_nn::{Conv1d, Dense, Layer, Lstm, Tensor};
 use bf_stats::SeedRng;

@@ -7,13 +7,18 @@
 //! every step, isolating how much of the win comes from buffer reuse
 //! versus the unrolled kernels.
 //!
+//! A shape's two rows are timed over [`FLOOR_ROUNDS`] rounds, each round
+//! timing the 1-thread row and then the pool row, so a slow window on a
+//! shared host falls on both. Each row records the median and the
+//! fastest round (the cold-arena rate as a median): one 30-step timing
+//! alone cannot be told apart from a fast or slow window.
+//!
 //! At the smoke shape the pool must run at least [`POOL_FLOOR`] times one
 //! thread's rate, measured in the same run: its kernels sit under
 //! `bf_par::DEFAULT_MIN_UNITS` and must run inline rather than pay
 //! dispatch overhead for sub-threshold slices (before that minimum-work
-//! gate existed, the 2-thread row ran at 0.58x). The check takes the
-//! fastest of [`FLOOR_ROUNDS`] alternating 1-thread / pool timings per
-//! side, so one slow window on a shared host cannot decide it.
+//! gate existed, the 2-thread row ran at 0.58x). The check compares the
+//! two smoke rows' fastest rounds, so one slow window cannot decide it.
 //!
 //! ```sh
 //! BF_SCALE=smoke   cargo run --release -p bf-bench --bin train_throughput
@@ -56,6 +61,7 @@ const SHAPES: &[Shape] = &[
 
 const WARMUP_STEPS: usize = 3;
 const TIMED_STEPS: usize = 30;
+/// Alternating rounds per shape; odd, so the median is one round.
 const FLOOR_ROUNDS: usize = 5;
 /// Lowest smoke-shape pool / 1-thread rate ratio the run accepts.
 const POOL_FLOOR: f64 = 0.75;
@@ -92,18 +98,10 @@ fn measure(shape: &Shape, cold_arena: bool) -> f64 {
     TIMED_STEPS as f64 / secs.max(1e-12)
 }
 
-/// Pool rate over 1-thread rate, each the fastest of [`FLOOR_ROUNDS`]
-/// timings taken in turns.
-fn best_pool_ratio(shape: &Shape, par_threads: usize) -> f64 {
-    let (mut seq, mut par) = (0.0f64, 0.0f64);
-    for _ in 0..FLOOR_ROUNDS {
-        for (threads, best) in [(1, &mut seq), (par_threads, &mut par)] {
-            bf_par::set_threads(Some(threads));
-            *best = best.max(measure(shape, false));
-        }
-    }
-    bf_par::set_threads(None);
-    par / seq
+/// The median and the fastest of a row's rates.
+fn median_and_fastest(mut rates: [f64; FLOOR_ROUNDS]) -> (f64, f64) {
+    rates.sort_by(f64::total_cmp);
+    (rates[FLOOR_ROUNDS / 2], rates[FLOOR_ROUNDS - 1])
 }
 
 fn main() -> ExitCode {
@@ -121,21 +119,36 @@ fn main() -> ExitCode {
                 SHAPES
             };
 
-            println!("shape     threads   steps/s    ns/step    cold-arena");
+            println!("shape     threads   median/s   fastest/s   cold-arena median/s");
             let mut rows = Vec::new();
+            let mut smoke_fastest = [0.0f64; 2];
             for shape in shapes {
-                for (mode, threads) in [("seq", 1usize), ("par", par_threads)] {
-                    bf_par::set_threads(Some(threads));
-                    let label = format!("{}_{mode}", shape.name);
-                    let steps_per_sec = m.phase(&label, || measure(shape, false));
-                    let cold_steps_per_sec = measure(shape, true);
+                // `[1 thread, pool]` rates per round; each round times
+                // both sides, so they share the host's windows.
+                let sides = [1usize, par_threads];
+                let mut rates = [[0.0f64; FLOOR_ROUNDS]; 2];
+                let mut cold = [[0.0f64; FLOOR_ROUNDS]; 2];
+                m.phase(shape.name, || {
+                    for round in 0..FLOOR_ROUNDS {
+                        for (side, &threads) in sides.iter().enumerate() {
+                            bf_par::set_threads(Some(threads));
+                            rates[side][round] = measure(shape, false);
+                            cold[side][round] = measure(shape, true);
+                        }
+                    }
                     bf_par::set_threads(None);
-                    let ns_per_step = 1e9 / steps_per_sec;
+                });
+                for (side, &threads) in sides.iter().enumerate() {
+                    let (median, fastest) = median_and_fastest(rates[side]);
+                    let (cold_median, _) = median_and_fastest(cold[side]);
+                    if shape.name == SHAPES[0].name {
+                        smoke_fastest[side] = fastest;
+                    }
                     println!(
-                        "{:<9} {:<9} {:>8.2}  {:>9.0}   {:>8.2}/s",
-                        shape.name, threads, steps_per_sec, ns_per_step, cold_steps_per_sec,
+                        "{:<9} {:<9} {:>8.2}  {:>10.2}   {:>8.2}",
+                        shape.name, threads, median, fastest, cold_median,
                     );
-                    bf_obs::gauge("train.steps_per_sec").set(steps_per_sec);
+                    bf_obs::gauge("train.steps_per_sec").set(median);
                     rows.push(Json::object([
                         ("shape", Json::Str(shape.name.into())),
                         ("threads", Json::UInt(threads as u64)),
@@ -143,14 +156,14 @@ fn main() -> ExitCode {
                         ("n_classes", Json::UInt(shape.n_classes as u64)),
                         ("filters", Json::UInt(shape.filters as u64)),
                         ("batch", Json::UInt(shape.batch as u64)),
-                        ("steps_per_sec", Json::Float(steps_per_sec)),
-                        ("ns_per_step", Json::Float(ns_per_step)),
-                        ("cold_arena_steps_per_sec", Json::Float(cold_steps_per_sec)),
+                        ("median_steps_per_sec", Json::Float(median)),
+                        ("fastest_steps_per_sec", Json::Float(fastest)),
+                        ("median_cold_arena_steps_per_sec", Json::Float(cold_median)),
                     ]));
                 }
             }
-            let ratio = best_pool_ratio(&SHAPES[0], par_threads);
-            println!("smoke pool / 1-thread, best of {FLOOR_ROUNDS} rounds: {ratio:.2}x");
+            let ratio = smoke_fastest[1] / smoke_fastest[0];
+            println!("smoke pool / 1-thread, fastest of {FLOOR_ROUNDS} rounds each: {ratio:.2}x");
             assert!(
                 ratio >= POOL_FLOOR,
                 "smoke shape at {par_threads} threads ran at {ratio:.2}x its 1-thread rate \
@@ -161,15 +174,17 @@ fn main() -> ExitCode {
                 (
                     "note",
                     Json::Str(
-                        "steady-state CnnLstm::train_batch throughput. cold_arena re-times \
-                         with the workspace pool cleared before every step (isolates reuse vs \
-                         kernel wins)."
+                        "steady-state CnnLstm::train_batch throughput over `rounds` rounds, \
+                         each timing the 1-thread row then the pool row: the median and the \
+                         fastest round per row. cold_arena re-times with the workspace pool \
+                         cleared before every step (isolates reuse vs kernel wins)."
                             .into(),
                     ),
                 ),
                 ("scale", Json::Str(scale.to_string())),
                 ("warmup_steps", Json::UInt(WARMUP_STEPS as u64)),
                 ("timed_steps", Json::UInt(TIMED_STEPS as u64)),
+                ("rounds", Json::UInt(FLOOR_ROUNDS as u64)),
                 ("par_threads", Json::UInt(par_threads as u64)),
                 (
                     "hardware_threads",

@@ -1,12 +1,18 @@
 //! 1-D convolution.
 //!
-//! The forward and backward passes are built on the shared
-//! [`im2col`]/[`matmul_abt`] primitives with per-sample (intra-batch)
-//! parallelism from `bf-par`. Every output element accumulates its terms
-//! in the same order as the original quadruple loop — bias first, then
-//! `(ci, k)`-major — so results are bit-identical to the scalar path and
-//! independent of `BF_THREADS`. Tiny shapes skip the im2col detour and
-//! take a hoisted scalar path instead.
+//! The forward unfolds each sample (im2col) and runs one [`matmul`] on
+//! it, with per-sample (intra-batch) parallelism from `bf-par`. The
+//! matmul's SIMD lanes run along the longer output axis, picked from the
+//! layer's shape ([`Conv1d::forward_path`]): across output positions
+//! when the output row is at least as long as the channel count (the
+//! sample unfolded k-major, `W · colsᵀ`), else across output channels
+//! (the weights transposed into pooled scratch on every call,
+//! `cols · Wᵀ`, and the product transposed into the output). Every
+//! output element accumulates its terms in the same order as the
+//! original quadruple loop — bias first, then `(ci, k)`-major — so
+//! results are bit-identical to the scalar path and independent of
+//! `BF_THREADS`. Tiny shapes skip the im2col detour and take a hoisted
+//! scalar path instead.
 //!
 //! The parameter-gradient sweep walks, per output channel, each
 //! sample's gradient row (and, on the im2col paths, that sample's block
@@ -17,7 +23,10 @@
 //! input-gradient pass: the network's first layer has no reader for it.
 
 use crate::param::Param;
-use crate::tensor::{axpy2_unrolled, axpy_unrolled, dot_unrolled_from, im2col_into, matmul_abt, Tensor};
+use crate::tensor::{
+    axpy2_unrolled, axpy_unrolled, dot_unrolled_from, im2col_into, im2col_kmajor_into, matmul,
+    transpose_into, Tensor,
+};
 use crate::workspace::{self, ScratchBuf};
 use crate::Layer;
 use bf_stats::SeedRng;
@@ -50,6 +59,17 @@ fn for_each_nonzero(row: &[f32], mut f: impl FnMut(usize, f32)) {
             f(b * BLOCK + p, block[p]);
         }
     }
+}
+
+/// The forward's kernel for one layer shape ([`Conv1d::forward_path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// The hoisted scalar loop, for shapes too small to unfold.
+    Scalar,
+    /// `W · colsᵀ`: lanes across output positions.
+    Positions,
+    /// `(cols · Wᵀ)ᵀ`: lanes across output channels.
+    Channels,
 }
 
 /// Strided valid 1-D convolution mapping `(N, C_in, L)` to
@@ -110,6 +130,21 @@ impl Conv1d {
     /// Per-sample multiply-add count, the im2col-vs-scalar gate.
     fn sample_flops(&self, lo: usize) -> usize {
         self.out_channels * lo * self.in_channels * self.kernel
+    }
+
+    /// How the forward computes an output of `lo` positions: scalar
+    /// below the im2col gate, else one [`matmul`] whose lanes run along
+    /// the longer output axis. A row at least as long as the channel
+    /// count puts positions in the lanes; a shorter row puts channels
+    /// there, leaving fewer lanes idle in the last tile.
+    fn forward_path(&self, lo: usize) -> Path {
+        if self.sample_flops(lo) < IM2COL_MIN_FLOPS {
+            Path::Scalar
+        } else if lo >= self.out_channels {
+            Path::Positions
+        } else {
+            Path::Channels
+        }
     }
 
     /// Scalar fallback for one sample: bias hoisted out of the position
@@ -340,38 +375,49 @@ impl Layer for Conv1d {
         let n = x.shape()[0];
         let l = x.shape()[2];
         let lo = self.out_len(l);
-        let mut out = workspace::tensor(&[n, self.out_channels, lo]);
-        let use_im2col = self.sample_flops(lo) >= IM2COL_MIN_FLOPS;
-        let ck = self.in_channels * self.kernel;
-        let sample_len = self.in_channels * l;
+        let (cin, cout, k, stride) = (self.in_channels, self.out_channels, self.kernel, self.stride);
+        let mut out = workspace::tensor(&[n, cout, lo]);
+        let path = self.forward_path(lo);
+        let ck = cin * k;
+        let sample_len = cin * l;
         let xdata = x.data();
+        // Lanes across channels read the weights k-major: transposed on
+        // every call, so an optimizer step can leave no stale copy.
+        let mut wt = ScratchBuf::of_len(if path == Path::Channels { ck * cout } else { 0 });
+        if path == Path::Channels {
+            transpose_into(&self.weight.value, cout, ck, &mut wt);
+        }
+        let wt = &*wt;
         // Each sample owns a disjoint slab of `out`; the per-worker
-        // scratch is the im2col column buffer (pooled, so a steady-state
-        // step on one worker never allocates here). The per-sample MAC
-        // count doubles as the fork-join work estimate: small shapes
-        // stay inline instead of paying spawn cost.
+        // scratch is the unfolded sample and, across channels, the
+        // `(lo, C_out)` product before its transpose (pooled, so a
+        // steady-state step on one worker never allocates here). The
+        // per-sample MAC count doubles as the fork-join work estimate:
+        // small shapes stay inline instead of paying spawn cost.
         bf_par::par_chunks_mut_scratch(
             out.data_mut(),
-            self.out_channels * lo,
+            cout * lo,
             1,
             self.sample_flops(lo),
-            || ScratchBuf::of_len(if use_im2col { lo * ck } else { 0 }),
-            |i, chunk, col| {
+            || {
+                let unfolded = if path == Path::Scalar { 0 } else { lo * ck };
+                let product = if path == Path::Channels { lo * cout } else { 0 };
+                (ScratchBuf::of_len(unfolded), ScratchBuf::of_len(product))
+            },
+            |i, chunk, (col, product)| {
                 let sample = &xdata[i * sample_len..(i + 1) * sample_len];
-                if use_im2col {
-                    im2col_into(sample, self.in_channels, l, self.kernel, self.stride, col);
-                    matmul_abt(
-                        &self.weight.value,
-                        col,
-                        self.out_channels,
-                        lo,
-                        ck,
-                        Some(&self.bias.value),
-                        None,
-                        chunk,
-                    );
-                } else {
-                    self.forward_sample_scalar(sample, l, lo, chunk);
+                match path {
+                    Path::Positions => {
+                        im2col_kmajor_into(sample, cin, l, k, stride, col);
+                        let (w, b) = (&self.weight.value, &self.bias.value);
+                        matmul(w, col, cout, lo, ck, Some(b), None, chunk);
+                    }
+                    Path::Channels => {
+                        im2col_into(sample, cin, l, k, stride, col);
+                        matmul(col, wt, lo, cout, ck, None, Some(&self.bias.value), product);
+                        transpose_into(product, lo, cout, chunk);
+                    }
+                    Path::Scalar => self.forward_sample_scalar(sample, l, lo, chunk),
                 }
             },
         );
@@ -532,6 +578,61 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The forward's contract, written as the textbook loop: each output
+    /// starts at its channel's bias and adds its `(ci, k)` products in
+    /// index order.
+    fn reference_forward(c: &Conv1d, x: &Tensor) -> Vec<f32> {
+        let (n, cin, l) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (cout, k, lo) = (c.out_channels, c.kernel, c.out_len(l));
+        let mut out = vec![0.0f32; n * cout * lo];
+        for i in 0..n {
+            for co in 0..cout {
+                for p in 0..lo {
+                    let mut acc = c.bias.value[co];
+                    for ci in 0..cin {
+                        for kk in 0..k {
+                            acc += c.weight.value[c.w(co, ci, kk)]
+                                * x.data()[(i * cin + ci) * l + p * c.stride + kk];
+                        }
+                    }
+                    out[(i * cout + co) * lo + p] = acc;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn forward_matches_the_textbook_loop_on_every_path() {
+        use Path::{Channels, Positions, Scalar};
+        // (label, in, out, kernel, stride, length, path): output rows on
+        // both sides of the lanes switch (`lo` against `C_out`).
+        let cases = [
+            ("long row (cv_train conv1)", 1, 16, 8, 3, 600, Positions),
+            ("row one longer than the channels", 8, 16, 8, 3, 56, Positions),
+            ("row as long as the channels", 8, 16, 8, 3, 53, Positions),
+            ("row one shorter than the channels", 8, 16, 8, 3, 50, Channels),
+            ("short row (cv_train conv2)", 16, 16, 8, 3, 49, Channels),
+            ("odd channel count, long row", 3, 21, 5, 2, 61, Positions),
+            ("odd channel count, short row", 6, 21, 5, 2, 43, Channels),
+            ("scalar", 2, 3, 3, 2, 20, Scalar),
+        ];
+        let n = 3;
+        for (seed, (label, cin, cout, k, stride, l, path)) in (31u64..).zip(cases) {
+            let mut rng = SeedRng::new(seed);
+            let mut c = Conv1d::new(cin, cout, k, stride, &mut rng);
+            let lo = c.out_len(l);
+            assert_eq!(c.forward_path(lo), path, "{label}");
+            c.bias.value = (0..cout).map(|_| rng.normal(0.0, 0.5) as f32).collect();
+            let x: Vec<f32> = (0..n * cin * l).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+            let x = Tensor::new(&[n, cin, l], x);
+            let want = reference_forward(&c, &x);
+            let y = c.forward(&x, false);
+            assert_eq!(y.shape(), &[n, cout, lo]);
+            assert_eq!(bits(y.data()), bits(&want), "{label}");
+        }
     }
 
     #[test]

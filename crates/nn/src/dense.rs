@@ -1,16 +1,18 @@
 //! Fully connected layer.
 //!
-//! Forward runs on the shared [`matmul_abt`] blocked kernel; backward
-//! splits into a parameter pass (parallel over output units) and an
-//! input-gradient pass (parallel over samples), both preserving the
-//! sequential per-element accumulation order so results are bit-exact
-//! across thread counts. Dense shapes in this pipeline are small (≤ 100
+//! Forward runs one row of the shared [`matmul`] per sample, with the
+//! weights transposed into pooled scratch on every call so the SIMD
+//! lanes run across output features; backward splits into a parameter
+//! pass (parallel over output units) and an input-gradient pass
+//! (parallel over samples). Both directions keep the sequential
+//! per-element accumulation order, so results are bit-exact across
+//! thread counts. Dense shapes in this pipeline are small (≤ 100
 //! units), so the `bf-par` grain keeps typical batches inline — and
 //! every scratch buffer comes from the [`workspace`] arena, so a
 //! steady-state step on one worker never allocates here.
 
 use crate::param::Param;
-use crate::tensor::{axpy_unrolled, matmul_abt, Tensor};
+use crate::tensor::{axpy_unrolled, matmul, transpose_into, Tensor};
 use crate::workspace::{self, ScratchBuf};
 use crate::Layer;
 use bf_stats::SeedRng;
@@ -53,32 +55,29 @@ impl Layer for Dense {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "dense expects (N, features)");
         assert_eq!(x.shape()[1], self.in_features, "dense input width mismatch");
-        let n = x.batch();
-        let mut out = workspace::tensor(&[n, self.out_features]);
+        let (n, in_f, out_f) = (x.batch(), self.in_features, self.out_features);
+        let mut out = workspace::tensor(&[n, out_f]);
         let xdata = x.data();
+        // The weights read k-major, so the lanes run across output
+        // features: transposed on every call, so an optimizer step can
+        // leave no stale copy.
+        let mut wt = ScratchBuf::of_len(in_f * out_f);
+        transpose_into(&self.weight.value, out_f, in_f, &mut wt);
+        let wt = &*wt;
         // Sample rows are independent, so splitting the batch across
         // workers cannot change any output bit; the grain keeps small
         // batches on one thread and the per-row MAC estimate keeps tiny
-        // layers inline. Each row runs the same `m = 1` matmul the
-        // sequential path used, so accumulation order is unchanged.
+        // layers inline. Each row is one `m = 1` matmul, each output
+        // starting from its bias and adding its products in input order.
         bf_par::par_chunks_mut_scratch(
             out.data_mut(),
-            self.out_features,
+            out_f,
             64,
-            self.in_features * self.out_features,
+            in_f * out_f,
             || (),
             |i, row, ()| {
-                let xi = &xdata[i * self.in_features..(i + 1) * self.in_features];
-                matmul_abt(
-                    xi,
-                    &self.weight.value,
-                    1,
-                    self.out_features,
-                    self.in_features,
-                    None,
-                    Some(&self.bias.value),
-                    row,
-                );
+                let xi = &xdata[i * in_f..(i + 1) * in_f];
+                matmul(xi, wt, 1, out_f, in_f, None, Some(&self.bias.value), row);
             },
         );
         if train {
@@ -182,6 +181,31 @@ mod tests {
         let x = Tensor::new(&[1, 2], vec![10.0, 20.0]);
         let y = d.forward(&x, false);
         assert_eq!(y.data(), &[10.0 + 40.0 + 0.5, 30.0 + 80.0 - 0.5]);
+    }
+
+    #[test]
+    fn forward_matches_the_textbook_loop() {
+        // Output widths below, at and past the lane tile, and odd ones.
+        for (seed, (in_f, out_f)) in (40u64..).zip([(32, 20), (7, 16), (33, 1), (5, 100), (1, 37)]) {
+            let mut rng = SeedRng::new(seed);
+            let mut d = Dense::new(in_f, out_f, &mut rng);
+            d.bias.value = (0..out_f).map(|_| rng.normal(0.0, 0.5) as f32).collect();
+            let n = 5;
+            let x: Vec<f32> = (0..n * in_f).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+            let mut want = vec![0.0f32; n * out_f];
+            for i in 0..n {
+                for o in 0..out_f {
+                    let mut acc = d.bias.value[o];
+                    for f in 0..in_f {
+                        acc += x[i * in_f + f] * d.weight.value[o * in_f + f];
+                    }
+                    want[i * out_f + o] = acc;
+                }
+            }
+            let y = d.forward(&Tensor::new(&[n, in_f], x), false);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(y.data()), bits(&want), "{in_f} -> {out_f}");
+        }
     }
 
     /// Finite-difference gradient check through a real loss.

@@ -12,12 +12,16 @@
 //! into a slab of parameter-gradient and input-gradient partials that
 //! `bf_par::par_map_merge` hands back in sample order. Within a sample
 //! the input contribution to every timestep's gate pre-activations is
-//! hoisted into a single blocked matmul against `w_ih` ([`matmul_abt`]);
-//! only the recurrent term stays in the time loop. Per-element
-//! accumulation order matches the sequential reference, so forward
-//! outputs and input gradients are bit-identical to it, and
-//! parameter-gradient partials are reduced in sample order, so all
-//! results are bit-stable across thread counts.
+//! hoisted into a single [`matmul`] against `w_ih`; only the recurrent
+//! term, a one-row [`matmul`] against `w_hh`, stays in the time loop.
+//! Both read their weights k-major (transposed into pooled scratch on
+//! every forward call), so the SIMD lanes run across the 4H gate rows.
+//! The forward caches act(c), so the backward makes no transcendental
+//! call, and each backward step accumulates its input gradient into one
+//! contiguous row. Per-element accumulation order matches the
+//! sequential reference, so forward outputs and input gradients are
+//! bit-identical to it, and parameter-gradient partials are reduced in
+//! sample order, so all results are bit-stable across thread counts.
 //!
 //! The per-sample caches (one set for training, one for inference) are
 //! persistent fields reset in place each forward, and all remaining
@@ -25,7 +29,7 @@
 //! one worker performs no heap allocation here.
 
 use crate::param::Param;
-use crate::tensor::{axpy_unrolled, matmul_abt, Tensor};
+use crate::tensor::{axpy_unrolled, matmul, transpose_into, Tensor};
 use crate::workspace::{self, ScratchBuf};
 use crate::Layer;
 use bf_stats::SeedRng;
@@ -82,6 +86,9 @@ struct SampleCache {
     o: Vec<f32>,
     /// Cell state after each step, `(steps, H)`.
     c: Vec<f32>,
+    /// act(c) after each step, `(steps, H)`: the forward's value, so
+    /// the backward needs no second libm call per unit and step.
+    ac: Vec<f32>,
     /// Hidden state after each step, `(steps, H)`.
     h: Vec<f32>,
 }
@@ -100,6 +107,7 @@ impl SampleCache {
         fit(&mut self.g, steps * h);
         fit(&mut self.o, steps * h);
         fit(&mut self.c, steps * h);
+        fit(&mut self.ac, steps * h);
         fit(&mut self.h, steps * h);
     }
 }
@@ -174,14 +182,16 @@ impl Lstm {
 
     /// Run one sample `(feat, steps)` through the recurrence, leaving
     /// the per-step values in `cache` (the final hidden state is its
-    /// last `h` row). `zx` must hold `steps * 4H` elements, `z` `4H`,
-    /// and `c_prev`/`h_prev` `H` each; all scratch contents are
-    /// overwritten. Pure in the sample and the layer parameters, so
-    /// samples can run on any worker.
+    /// last `h` row). `w_ih_t` and `w_hh_t` are the input and recurrent
+    /// weights read k-major, `(F, 4H)` and `(H, 4H)`. `zx` must hold
+    /// `steps * 4H` elements, `z` `4H`, and `c_prev`/`h_prev` `H` each;
+    /// all scratch contents are overwritten. Pure in the sample and the
+    /// layer parameters, so samples can run on any worker.
     #[allow(clippy::too_many_arguments)]
     fn forward_sample_into(
         &self,
         sample: &[f32],
+        (w_ih_t, w_hh_t): (&[f32], &[f32]),
         feat: usize,
         steps: usize,
         cache: &mut SampleCache,
@@ -194,37 +204,36 @@ impl Lstm {
         let h4 = 4 * h;
         cache.reset(feat, steps, h);
         // Gather time-major (steps, F) so the input term of every
-        // timestep's pre-activation becomes one blocked matmul.
-        for ci in 0..feat {
-            for t in 0..steps {
-                cache.xs[t * feat + ci] = sample[ci * steps + t];
-            }
-        }
-        // zx[t, row] = bias[row] + dot(w_ih[row], x_t): the bias-then-
-        // input prefix of the gate pre-activation, hoisted out of the
-        // time loop with the reference accumulation order intact.
-        matmul_abt(&cache.xs, &self.w_ih.value, steps, h4, feat, None, Some(&self.bias.value), zx);
+        // timestep's pre-activation becomes one matmul.
+        transpose_into(sample, feat, steps, &mut cache.xs);
+        // zx[t, row] = bias[row] + Σ_f x_t[f] · w_ih[row, f]: the
+        // bias-then-input prefix of the gate pre-activation, hoisted out
+        // of the time loop with the reference accumulation order intact.
+        // The lanes run across the 4H gate rows.
+        matmul(&cache.xs, w_ih_t, steps, h4, feat, None, Some(&self.bias.value), zx);
         c_prev.fill(0.0);
         h_prev.fill(0.0);
         for t in 0..steps {
-            // Recurrent term: one register-blocked matvec per step. Each
-            // gate row's accumulator starts at its `zx` entry and adds
-            // its `h` products in index order — the reference's
+            // Recurrent term: one matvec per step, lanes across the gate
+            // rows. Each row's accumulator starts at its `zx` entry and
+            // adds its `h` products in index order — the reference's
             // row-then-k order exactly.
-            matmul_abt(h_prev, &self.w_hh.value, 1, h4, h, None, Some(&zx[t * h4..(t + 1) * h4]), z);
+            matmul(h_prev, w_hh_t, 1, h4, h, None, Some(&zx[t * h4..(t + 1) * h4]), z);
             for u in 0..h {
                 let i_g = sigmoid(z[u]);
                 let f_g = sigmoid(z[h + u]);
                 let g_g = self.activation.apply(z[2 * h + u]);
                 let o_g = sigmoid(z[3 * h + u]);
                 let c_new = f_g * c_prev[u] + i_g * g_g;
-                let h_new = o_g * self.activation.apply(c_new);
+                let ac = self.activation.apply(c_new);
+                let h_new = o_g * ac;
                 let idx = t * h + u;
                 cache.i[idx] = i_g;
                 cache.f[idx] = f_g;
                 cache.g[idx] = g_g;
                 cache.o[idx] = o_g;
                 cache.c[idx] = c_new;
+                cache.ac[idx] = ac;
                 cache.h[idx] = h_new;
                 c_prev[u] = c_new;
                 h_prev[u] = h_new;
@@ -234,8 +243,10 @@ impl Lstm {
 
     /// One sample's BPTT chain. `dh` must arrive holding the sample's
     /// output gradient; `dwih`/`dwhh`/`dbias`/`dxs`/`dc`/`dh_prev` must
-    /// arrive zeroed. Partials are accumulated exactly as the sequential
-    /// reference loop did.
+    /// arrive zeroed. `dxs` is the input gradient time-major, `(steps,
+    /// F)`: each step accumulates into one contiguous row. Every element
+    /// receives the same products in the same order as the sequential
+    /// reference loop, which scattered into `(F, steps)`.
     #[allow(clippy::too_many_arguments)]
     fn backward_sample(
         &self,
@@ -257,15 +268,16 @@ impl Lstm {
         let h = self.hidden;
         for t in (0..steps).rev() {
             dh_prev.fill(0.0);
+            let xs_t = &cache.xs[t * feat..(t + 1) * feat];
+            let dx_t = &mut dxs[t * feat..(t + 1) * feat];
             for u in 0..h {
                 let idx = t * h + u;
                 let i_g = cache.i[idx];
                 let f_g = cache.f[idx];
                 let g_g = cache.g[idx];
                 let o_g = cache.o[idx];
-                let c_v = cache.c[idx];
+                let ac = cache.ac[idx];
                 let c_prev_v = if t == 0 { 0.0 } else { cache.c[idx - h] };
-                let ac = self.activation.apply(c_v);
                 // h = o * act(c)
                 let dz_o = dh[u] * ac * o_g * (1.0 - o_g);
                 let dc_total = dc[u] + dh[u] * o_g * self.activation.grad_from_value(ac);
@@ -281,16 +293,13 @@ impl Lstm {
                         continue;
                     }
                     dbias[row] += dz;
-                    // The four accumulation targets are disjoint arrays,
-                    // so splitting the reference's fused loops into one
+                    // The accumulation targets are disjoint arrays, so
+                    // splitting the reference's fused loops into one
                     // (vectorizable) pass per target reorders nothing
                     // within any element's chain.
                     let wbase = row * feat;
-                    let xs_t = &cache.xs[t * feat..(t + 1) * feat];
                     axpy_unrolled(&mut dwih[wbase..wbase + feat], dz, xs_t);
-                    for ci in 0..feat {
-                        dxs[ci * steps + t] += dz * self.w_ih.value[wbase + ci];
-                    }
+                    axpy_unrolled(dx_t, dz, &self.w_ih.value[wbase..wbase + feat]);
                     let ubase = row * h;
                     if t > 0 {
                         axpy_unrolled(
@@ -331,6 +340,14 @@ impl Layer for Lstm {
             caches.resize_with(n, SampleCache::default);
         }
         let mut caches = std::mem::take(caches);
+        // Both weight matrices read k-major, so the lanes run across the
+        // gate rows: transposed on every call, so an optimizer step can
+        // leave no stale copy.
+        let mut w_ih_t = ScratchBuf::of_len(h4 * feat);
+        transpose_into(&self.w_ih.value, h4, feat, &mut w_ih_t);
+        let mut w_hh_t = ScratchBuf::of_len(h4 * h);
+        transpose_into(&self.w_hh.value, h4, h, &mut w_hh_t);
+        let weights_t = (&*w_ih_t, &*w_hh_t);
         bf_par::par_chunks_mut_scratch(
             &mut caches[..n],
             1,
@@ -346,7 +363,8 @@ impl Layer for Lstm {
             },
             |s, cache, (zx, z, c_prev, h_prev)| {
                 let sample = &x.data()[s * sample_len..(s + 1) * sample_len];
-                self.forward_sample_into(sample, feat, steps, &mut cache[0], zx, z, c_prev, h_prev);
+                let cache = &mut cache[0];
+                self.forward_sample_into(sample, weights_t, feat, steps, cache, zx, z, c_prev, h_prev);
             },
         );
         for (row, cache) in out.data_mut().chunks_mut(h).zip(&caches) {
@@ -376,9 +394,10 @@ impl Layer for Lstm {
             std::mem::take(&mut self.bias.grad),
         ];
         // One slab per sample: its `w_ih`, `w_hh` and bias partials, then
-        // its dx slab. Each chain touches only its own cache and slab;
-        // the partials are added in sample order, so the bits depend
-        // only on that fixed order, never on scheduling.
+        // its time-major dx slab, which the merge transposes into the
+        // sample's `(F, steps)` slab of dx. Each chain touches only its
+        // own cache and slab; the partials are added in sample order, so
+        // the bits depend only on that fixed order, never on scheduling.
         let (len_ih, len_hh) = (h4 * feat, h4 * h);
         bf_par::par_map_merge(
             n,
@@ -406,7 +425,7 @@ impl Layer for Lstm {
                         *dst += src;
                     }
                 }
-                dx.data_mut()[s * slab_x..(s + 1) * slab_x].copy_from_slice(dxs);
+                transpose_into(dxs, steps, feat, &mut dx.data_mut()[s * slab_x..(s + 1) * slab_x]);
             },
         );
         [self.w_ih.grad, self.w_hh.grad, self.bias.grad] = grads;
@@ -588,6 +607,174 @@ mod tests {
         let y = l.forward(&x, false);
         for &v in y.data() {
             assert!((0.0..1.0).contains(&v), "v = {v}");
+        }
+    }
+
+    /// Bits with every NaN read as one value: Rust leaves NaN payloads
+    /// unspecified, so only NaN-ness is part of the contract.
+    fn canon(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// The forward's contract as the textbook loop: each gate
+    /// pre-activation starts at its bias, adds its input products in
+    /// feature order, then its recurrent products in unit order.
+    fn reference_forward(l: &Lstm, x: &Tensor) -> Vec<f32> {
+        let (n, feat, steps) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let h = l.hidden;
+        let mut out = vec![0.0f32; n * h];
+        for s in 0..n {
+            let (mut c, mut hs, mut z) = (vec![0.0f32; h], vec![0.0f32; h], vec![0.0f32; 4 * h]);
+            for t in 0..steps {
+                for (row, zv) in z.iter_mut().enumerate() {
+                    let mut acc = l.bias.value[row];
+                    for f in 0..feat {
+                        acc += x.data()[(s * feat + f) * steps + t] * l.w_ih.value[row * feat + f];
+                    }
+                    for (hv, w) in hs.iter().zip(&l.w_hh.value[row * h..(row + 1) * h]) {
+                        acc += hv * w;
+                    }
+                    *zv = acc;
+                }
+                for u in 0..h {
+                    let c_new =
+                        sigmoid(z[h + u]) * c[u] + sigmoid(z[u]) * l.activation.apply(z[2 * h + u]);
+                    hs[u] = sigmoid(z[3 * h + u]) * l.activation.apply(c_new);
+                    c[u] = c_new;
+                }
+            }
+            out[s * h..(s + 1) * h].copy_from_slice(&hs);
+        }
+        out
+    }
+
+    #[test]
+    fn forward_matches_the_textbook_loop() {
+        // (feat, hidden, steps, n): the cv_train shape, gate counts (4H)
+        // off the lane tile, and the one-unit degenerate case.
+        let shapes = [(16, 32, 3, 4), (3, 5, 7, 3), (5, 9, 4, 2), (1, 1, 1, 1)];
+        for activation in [LstmActivation::Tanh, LstmActivation::Sigmoid] {
+            for (seed, (feat, h, steps, n)) in (60u64..).zip(shapes) {
+                let mut rng = SeedRng::new(seed);
+                let mut l = Lstm::with_activation(feat, h, activation, &mut rng);
+                let x: Vec<f32> = (0..n * feat * steps).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+                let x = Tensor::new(&[n, feat, steps], x);
+                let want = reference_forward(&l, &x);
+                for train in [false, true] {
+                    let y = l.forward(&x, train);
+                    assert_eq!(canon(y.data()), canon(&want), "{activation:?} {feat}x{h}x{steps}");
+                }
+            }
+        }
+    }
+
+    /// The per-row BPTT loop as it stood before act(c) was cached: it
+    /// recomputes act(c) at every unit and step, and scatters the input
+    /// gradient into `(feat, steps)` with stride `steps`. Returns the
+    /// sample's `w_ih`, `w_hh`, bias and input-gradient partials.
+    fn reference_backward_sample(
+        l: &Lstm,
+        cache: &SampleCache,
+        feat: usize,
+        steps: usize,
+        grad_row: &[f32],
+    ) -> [Vec<f32>; 4] {
+        let h = l.hidden;
+        let (mut dwih, mut dwhh) = (vec![0.0f32; 4 * h * feat], vec![0.0f32; 4 * h * h]);
+        let (mut dbias, mut dxs) = (vec![0.0f32; 4 * h], vec![0.0f32; feat * steps]);
+        let (mut dh, mut dh_prev, mut dc) = (grad_row.to_vec(), vec![0.0f32; h], vec![0.0f32; h]);
+        for t in (0..steps).rev() {
+            dh_prev.fill(0.0);
+            for u in 0..h {
+                let idx = t * h + u;
+                let i_g = cache.i[idx];
+                let f_g = cache.f[idx];
+                let g_g = cache.g[idx];
+                let o_g = cache.o[idx];
+                let c_v = cache.c[idx];
+                let c_prev_v = if t == 0 { 0.0 } else { cache.c[idx - h] };
+                let ac = l.activation.apply(c_v);
+                let dz_o = dh[u] * ac * o_g * (1.0 - o_g);
+                let dc_total = dc[u] + dh[u] * o_g * l.activation.grad_from_value(ac);
+                let dz_i = dc_total * g_g * i_g * (1.0 - i_g);
+                let dz_g = dc_total * i_g * l.activation.grad_from_value(g_g);
+                let dz_f = dc_total * c_prev_v * f_g * (1.0 - f_g);
+                dc[u] = dc_total * f_g;
+                let gate_rows = [u, h + u, 2 * h + u, 3 * h + u];
+                for (row, dz) in gate_rows.into_iter().zip([dz_i, dz_f, dz_g, dz_o]) {
+                    if dz == 0.0 {
+                        continue;
+                    }
+                    dbias[row] += dz;
+                    for ci in 0..feat {
+                        dwih[row * feat + ci] += dz * cache.xs[t * feat + ci];
+                    }
+                    for ci in 0..feat {
+                        dxs[ci * steps + t] += dz * l.w_ih.value[row * feat + ci];
+                    }
+                    if t > 0 {
+                        for k in 0..h {
+                            dwhh[row * h + k] += dz * cache.h[(t - 1) * h + k];
+                        }
+                    }
+                    for (d, w) in dh_prev.iter_mut().zip(&l.w_hh.value[row * h..(row + 1) * h]) {
+                        *d += dz * w;
+                    }
+                }
+            }
+            std::mem::swap(&mut dh, &mut dh_prev);
+        }
+        [dwih, dwhh, dbias, dxs]
+    }
+
+    #[test]
+    fn backward_matches_the_per_row_reference() {
+        let (n, feat, h, steps) = (3, 5, 6, 4);
+        for (seed, activation) in [(70u64, LstmActivation::Tanh), (71, LstmActivation::Sigmoid)] {
+            let mut rng = SeedRng::new(seed);
+            let mut l = Lstm::with_activation(feat, h, activation, &mut rng);
+            let x: Vec<f32> = (0..n * feat * steps).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+            let _ = l.forward(&Tensor::new(&[n, feat, steps], x), true);
+            // At step 1 every even unit's gates sit exactly saturated, so
+            // all four of its gate gradients are exactly 0; the step's
+            // cached input and the hidden state it reads hold ±inf and
+            // NaN. Only the zero skip keeps `0 · inf` out of the weight
+            // gradients (the accumulators start at +0, so a finite
+            // operand could not tell a skipped zero from an added one).
+            for cache in &mut l.caches[..n] {
+                for u in (0..h).step_by(2) {
+                    let idx = h + u;
+                    (cache.i[idx], cache.f[idx], cache.g[idx], cache.o[idx]) = (1.0, 0.0, 1.0, 1.0);
+                }
+                cache.xs[feat..feat + 3].copy_from_slice(&[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+                cache.h[1] = f32::INFINITY;
+                cache.h[2] = f32::NAN;
+            }
+            // Gradients already accumulated by an earlier batch.
+            l.w_ih.grad = (0..4 * h * feat).map(|_| rng.normal(0.0, 0.1) as f32).collect();
+            l.w_hh.grad = (0..4 * h * h).map(|_| rng.normal(0.0, 0.1) as f32).collect();
+            l.bias.grad = (0..4 * h).map(|_| rng.normal(0.0, 0.1) as f32).collect();
+            // Some output gradients exactly 0 as well.
+            let g: Vec<f32> =
+                (0..n * h).map(|t| if t % 3 == 0 { 0.0 } else { rng.normal(0.0, 1.0) as f32 }).collect();
+
+            let mut want =
+                [l.w_ih.grad.clone(), l.w_hh.grad.clone(), l.bias.grad.clone(), Vec::new()];
+            for s in 0..n {
+                let parts = reference_backward_sample(&l, &l.caches[s], feat, steps, &g[s * h..(s + 1) * h]);
+                for (acc, part) in want.iter_mut().zip(&parts).take(3) {
+                    for (dst, src) in acc.iter_mut().zip(part) {
+                        *dst += src;
+                    }
+                }
+                want[3].extend_from_slice(&parts[3]);
+            }
+            let dx = l.backward(&Tensor::new(&[n, h], g));
+            let got = [&l.w_ih.grad[..], &l.w_hh.grad[..], &l.bias.grad[..], dx.data()];
+            for (name, (got, want)) in ["w_ih", "w_hh", "bias", "dx"].iter().zip(got.iter().zip(&want)) {
+                assert_eq!(canon(got), canon(want), "{activation:?}: {name}");
+            }
+            assert!(l.w_ih.grad.iter().any(|v| v.is_nan()), "the fixture reaches a non-finite input");
         }
     }
 

@@ -14,6 +14,10 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"BFNNCKPT";
 const VERSION: u32 = 1;
+/// Most elements [`read_params`] reserves before the bytes that fill
+/// them have arrived. The header's counts and lengths are untrusted:
+/// one 24-byte header can declare a tensor of `u32::MAX` floats.
+const RESERVE_AHEAD: usize = 1 << 16;
 
 /// Why a parameter checkpoint could not be written or read.
 #[derive(Debug)]
@@ -103,7 +107,7 @@ pub fn read_params<R: Read>(mut r: R) -> Result<Vec<Vec<f32>>, CheckpointError> 
     if n_tensors > 1_000_000 {
         return Err(CheckpointError::Format("implausible tensor count".to_owned()));
     }
-    let mut lens = Vec::with_capacity(n_tensors);
+    let mut lens = Vec::with_capacity(n_tensors.min(RESERVE_AHEAD));
     let mut buf8 = [0u8; 8];
     for _ in 0..n_tensors {
         r.read_exact(&mut buf8)?;
@@ -113,12 +117,14 @@ pub fn read_params<R: Read>(mut r: R) -> Result<Vec<Vec<f32>>, CheckpointError> 
         }
         lens.push(len as usize);
     }
-    let mut params = Vec::with_capacity(n_tensors);
+    let mut params = Vec::with_capacity(lens.len().min(RESERVE_AHEAD));
     for len in lens {
-        let mut data = vec![0f32; len];
-        for v in &mut data {
+        // Grown as the payload arrives: a truncated file ends in
+        // `UnexpectedEof` having reserved about what it held.
+        let mut data = Vec::with_capacity(len.min(RESERVE_AHEAD));
+        for _ in 0..len {
             r.read_exact(&mut buf4)?;
-            *v = f32::from_le_bytes(buf4);
+            data.push(f32::from_le_bytes(buf4));
         }
         params.push(data);
     }

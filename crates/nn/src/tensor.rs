@@ -1,6 +1,15 @@
-//! A minimal contiguous f32 tensor, plus the shared cache-friendly
-//! kernel primitives (im2col unfolding and a blocked matmul) that the
-//! Conv1d/Dense/LSTM layers build their forward and backward passes on.
+//! A minimal contiguous f32 tensor, plus the shared kernel primitives
+//! the Conv1d/Dense/LSTM layers build their forward and backward passes
+//! on: im2col unfolding (row-major and k-major), a transpose, the
+//! elementwise `axpy` updates, an in-order dot product and one matmul.
+//!
+//! [`matmul`] reads its right operand k-major, so each SIMD lane holds
+//! one output element and adds that element's products in `k` order,
+//! starting from its init value. The lanes run across independent
+//! outputs, never across one output's sum, so every result is
+//! bit-identical to the textbook triple loop. A caller whose right
+//! operand is a weight matrix stored row-major transposes it into
+//! pooled scratch on every call ([`transpose_into`]).
 
 /// A dense, row-major f32 tensor with a dynamic shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,6 +213,39 @@ pub fn im2col_into(
     lo
 }
 
+/// [`im2col_into`] laid out k-major: `out` is `(channels * kernel,
+/// L_out)`, the transpose of the im2col matrix. Row `ci * kernel + k`
+/// holds tap `k` of channel `ci` at every window position, which is the
+/// right operand a convolution hands [`matmul`] when its lanes run
+/// across output positions.
+///
+/// # Panics
+///
+/// Panics on the same shape violations as [`im2col_into`].
+pub fn im2col_kmajor_into(
+    sample: &[f32],
+    channels: usize,
+    len: usize,
+    kernel: usize,
+    stride: usize,
+    out: &mut [f32],
+) -> usize {
+    assert_eq!(sample.len(), channels * len, "sample shape mismatch");
+    assert!(kernel > 0 && stride > 0, "kernel and stride must be positive");
+    assert!(len >= kernel, "input length {len} shorter than kernel {kernel}");
+    let lo = (len - kernel) / stride + 1;
+    assert_eq!(out.len(), lo * channels * kernel, "im2col output size mismatch");
+    for (ci, xrow) in sample.chunks_exact(len).enumerate() {
+        for k in 0..kernel {
+            let orow = &mut out[(ci * kernel + k) * lo..(ci * kernel + k + 1) * lo];
+            for (p, o) in orow.iter_mut().enumerate() {
+                *o = xrow[k + p * stride];
+            }
+        }
+    }
+    lo
+}
+
 /// `init + Σ a[i]·b[i]` with a fixed-width (8-lane) unrolled inner loop.
 ///
 /// Determinism contract: the eight products of a block are independent
@@ -287,27 +329,32 @@ pub fn axpy2_unrolled(y: &mut [f32], a0: f32, x0: &[f32], a1: f32, x1: &[f32]) {
     }
 }
 
-/// `out[i * n + j] = init(i, j) + dot(a[i], b[j])` for `a: (m, k)` and
-/// `b: (n, k)`, both row-major — a matmul against a transposed right-hand
-/// side, which is the natural layout for both im2col convolutions
-/// (`a` = weights, `b` = columns) and dense layers (`a` = inputs,
-/// `b` = weights).
+/// Output lanes in one register tile: four 4-wide SSE vectors per row.
+const TILE: usize = 16;
+
+/// `out = init + a·b` for `a: (m, k)` and `b: (k, n)`, both row-major:
+/// `out[i * n + j] = init(i, j) + Σ_t a[i * k + t] · b[t * n + j]`.
 ///
 /// `row_init` seeds every element of output row `i` with `row_init[i]`;
 /// `col_init` seeds element `(i, j)` with `col_init[j]` (at most one may
-/// be given — both panic). Each output element accumulates over the full
-/// `k` dimension in index order starting from its init value, so results
-/// are bit-identical to the textbook triple loop no matter how the
-/// traversal is blocked.
+/// be given — both panic).
 ///
-/// Blocking: the `j` loop is tiled so a tile of `b` rows stays in L1/L2
-/// while every `a` row streams over it once.
+/// The right operand is read k-major, so a run of adjacent outputs of
+/// one row, `out[i][j..j + 16]`, reads a run of adjacent `b` entries at
+/// every `t`: each output sits in its own SIMD lane. Lanes hold
+/// *independent* outputs; within a lane the products are added one at a
+/// time in `t` order, starting from the init value. No output's sum is
+/// ever split or reassociated, so every element is bit-identical to the
+/// textbook triple loop, however the tiles are laid out.
+///
+/// Tiles: two rows × 16 lanes (eight accumulator vectors), then a last
+/// odd row, then 4-lane and 1-lane tiles for the columns left over.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches or when both inits are provided.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_abt(
+pub fn matmul(
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -318,118 +365,93 @@ pub fn matmul_abt(
     out: &mut [f32],
 ) {
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
-    assert_eq!(b.len(), n * k, "rhs shape mismatch");
+    assert_eq!(b.len(), k * n, "rhs shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
-    assert!(
-        row_init.is_none() || col_init.is_none(),
-        "at most one init vector"
-    );
+    assert!(row_init.is_none() || col_init.is_none(), "at most one init vector");
     if let Some(init) = row_init {
         assert_eq!(init.len(), m, "row init length mismatch");
     }
     if let Some(init) = col_init {
         assert_eq!(init.len(), n, "col init length mismatch");
     }
-    let init_at = |i: usize, j: usize| match (row_init, col_init) {
-        (Some(init), _) => init[i],
-        (_, Some(init)) => init[j],
-        _ => 0.0,
-    };
-    // Tile size: keep a tile of `b` rows within ~32 KiB so they are
-    // re-read from cache for every `a` row. Bits are unaffected by the
-    // choice — accumulation per element is always full-`k`, in order.
-    let tile = (8192 / k.max(1)).clamp(1, n.max(1));
-    for jb in (0..n).step_by(tile) {
-        let je = (jb + tile).min(n);
-        // Register blocking: a 2×4 micro-tile gives every output its own
-        // accumulator — eight independent dependency chains instead of
-        // one, which is what keeps the FPU pipeline full. Each chain
-        // still adds its products strictly in `k` order seeded from its
-        // init, so every element is bit-identical to a lone dot product.
-        let mut i = 0;
-        while i + 2 <= m {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let mut j = jb;
-            while j + 4 <= je {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut acc = [
-                    init_at(i, j),
-                    init_at(i, j + 1),
-                    init_at(i, j + 2),
-                    init_at(i, j + 3),
-                    init_at(i + 1, j),
-                    init_at(i + 1, j + 1),
-                    init_at(i + 1, j + 2),
-                    init_at(i + 1, j + 3),
-                ];
-                for t in 0..k {
-                    let av0 = a0[t];
-                    let av1 = a1[t];
-                    let bv0 = b0[t];
-                    let bv1 = b1[t];
-                    let bv2 = b2[t];
-                    let bv3 = b3[t];
-                    acc[0] += av0 * bv0;
-                    acc[1] += av0 * bv1;
-                    acc[2] += av0 * bv2;
-                    acc[3] += av0 * bv3;
-                    acc[4] += av1 * bv0;
-                    acc[5] += av1 * bv1;
-                    acc[6] += av1 * bv2;
-                    acc[7] += av1 * bv3;
-                }
-                out[i * n + j..i * n + j + 4].copy_from_slice(&acc[..4]);
-                out[(i + 1) * n + j..(i + 1) * n + j + 4].copy_from_slice(&acc[4..]);
-                j += 4;
+    let mut i = 0;
+    while i < m {
+        let rows = if i + 2 <= m { 2 } else { 1 };
+        let mut j = 0;
+        while j < n {
+            let lanes = match n - j {
+                r if r >= TILE => TILE,
+                r if r >= 4 => 4,
+                _ => 1,
+            };
+            match (rows, lanes) {
+                (2, TILE) => tile::<2, TILE>(a, b, i, j, n, k, row_init, col_init, out),
+                (2, 4) => tile::<2, 4>(a, b, i, j, n, k, row_init, col_init, out),
+                (2, _) => tile::<2, 1>(a, b, i, j, n, k, row_init, col_init, out),
+                (_, TILE) => tile::<1, TILE>(a, b, i, j, n, k, row_init, col_init, out),
+                (_, 4) => tile::<1, 4>(a, b, i, j, n, k, row_init, col_init, out),
+                _ => tile::<1, 1>(a, b, i, j, n, k, row_init, col_init, out),
             }
-            while j < je {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc0 = init_at(i, j);
-                let mut acc1 = init_at(i + 1, j);
-                for t in 0..k {
-                    let bv = brow[t];
-                    acc0 += a0[t] * bv;
-                    acc1 += a1[t] * bv;
-                }
-                out[i * n + j] = acc0;
-                out[(i + 1) * n + j] = acc1;
-                j += 1;
-            }
-            i += 2;
+            j += lanes;
         }
-        if i < m {
-            let arow = &a[i * k..(i + 1) * k];
-            let mut j = jb;
-            while j + 4 <= je {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut acc = [
-                    init_at(i, j),
-                    init_at(i, j + 1),
-                    init_at(i, j + 2),
-                    init_at(i, j + 3),
-                ];
-                for t in 0..k {
-                    let av = arow[t];
-                    acc[0] += av * b0[t];
-                    acc[1] += av * b1[t];
-                    acc[2] += av * b2[t];
-                    acc[3] += av * b3[t];
-                }
-                out[i * n + j..i * n + j + 4].copy_from_slice(&acc);
-                j += 4;
+        i += rows;
+    }
+}
+
+/// One `R × W` output tile of [`matmul`] at rows `i0..i0 + R`, columns
+/// `j0..j0 + W`. The `W` lanes of an accumulator row are independent:
+/// each takes its products in `t` order, starting from its init.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    i0: usize,
+    j0: usize,
+    n: usize,
+    k: usize,
+    row_init: Option<&[f32]>,
+    col_init: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, lanes) in acc.iter_mut().enumerate() {
+        match (row_init, col_init) {
+            (Some(init), _) => *lanes = [init[i0 + r]; W],
+            (_, Some(init)) => lanes.copy_from_slice(&init[j0..j0 + W]),
+            _ => {}
+        }
+    }
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    for (t, brow) in b.chunks_exact(n).enumerate() {
+        let bt: &[f32; W] = brow[j0..j0 + W].try_into().expect("tile within the row");
+        for (lanes, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[t];
+            for (acc, bv) in lanes.iter_mut().zip(bt) {
+                *acc += av * bv;
             }
-            while j < je {
-                let brow = &b[j * k..(j + 1) * k];
-                out[i * n + j] = dot_unrolled_from(init_at(i, j), arow, brow);
-                j += 1;
-            }
+        }
+    }
+    for (r, lanes) in acc.iter().enumerate() {
+        let base = (i0 + r) * n + j0;
+        out[base..base + W].copy_from_slice(lanes);
+    }
+}
+
+/// `dst = srcᵀ` for a row-major `(rows, cols)` `src`: `dst` is
+/// `(cols, rows)`. The callers of [`matmul`] use it to read a weight
+/// matrix k-major, into pooled scratch on every call, so no cached copy
+/// can go stale after an optimizer step.
+///
+/// # Panics
+///
+/// Panics when either length is not `rows * cols`.
+pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "transpose source size mismatch");
+    assert_eq!(dst.len(), rows * cols, "transpose target size mismatch");
+    for (r, srow) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in srow.iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
 }
@@ -519,19 +541,50 @@ mod tests {
         im2col(&[0.0; 2], 1, 2, 3, 1, &mut Vec::new());
     }
 
+    /// The textbook triple loop [`matmul`] must equal bit for bit.
+    fn naive_matmul(
+        a: &[f32],
+        b: &[f32],
+        (m, n, k): (usize, usize, usize),
+        row_init: Option<&[f32]>,
+        col_init: Option<&[f32]>,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = match (row_init, col_init) {
+                    (Some(init), _) => init[i],
+                    (_, Some(init)) => init[j],
+                    _ => 0.0,
+                };
+                for t in 0..k {
+                    acc += a[i * k + t] * b[t * n + j];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Bits with every NaN read as one value: Rust leaves NaN payloads
+    /// unspecified, so only NaN-ness is part of the contract.
+    fn canon(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
     #[test]
-    fn matmul_abt_matches_naive_triple_loop() {
+    fn matmul_matches_naive_triple_loop() {
         let (m, n, k) = (5, 7, 11);
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.31).sin()).collect();
-        let b: Vec<f32> = (0..n * k).map(|i| (i as f32 * 0.17).cos()).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.17).cos()).collect();
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5).collect();
         let mut out = vec![0.0; m * n];
-        matmul_abt(&a, &b, m, n, k, Some(&bias), None, &mut out);
+        matmul(&a, &b, m, n, k, Some(&bias), None, &mut out);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = bias[i];
                 for kk in 0..k {
-                    acc += a[i * k + kk] * b[j * k + kk];
+                    acc += a[i * k + kk] * b[kk * n + j];
                 }
                 // Bit-exact: same accumulation order as the kernel.
                 assert_eq!(acc.to_bits(), out[i * n + j].to_bits(), "({i},{j})");
@@ -540,13 +593,84 @@ mod tests {
     }
 
     #[test]
-    fn matmul_abt_col_init_seeds_columns() {
+    fn matmul_col_init_seeds_columns() {
         let a = [1.0, 0.0, 0.0, 1.0]; // 2x2 identity
         let b = [2.0, 3.0, 4.0, 5.0]; // rows [2,3], [4,5]
         let cb = [100.0, 200.0];
         let mut out = vec![0.0; 4];
-        matmul_abt(&a, &b, 2, 2, 2, None, Some(&cb), &mut out);
-        assert_eq!(out, vec![102.0, 204.0, 103.0, 205.0]);
+        matmul(&a, &b, 2, 2, 2, None, Some(&cb), &mut out);
+        assert_eq!(out, vec![102.0, 203.0, 104.0, 205.0]);
+    }
+
+    #[test]
+    fn matmul_tiles_are_bit_stable_across_shapes() {
+        // Columns straddling the 16-, 4- and 1-lane tiles, an odd row
+        // count and a long `k` must agree element-wise with the
+        // untiled reference.
+        let (m, n, k) = (3, 40, 300);
+        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.013).sin()).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.007).cos()).collect();
+        let mut out = vec![0.0; m * n];
+        matmul(&a, &b, m, n, k, None, None, &mut out);
+        assert_eq!(canon(&out), canon(&naive_matmul(&a, &b, (m, n, k), None, None)));
+    }
+
+    #[test]
+    fn matmul_matches_naive_bit_for_bit_over_random_shapes() {
+        let mut rng = bf_stats::SeedRng::new(0x3A7);
+        // Mostly normal entries; about one in twelve is NaN or ±inf.
+        let entry = |rng: &mut bf_stats::SeedRng| match rng.next_raw() % 36 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => rng.normal(0.0, 1.0) as f32,
+        };
+        for m in [1usize, 2, 3, 5] {
+            for n in [1usize, 3, 4, 5, 15, 16, 17, 21, 33, 128] {
+                for k in [0usize, 1, 2, 8, 17] {
+                    let a: Vec<f32> = (0..m * k).map(|_| entry(&mut rng)).collect();
+                    let b: Vec<f32> = (0..k * n).map(|_| entry(&mut rng)).collect();
+                    let rows: Vec<f32> = (0..m).map(|_| entry(&mut rng)).collect();
+                    let cols: Vec<f32> = (0..n).map(|_| entry(&mut rng)).collect();
+                    for (label, row_init, col_init) in
+                        [("zero", None, None), ("row", Some(&rows[..]), None), ("col", None, Some(&cols[..]))]
+                    {
+                        let mut out = vec![f32::NAN; m * n];
+                        matmul(&a, &b, m, n, k, row_init, col_init, &mut out);
+                        let want = naive_matmul(&a, &b, (m, n, k), row_init, col_init);
+                        assert_eq!(canon(&out), canon(&want), "{m}x{n}x{k}, {label} init");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most one init vector")]
+    fn matmul_rejects_two_inits() {
+        matmul(&[1.0], &[1.0], 1, 1, 1, Some(&[0.0]), Some(&[0.0]), &mut [0.0]);
+    }
+
+    #[test]
+    fn transpose_into_swaps_the_axes() {
+        let src = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // (2, 3)
+        let mut dst = [0.0; 6];
+        transpose_into(&src, 2, 3, &mut dst);
+        assert_eq!(dst, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+    }
+
+    #[test]
+    fn im2col_kmajor_is_the_transposed_im2col() {
+        for (channels, len, kernel, stride) in [(1, 600, 8, 3), (2, 15, 4, 2), (3, 9, 9, 1), (4, 20, 1, 5)] {
+            let sample: Vec<f32> = (0..channels * len).map(|i| i as f32).collect();
+            let mut rows = Vec::new();
+            let lo = im2col(&sample, channels, len, kernel, stride, &mut rows);
+            let mut want = vec![0.0; rows.len()];
+            transpose_into(&rows, lo, channels * kernel, &mut want);
+            let mut got = vec![-1.0; rows.len()];
+            assert_eq!(im2col_kmajor_into(&sample, channels, len, kernel, stride, &mut got), lo);
+            assert_eq!(got, want, "{channels}x{len}, kernel {kernel}, stride {stride}");
+        }
     }
 
     #[test]
@@ -618,25 +742,5 @@ mod tests {
         let t = Tensor::zeroed_in(&mut ws, &[4, 2]);
         assert_eq!(ws.stats().hits, 1);
         assert_eq!(t.len(), 8);
-    }
-
-    #[test]
-    fn matmul_abt_blocking_is_bit_stable_across_shapes() {
-        // Shapes straddling the tile boundary must agree element-wise
-        // with the unblocked reference (tile = 1 case: k >= 8192).
-        let (m, n, k) = (3, 40, 300);
-        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.013).sin()).collect();
-        let b: Vec<f32> = (0..n * k).map(|i| (i as f32 * 0.007).cos()).collect();
-        let mut out = vec![0.0; m * n];
-        matmul_abt(&a, &b, m, n, k, None, None, &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[j * k + kk];
-                }
-                assert_eq!(acc.to_bits(), out[i * n + j].to_bits());
-            }
-        }
     }
 }

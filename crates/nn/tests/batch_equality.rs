@@ -91,25 +91,29 @@ proptest! {
 
     /// Batched predictions are bit-identical across thread counts: the
     /// fork-join gates only move work between workers, never reorder a
-    /// sample's accumulation. The third leg disables the minimum-work
+    /// sample's accumulation. The forced leg disables the minimum-work
     /// threshold, so the eval-mode kernels (the LSTM forward included)
-    /// fan out instead of staying inline at this small shape.
+    /// fan out instead of staying inline at this small shape. It runs
+    /// first, on a network of its own: the LSTM's persistent per-row
+    /// caches would otherwise still hold an earlier leg's rows, and a
+    /// fanned-out kernel that skipped a row would pass unseen.
     #[test]
     fn batched_rows_are_thread_count_invariant(
         input_len in 210usize..380,
         seed in 0u64..1_000,
     ) {
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut net = net_for(input_len, 3, 4, seed);
         let rows = random_rows(16, input_len, seed ^ 0x7EAD5);
+        bf_par::set_threads(Some(4));
+        let pf = {
+            let _fan_out = ThresholdOff::new();
+            net_for(input_len, 3, 4, seed).predict_proba_batch(&rows)
+        };
+        let mut net = net_for(input_len, 3, 4, seed);
         bf_par::set_threads(Some(1));
         let p1 = net.predict_proba_batch(&rows);
         bf_par::set_threads(Some(4));
         let p4 = net.predict_proba_batch(&rows);
-        let pf = {
-            let _fan_out = ThresholdOff::new();
-            net.predict_proba_batch(&rows)
-        };
         bf_par::set_threads(Some(1));
         let bits = |p: &bf_nn::Tensor| p.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         prop_assert_eq!(bits(&p1), bits(&p4));
