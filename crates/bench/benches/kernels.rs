@@ -6,9 +6,8 @@
 //! im2col unfolding and the one `bf_nn::tensor::matmul`, whose SIMD
 //! lanes hold independent outputs (conv positions or channels, LSTM
 //! gate rows, dense features) while each output adds its products in
-//! order. Run at `BF_THREADS=1` they measure the kernels' wins over the
-//! naive loops; at higher thread counts, the intra-batch parallelism on
-//! top.
+//! order. They measure the kernels' wins over the naive loops; every
+//! kernel runs on the calling thread, so `BF_THREADS` does not enter.
 
 use bf_nn::{Conv1d, Dense, Layer, Lstm, Tensor};
 use bf_stats::SeedRng;

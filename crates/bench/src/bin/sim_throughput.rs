@@ -8,6 +8,11 @@
 //! workspace cleared before every run, isolating how much of the win
 //! comes from buffer reuse versus the streamed merge itself.
 //!
+//! A shape's four modes alternate over [`bf_bench::ROUNDS`] rounds
+//! ([`bf_bench::time_rounds`]), so a slow window on a shared host falls
+//! on all of them, and each row records the median and the fastest
+//! round.
+//!
 //! Runs are consumed the way `collect_trace` consumes them: only the
 //! attacker core's timeline is read, so the other cores and the kernel
 //! log are never built. The `materialized` rows also read the kernel log,
@@ -20,7 +25,7 @@
 //! BF_SCALE=default cargo run --release -p bf-bench --bin sim_throughput
 //! ```
 
-use bf_bench::run_bin;
+use bf_bench::{run_bin, time_rounds, ROUNDS};
 use bf_core::ExperimentScale;
 use bf_sim::{Machine, MachineConfig, SimOutput, Workload};
 use bf_obs::Json;
@@ -87,17 +92,18 @@ fn shape_workload(shape: &Shape, seed: u64) -> Workload {
     )
 }
 
-/// Single-thread runs/sec and events/sec for one shape. `warm` runs on
-/// recycled workspace arenas (steady state, zero allocation); cold
-/// clears the pool before every run, isolating the streamed merge from
-/// buffer reuse. `materialize` also builds every core and the kernel log.
+/// Seconds and dispatched events for one shape's timed runs on this
+/// thread. `warm` runs on recycled workspace arenas (steady state, zero
+/// allocation); cold clears the pool before every run, isolating the
+/// streamed merge from buffer reuse. `materialize` also builds every
+/// core and the kernel log.
 fn measure_seq(
     machine: &Machine,
     workload: &Workload,
     shape: &Shape,
     warm: bool,
     materialize: bool,
-) -> (f64, f64) {
+) -> (f64, u64) {
     bf_sim::workspace::clear_thread();
     for i in 0..WARMUP_RUNS {
         finish_run(machine.run(workload, combine_seeds(0xBEEF, i as u64)), warm, materialize);
@@ -110,16 +116,14 @@ fn measure_seq(
         }
         finish_run(machine.run(workload, combine_seeds(42, i as u64)), warm, materialize);
     }
-    let secs = t.elapsed().as_secs_f64().max(1e-12);
-    let events = events_dispatched() - events0;
-    let runs_per_sec = shape.timed_runs as f64 / secs;
-    (runs_per_sec, events as f64 / secs)
+    (t.elapsed().as_secs_f64(), events_dispatched() - events0)
 }
 
 /// Fan the same runs out across the `bf_par` pool (one sim per seed —
-/// the collect-phase parallelism shape) and report aggregate runs/sec.
-/// Each worker recycles into its own thread-local arena.
-fn measure_par(machine: &Machine, workload: &Workload, shape: &Shape) -> (f64, f64) {
+/// the collect-phase parallelism shape) and report their seconds and
+/// dispatched events. Each worker recycles into its own thread-local
+/// arena.
+fn measure_par(machine: &Machine, workload: &Workload, shape: &Shape) -> (f64, u64) {
     let seeds: Vec<u64> = (0..shape.timed_runs as u64)
         .map(|i| combine_seeds(42, i))
         .collect();
@@ -130,9 +134,7 @@ fn measure_par(machine: &Machine, workload: &Workload, shape: &Shape) -> (f64, f
     let events0 = events_dispatched();
     let t = Instant::now();
     bf_par::par_map_indexed(&seeds, |_, &s| finish_run(machine.run(workload, s), true, false));
-    let secs = t.elapsed().as_secs_f64().max(1e-12);
-    let events = events_dispatched() - events0;
-    (shape.timed_runs as f64 / secs, events as f64 / secs)
+    (t.elapsed().as_secs_f64(), events_dispatched() - events0)
 }
 
 fn main() -> ExitCode {
@@ -150,40 +152,49 @@ fn main() -> ExitCode {
                 SHAPES
             };
 
-            println!("shape     mode         threads   runs/s     events/s     ms/run");
+            println!(
+                "shape     mode         threads   median runs/s  fastest runs/s  events/s     ms/run"
+            );
+            let modes = [("steady", 1usize), ("cold", 1), ("par", par_threads), ("materialized", 1)];
             let mut rows = Vec::new();
             for shape in shapes {
                 let machine = Machine::new(MachineConfig::default());
                 let workload = shape_workload(shape, 7);
-                for (mode, threads) in [
-                    ("steady", 1usize),
-                    ("cold", 1usize),
-                    ("par", par_threads),
-                    ("materialized", 1usize),
-                ] {
-                    bf_par::set_threads(Some(threads));
-                    let label = format!("{}_{mode}", shape.name);
-                    let (runs_per_sec, events_per_sec) = m.phase(&label, || match mode {
-                        "steady" => measure_seq(&machine, &workload, shape, true, false),
-                        "cold" => measure_seq(&machine, &workload, shape, false, false),
-                        "materialized" => measure_seq(&machine, &workload, shape, true, true),
-                        _ => measure_par(&machine, &workload, shape),
-                    });
-                    bf_par::set_threads(None);
-                    let ms_per_run = 1e3 / runs_per_sec;
+                // The timed runs' seeds are fixed, so every round of a
+                // mode dispatches the same events.
+                let mut events = modes.map(|_| 0u64);
+                let times = m.phase(shape.name, || {
+                    time_rounds(modes.len(), |row| {
+                        let (mode, threads) = modes[row];
+                        bf_par::set_threads(Some(threads));
+                        let (secs, dispatched) = match mode {
+                            "steady" => measure_seq(&machine, &workload, shape, true, false),
+                            "cold" => measure_seq(&machine, &workload, shape, false, false),
+                            "materialized" => measure_seq(&machine, &workload, shape, true, true),
+                            _ => measure_par(&machine, &workload, shape),
+                        };
+                        bf_par::set_threads(None);
+                        events[row] = dispatched;
+                        secs
+                    })
+                });
+                for ((&(mode, threads), time), &dispatched) in modes.iter().zip(&times).zip(&events) {
+                    let (median, fastest) = time.per_sec(shape.timed_runs as f64);
+                    let (events_per_sec, _) = time.per_sec(dispatched as f64);
                     println!(
-                        "{:<9} {:<12} {:<9} {:>8.2}  {:>10.0}  {:>8.2}",
-                        shape.name, mode, threads, runs_per_sec, events_per_sec, ms_per_run,
+                        "{:<9} {:<12} {:<9} {:>12.2}  {:>14.2}  {:>10.0}  {:>8.2}",
+                        shape.name, mode, threads, median, fastest, events_per_sec, 1e3 / median,
                     );
-                    bf_obs::gauge("sim.runs_per_sec").set(runs_per_sec);
+                    bf_obs::gauge("sim.runs_per_sec").set(median);
                     rows.push(Json::object([
                         ("shape", Json::Str(shape.name.into())),
                         ("mode", Json::Str(mode.into())),
                         ("threads", Json::UInt(threads as u64)),
                         ("duration_ms", Json::UInt(shape.duration_ms)),
                         ("timed_runs", Json::UInt(shape.timed_runs as u64)),
-                        ("runs_per_sec", Json::Float(runs_per_sec)),
-                        ("events_per_sec", Json::Float(events_per_sec)),
+                        ("median_runs_per_sec", Json::Float(median)),
+                        ("fastest_runs_per_sec", Json::Float(fastest)),
+                        ("median_events_per_sec", Json::Float(events_per_sec)),
                     ]));
                 }
             }
@@ -193,16 +204,19 @@ fn main() -> ExitCode {
                     "note",
                     Json::Str(
                         "Machine::run throughput over collect-phase website workloads, \
-                         consumed as collection does (attacker timeline only). Modes: \
+                         consumed as collection does (attacker timeline only), over `rounds` \
+                         rounds that each time every mode: the median and the fastest round \
+                         per row. Modes: \
                          steady = recycled workspace arenas (zero-alloc path), cold = pool \
                          cleared before every run, par = one sim per seed on the bf_par \
                          pool, materialized = steady plus a kernel-log read that builds \
-                         every core. events_per_sec counts sim.events_dispatched."
+                         every core. median_events_per_sec counts sim.events_dispatched."
                             .into(),
                     ),
                 ),
                 ("scale", Json::Str(scale.to_string())),
                 ("warmup_runs", Json::UInt(WARMUP_RUNS as u64)),
+                ("rounds", Json::UInt(ROUNDS as u64)),
                 ("par_threads", Json::UInt(par_threads as u64)),
                 (
                     "hardware_threads",

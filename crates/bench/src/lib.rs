@@ -55,6 +55,47 @@ pub fn artifact_path(env_key: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_owned())
 }
 
+/// Rounds [`time_rounds`] times each row; odd, so the median is one
+/// round.
+pub const ROUNDS: usize = 5;
+
+/// One row's timings over [`ROUNDS`] rounds: the median and the fastest.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundTimes {
+    /// The median round, in seconds.
+    pub median_s: f64,
+    /// The fastest round, in seconds.
+    pub fastest_s: f64,
+}
+
+impl RoundTimes {
+    /// `(median, fastest)` rates of a round that did `count` operations.
+    pub fn per_sec(self, count: f64) -> (f64, f64) {
+        (count / self.median_s.max(1e-12), count / self.fastest_s.max(1e-12))
+    }
+}
+
+/// Time `rows` rows over [`ROUNDS`] alternating rounds: each round calls
+/// `time(row)` for rows `0..rows` in order, and `time` returns the
+/// seconds its timed section took. A slow window on a shared host then
+/// falls on every row alike, and the median and fastest round of a row
+/// tell its rate apart from one fast or slow window, which a single
+/// timing cannot.
+pub fn time_rounds(rows: usize, mut time: impl FnMut(usize) -> f64) -> Vec<RoundTimes> {
+    let mut secs = vec![[0.0f64; ROUNDS]; rows];
+    for round in 0..ROUNDS {
+        for (row, row_secs) in secs.iter_mut().enumerate() {
+            row_secs[round] = time(row);
+        }
+    }
+    secs.into_iter()
+        .map(|mut row_secs| {
+            row_secs.sort_by(f64::total_cmp);
+            RoundTimes { median_s: row_secs[ROUNDS / 2], fastest_s: row_secs[0] }
+        })
+        .collect()
+}
+
 /// Print a standard header for a regeneration binary.
 pub fn banner(what: &str, scale: ExperimentScale) {
     println!("=== bigger-fish reproduction: {what} (scale: {scale}) ===\n");
@@ -228,6 +269,22 @@ mod tests {
             "blank overrides fall back to the default"
         );
         std::env::remove_var("BF_TEST_ARTIFACT_OUT");
+    }
+
+    #[test]
+    fn time_rounds_alternates_rows_and_keeps_median_and_fastest() {
+        let mut calls = Vec::new();
+        // Row 0 takes 5, 1, 4, 2, 3 s over the rounds; row 1 ten times that.
+        let secs = [5.0, 1.0, 4.0, 2.0, 3.0];
+        let times = time_rounds(2, |row| {
+            let round = calls.len() / 2;
+            calls.push(row);
+            secs[round] * if row == 0 { 1.0 } else { 10.0 }
+        });
+        assert_eq!(calls, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1], "each round times every row in order");
+        assert_eq!(times[0], RoundTimes { median_s: 3.0, fastest_s: 1.0 });
+        assert_eq!(times[1], RoundTimes { median_s: 30.0, fastest_s: 10.0 });
+        assert_eq!(times[0].per_sec(6.0), (2.0, 6.0));
     }
 
     #[test]

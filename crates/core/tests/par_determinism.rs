@@ -34,30 +34,6 @@ fn at_thread_counts<R>(f: impl Fn() -> R) -> (R, R) {
     (seq, par)
 }
 
-/// Restores the minimum-work threshold and the pool size on drop, so a
-/// failing fanned-out leg cannot leak its settings into later tests.
-struct FanOutGuard;
-
-impl Drop for FanOutGuard {
-    fn drop(&mut self) {
-        bf_par::set_min_units(None);
-        bf_par::set_threads(None);
-    }
-}
-
-/// Run `f` at 4 threads with the minimum-work threshold disabled
-/// (`bf_par::set_min_units(Some(0))`), so every kernel whose grain
-/// admits more than one worker fans out instead of running inline.
-fn fanned_out<R>(f: impl FnOnce() -> R) -> R {
-    let _lock = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = FanOutGuard;
-    bf_par::set_min_units(Some(0));
-    bf_par::set_threads(Some(4));
-    f()
-}
-
 fn smoke_cfg(plan: FaultPlan) -> CollectionConfig {
     CollectionConfig::new(BrowserKind::Chrome, AttackKind::LoopCounting)
         .with_scale(ExperimentScale::Smoke)
@@ -213,53 +189,10 @@ fn trained_weights_match_pre_workspace_golden_hashes() {
 }
 
 #[test]
-fn trained_weights_match_golden_hashes_with_every_kernel_fanned_out() {
-    // At the default threshold the fixture's kernels are all too small
-    // to fork, so the thread-count legs above never leave the inline
-    // path. With the threshold off, the LSTM passes, both conv passes
-    // and the 16-filter conv's per-channel gradient pass fan out.
-    let (im2col, scalar) = fanned_out(|| (golden_train_hash(300, 16, 4), golden_train_hash(300, 4, 4)));
-    assert_eq!(im2col, GOLDEN_IM2COL_16F, "im2col path diverged under forced fan-out");
-    assert_eq!(scalar, GOLDEN_SCALAR_4F, "scalar path diverged under forced fan-out");
-}
-
-#[test]
-fn multi_step_lstm_golden_holds_inline_and_fanned_out() {
+fn multi_step_lstm_golden_holds_across_thread_counts() {
     let (seq, par) = at_thread_counts(|| golden_train_hash(1000, 16, 4));
-    let fanned = fanned_out(|| golden_train_hash(1000, 16, 4));
     assert_eq!(seq, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged (t=1)");
     assert_eq!(par, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged (t=4)");
-    assert_eq!(fanned, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged under forced fan-out");
-}
-
-#[test]
-fn wide_dense_gradients_are_identical_under_forced_fan_out() {
-    // The CNN+LSTM's dense head is too narrow (one unit per class) and
-    // the fixture batch too small for any dense pass to fork on the
-    // fixtures above. A 100-class head (the paper's closed world) over
-    // 128 rows forks all three: forward, per-unit gradients, and dx.
-    use bf_nn::{Dense, Layer, Tensor};
-    use bf_stats::SeedRng;
-    let run = || {
-        let mut rng = SeedRng::new(5);
-        let mut dense = Dense::new(32, 100, &mut rng);
-        let x = Tensor::new(&[128, 32], (0..128 * 32).map(|_| rng.standard_normal() as f32).collect());
-        let g = Tensor::new(&[128, 100], (0..128 * 100).map(|_| rng.standard_normal() as f32).collect());
-        // Two steps, so the second accumulates onto nonzero gradients.
-        let mut bits = Vec::new();
-        for _ in 0..2 {
-            let y = dense.forward(&x, true);
-            let dx = dense.backward(&g);
-            bits.extend(y.data().iter().chain(dx.data()).map(|v| v.to_bits()));
-        }
-        for p in dense.params_mut() {
-            bits.extend(p.grad.iter().map(|v| v.to_bits()));
-        }
-        bits
-    };
-    let (seq, _) = at_thread_counts(run);
-    let fanned = fanned_out(run);
-    assert_eq!(seq, fanned, "dense gradients diverged under forced fan-out");
 }
 
 #[test]

@@ -1,18 +1,17 @@
 //! 1-D convolution.
 //!
 //! The forward unfolds each sample (im2col) and runs one [`matmul`] on
-//! it, with per-sample (intra-batch) parallelism from `bf-par`. The
-//! matmul's SIMD lanes run along the longer output axis, picked from the
-//! layer's shape ([`Conv1d::forward_path`]): across output positions
-//! when the output row is at least as long as the channel count (the
-//! sample unfolded k-major, `W · colsᵀ`), else across output channels
-//! (the weights transposed into pooled scratch on every call,
-//! `cols · Wᵀ`, and the product transposed into the output). Every
-//! output element accumulates its terms in the same order as the
-//! original quadruple loop — bias first, then `(ci, k)`-major — so
-//! results are bit-identical to the scalar path and independent of
-//! `BF_THREADS`. Tiny shapes skip the im2col detour and take a hoisted
-//! scalar path instead.
+//! it, one sample after another on the calling thread. The matmul's
+//! SIMD lanes run along the longer output axis, picked from the layer's
+//! shape ([`Conv1d::forward_path`]): across output positions when the
+//! output row is at least as long as the channel count (the sample
+//! unfolded k-major, `W · colsᵀ`), else across output channels (the
+//! weights transposed into pooled scratch on every call, `cols · Wᵀ`,
+//! and the product transposed into the output). Every output element
+//! accumulates its terms in the same order as the original quadruple
+//! loop — bias first, then `(ci, k)`-major — so results are
+//! bit-identical to the scalar path. Tiny shapes skip the im2col detour
+//! and take a hoisted scalar path instead.
 //!
 //! The parameter-gradient sweep walks, per output channel, each
 //! sample's gradient row (and, on the im2col paths, that sample's block
@@ -299,10 +298,6 @@ impl Conv1d {
     /// set. Pass B reads only the weights and `grad`, so skipping it
     /// leaves every parameter-gradient bit as it was.
     fn backward_pass(&mut self, grad: &Tensor, input_grad: bool) -> Option<Tensor> {
-        // Taken out of `self` (and restored below) so the in-order merge
-        // can add into them while every channel's pass reads `self`.
-        let mut wgrad = std::mem::take(&mut self.weight.grad);
-        let mut bgrad = std::mem::take(&mut self.bias.grad);
         let x = self.cached_input.as_ref().expect("backward without forward");
         let n = x.shape()[0];
         let l = x.shape()[2];
@@ -312,8 +307,8 @@ impl Conv1d {
         let ck = cin * k;
         let sample_len = cin * l;
 
-        // The whole batch's im2col matrix, built once (sequentially — it
-        // is pure memcpy) and shared read-only by every channel worker.
+        // The whole batch's im2col matrix, built once and read by every
+        // channel's sweep.
         let use_im2col = self.sample_flops(lo) >= IM2COL_MIN_FLOPS;
         let mut col_buf = ScratchBuf::of_len(if use_im2col { n * lo * ck } else { 0 });
         if use_im2col {
@@ -323,48 +318,33 @@ impl Conv1d {
         }
         let cols: Option<&[f32]> = use_im2col.then_some(&col_buf);
 
-        // Pass A — parameter gradients, parallel over output channels:
-        // each channel's slab holds its `weight.grad` row partial and its
+        // Pass A — parameter gradients, one output channel at a time:
+        // the channel's slab holds its `weight.grad` row partial and its
         // bias partial, accumulated over `(i, p)` in index order (the
         // same per-element order as the sequential quadruple loop) and
         // added in channel order.
-        bf_par::par_map_merge(
-            self.out_channels,
-            ck + 1,
-            8,
-            n * lo * ck,
-            ScratchBuf::of_len,
-            || (),
-            |co, slab, ()| {
-                let (wg, bg) = slab.split_at_mut(ck);
-                self.backward_channel(co, x, grad, cols, n, l, lo, wg, &mut bg[0]);
-            },
-            |co, slab| {
-                for (dst, src) in wgrad[co * ck..(co + 1) * ck].iter_mut().zip(&slab[..ck]) {
-                    *dst += src;
-                }
-                bgrad[co] += slab[ck];
-            },
-        );
+        let mut slab = ScratchBuf::of_len(ck + 1);
+        for co in 0..self.out_channels {
+            slab.fill(0.0);
+            let (wg, bg) = slab.split_at_mut(ck);
+            self.backward_channel(co, x, grad, cols, n, l, lo, wg, &mut bg[0]);
+            for (dst, src) in self.weight.grad[co * ck..(co + 1) * ck].iter_mut().zip(&*wg) {
+                *dst += src;
+            }
+            self.bias.grad[co] += bg[0];
+        }
+        drop(slab); // back to the arena before the input-gradient pass takes dx
 
-        // Pass B — input gradients, parallel over samples: each sample's
+        // Pass B — input gradients, one sample at a time: each sample's
         // dx slab is disjoint, accumulated in `(co, p, ci, k)` order as
         // the sequential loop did. Skipped for `backward_params`.
-        let dx = input_grad.then(|| {
+        input_grad.then(|| {
             let mut dx = workspace::tensor(&[n, cin, l]);
-            bf_par::par_chunks_mut_scratch(
-                dx.data_mut(),
-                sample_len,
-                1,
-                self.sample_flops(lo),
-                || (),
-                |i, dxi, ()| self.backward_sample_dx(i, grad, l, lo, dxi),
-            );
+            for (i, dxi) in dx.data_mut().chunks_mut(sample_len).enumerate() {
+                self.backward_sample_dx(i, grad, l, lo, dxi);
+            }
             dx
-        });
-        self.weight.grad = wgrad;
-        self.bias.grad = bgrad;
-        dx
+        })
     }
 }
 
@@ -388,39 +368,28 @@ impl Layer for Conv1d {
             transpose_into(&self.weight.value, cout, ck, &mut wt);
         }
         let wt = &*wt;
-        // Each sample owns a disjoint slab of `out`; the per-worker
-        // scratch is the unfolded sample and, across channels, the
-        // `(lo, C_out)` product before its transpose (pooled, so a
-        // steady-state step on one worker never allocates here). The
-        // per-sample MAC count doubles as the fork-join work estimate:
-        // small shapes stay inline instead of paying spawn cost.
-        bf_par::par_chunks_mut_scratch(
-            out.data_mut(),
-            cout * lo,
-            1,
-            self.sample_flops(lo),
-            || {
-                let unfolded = if path == Path::Scalar { 0 } else { lo * ck };
-                let product = if path == Path::Channels { lo * cout } else { 0 };
-                (ScratchBuf::of_len(unfolded), ScratchBuf::of_len(product))
-            },
-            |i, chunk, (col, product)| {
-                let sample = &xdata[i * sample_len..(i + 1) * sample_len];
-                match path {
-                    Path::Positions => {
-                        im2col_kmajor_into(sample, cin, l, k, stride, col);
-                        let (w, b) = (&self.weight.value, &self.bias.value);
-                        matmul(w, col, cout, lo, ck, Some(b), None, chunk);
-                    }
-                    Path::Channels => {
-                        im2col_into(sample, cin, l, k, stride, col);
-                        matmul(col, wt, lo, cout, ck, None, Some(&self.bias.value), product);
-                        transpose_into(product, lo, cout, chunk);
-                    }
-                    Path::Scalar => self.forward_sample_scalar(sample, l, lo, chunk),
+        // Each sample owns a disjoint slab of `out`; the scratch is the
+        // unfolded sample and, across channels, the `(lo, C_out)` product
+        // before its transpose (pooled, so a steady-state step never
+        // allocates here).
+        let mut col = ScratchBuf::of_len(if path == Path::Scalar { 0 } else { lo * ck });
+        let mut product = ScratchBuf::of_len(if path == Path::Channels { lo * cout } else { 0 });
+        for (i, chunk) in out.data_mut().chunks_mut(cout * lo).enumerate() {
+            let sample = &xdata[i * sample_len..(i + 1) * sample_len];
+            match path {
+                Path::Positions => {
+                    im2col_kmajor_into(sample, cin, l, k, stride, &mut col);
+                    let (w, b) = (&self.weight.value, &self.bias.value);
+                    matmul(w, &col, cout, lo, ck, Some(b), None, chunk);
                 }
-            },
-        );
+                Path::Channels => {
+                    im2col_into(sample, cin, l, k, stride, &mut col);
+                    matmul(&col, wt, lo, cout, ck, None, Some(&self.bias.value), &mut product);
+                    transpose_into(&product, lo, cout, chunk);
+                }
+                Path::Scalar => self.forward_sample_scalar(sample, l, lo, chunk),
+            }
+        }
         if train {
             match &mut self.cached_input {
                 Some(c) => c.copy_from(x),

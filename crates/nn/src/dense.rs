@@ -3,13 +3,10 @@
 //! Forward runs one row of the shared [`matmul`] per sample, with the
 //! weights transposed into pooled scratch on every call so the SIMD
 //! lanes run across output features; backward splits into a parameter
-//! pass (parallel over output units) and an input-gradient pass
-//! (parallel over samples). Both directions keep the sequential
-//! per-element accumulation order, so results are bit-exact across
-//! thread counts. Dense shapes in this pipeline are small (≤ 100
-//! units), so the `bf-par` grain keeps typical batches inline — and
-//! every scratch buffer comes from the [`workspace`] arena, so a
-//! steady-state step on one worker never allocates here.
+//! pass (one output unit at a time) and an input-gradient pass (one
+//! sample at a time). Both directions keep the sequential per-element
+//! accumulation order, and every scratch buffer comes from the
+//! [`workspace`] arena, so a steady-state step never allocates here.
 
 use crate::param::Param;
 use crate::tensor::{axpy_unrolled, matmul, transpose_into, Tensor};
@@ -64,22 +61,12 @@ impl Layer for Dense {
         let mut wt = ScratchBuf::of_len(in_f * out_f);
         transpose_into(&self.weight.value, out_f, in_f, &mut wt);
         let wt = &*wt;
-        // Sample rows are independent, so splitting the batch across
-        // workers cannot change any output bit; the grain keeps small
-        // batches on one thread and the per-row MAC estimate keeps tiny
-        // layers inline. Each row is one `m = 1` matmul, each output
-        // starting from its bias and adding its products in input order.
-        bf_par::par_chunks_mut_scratch(
-            out.data_mut(),
-            out_f,
-            64,
-            in_f * out_f,
-            || (),
-            |i, row, ()| {
-                let xi = &xdata[i * in_f..(i + 1) * in_f];
-                matmul(xi, wt, 1, out_f, in_f, None, Some(&self.bias.value), row);
-            },
-        );
+        // Each row is one `m = 1` matmul, each output starting from its
+        // bias and adding its products in input order.
+        for (i, row) in out.data_mut().chunks_mut(out_f).enumerate() {
+            let xi = &xdata[i * in_f..(i + 1) * in_f];
+            matmul(xi, wt, 1, out_f, in_f, None, Some(&self.bias.value), row);
+        }
         if train {
             match &mut self.cached_input {
                 Some(c) => c.copy_from(x),
@@ -95,53 +82,39 @@ impl Layer for Dense {
         assert_eq!(grad.shape(), &[n, self.out_features]);
         let (in_f, out_f) = (self.in_features, self.out_features);
 
-        // Parameter pass, parallel over output units: each unit's slab
+        // Parameter pass, one output unit at a time: the unit's slab
         // holds its weight-row partial and its bias partial, accumulated
         // over samples in index order (the sequential loop's per-element
         // order) and added in unit order — so pre-existing gradient bits
         // receive each partial exactly once, after its sample loop.
-        bf_par::par_map_merge(
-            out_f,
-            in_f + 1,
-            32,
-            n * in_f,
-            ScratchBuf::of_len,
-            || (),
-            |o, slab, ()| {
-                let (wg, bg) = slab.split_at_mut(in_f);
-                for i in 0..n {
-                    let g = grad.data()[i * out_f + o];
-                    bg[0] += g;
-                    axpy_unrolled(wg, g, &x.data()[i * in_f..(i + 1) * in_f]);
-                }
-            },
-            |o, slab| {
-                let grow = &mut self.weight.grad[o * in_f..(o + 1) * in_f];
-                for (dst, src) in grow.iter_mut().zip(&slab[..in_f]) {
-                    *dst += src;
-                }
-                self.bias.grad[o] += slab[in_f];
-            },
-        );
+        let mut slab = ScratchBuf::of_len(in_f + 1);
+        for o in 0..out_f {
+            slab.fill(0.0);
+            let (wg, bg) = slab.split_at_mut(in_f);
+            for i in 0..n {
+                let g = grad.data()[i * out_f + o];
+                bg[0] += g;
+                axpy_unrolled(wg, g, &x.data()[i * in_f..(i + 1) * in_f]);
+            }
+            let grow = &mut self.weight.grad[o * in_f..(o + 1) * in_f];
+            for (dst, src) in grow.iter_mut().zip(&*wg) {
+                *dst += src;
+            }
+            self.bias.grad[o] += bg[0];
+        }
+        drop(slab); // back to the arena before the input-gradient pass takes dx
 
-        // Input-gradient pass, parallel over samples: disjoint dx rows,
+        // Input-gradient pass, one sample at a time: disjoint dx rows,
         // each accumulated over output units in index order, written
         // straight into the zeroed workspace tensor.
         let mut dx = workspace::tensor(&[n, in_f]);
         let weight = &self.weight.value;
-        bf_par::par_chunks_mut_scratch(
-            dx.data_mut(),
-            in_f,
-            64,
-            in_f * out_f,
-            || (),
-            |i, dxi, ()| {
-                for o in 0..out_f {
-                    let g = grad.data()[i * out_f + o];
-                    axpy_unrolled(dxi, g, &weight[o * in_f..(o + 1) * in_f]);
-                }
-            },
-        );
+        for (i, dxi) in dx.data_mut().chunks_mut(in_f).enumerate() {
+            for o in 0..out_f {
+                let g = grad.data()[i * out_f + o];
+                axpy_unrolled(dxi, g, &weight[o * in_f..(o + 1) * in_f]);
+            }
+        }
         dx
     }
 

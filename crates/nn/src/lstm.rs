@@ -6,11 +6,10 @@
 //! sigmoid as well.
 //!
 //! Samples are independent through time, so both passes process one
-//! sample end-to-end and distribute the batch over `bf-par` workers:
-//! the forward writes each sample's per-step cache through
-//! `bf_par::par_chunks_mut_scratch`, and the backward maps each sample
-//! into a slab of parameter-gradient and input-gradient partials that
-//! `bf_par::par_map_merge` hands back in sample order. Within a sample
+//! sample end-to-end, one after another: the forward writes each
+//! sample's per-step cache, and the backward fills one reused slab with
+//! a sample's parameter-gradient and input-gradient partials and adds
+//! it in before the next sample starts. Within a sample
 //! the input contribution to every timestep's gate pre-activations is
 //! hoisted into a single [`matmul`] against `w_ih`; only the recurrent
 //! term, a one-row [`matmul`] against `w_hh`, stays in the time loop.
@@ -21,12 +20,12 @@
 //! contiguous row. Per-element accumulation order matches the
 //! sequential reference, so forward outputs and input gradients are
 //! bit-identical to it, and parameter-gradient partials are reduced in
-//! sample order, so all results are bit-stable across thread counts.
+//! sample order.
 //!
 //! The per-sample caches (one set for training, one for inference) are
 //! persistent fields reset in place each forward, and all remaining
-//! scratch comes from the [`workspace`] arena — a steady-state step on
-//! one worker performs no heap allocation here.
+//! scratch comes from the [`workspace`] arena — a steady-state step
+//! performs no heap allocation here.
 
 use crate::param::Param;
 use crate::tensor::{axpy_unrolled, matmul, transpose_into, Tensor};
@@ -174,19 +173,13 @@ impl Lstm {
         self.hidden
     }
 
-    /// Per-sample multiply-add estimate (input + recurrent matmuls),
-    /// the fork-join work gate for both passes.
-    fn sample_flops(&self, steps: usize) -> usize {
-        steps * 4 * self.hidden * (self.input_size + self.hidden)
-    }
-
     /// Run one sample `(feat, steps)` through the recurrence, leaving
     /// the per-step values in `cache` (the final hidden state is its
     /// last `h` row). `w_ih_t` and `w_hh_t` are the input and recurrent
     /// weights read k-major, `(F, 4H)` and `(H, 4H)`. `zx` must hold
     /// `steps * 4H` elements, `z` `4H`, and `c_prev`/`h_prev` `H` each;
     /// all scratch contents are overwritten. Pure in the sample and the
-    /// layer parameters, so samples can run on any worker.
+    /// layer parameters.
     #[allow(clippy::too_many_arguments)]
     fn forward_sample_into(
         &self,
@@ -333,8 +326,9 @@ impl Layer for Lstm {
             return out;
         }
         // Each sample owns one persistent cache (grown, never shrunk, so
-        // a warm pass reallocates nothing); the per-worker scratch is
-        // pooled.
+        // a warm pass reallocates nothing); the scratch is pooled. The
+        // caches are taken out of `self` (and put back below) so each
+        // sample's pass can read `self` while it writes its cache.
         let caches = if train { &mut self.caches } else { &mut self.eval_caches };
         if caches.len() < n {
             caches.resize_with(n, SampleCache::default);
@@ -348,25 +342,15 @@ impl Layer for Lstm {
         let mut w_hh_t = ScratchBuf::of_len(h4 * h);
         transpose_into(&self.w_hh.value, h4, h, &mut w_hh_t);
         let weights_t = (&*w_ih_t, &*w_hh_t);
-        bf_par::par_chunks_mut_scratch(
-            &mut caches[..n],
-            1,
-            1,
-            self.sample_flops(steps),
-            || {
-                (
-                    ScratchBuf::of_len(steps * h4),
-                    ScratchBuf::of_len(h4),
-                    ScratchBuf::of_len(h),
-                    ScratchBuf::of_len(h),
-                )
-            },
-            |s, cache, (zx, z, c_prev, h_prev)| {
-                let sample = &x.data()[s * sample_len..(s + 1) * sample_len];
-                let cache = &mut cache[0];
-                self.forward_sample_into(sample, weights_t, feat, steps, cache, zx, z, c_prev, h_prev);
-            },
-        );
+        let mut zx = ScratchBuf::of_len(steps * h4);
+        let mut z = ScratchBuf::of_len(h4);
+        let mut c_prev = ScratchBuf::of_len(h);
+        let mut h_prev = ScratchBuf::of_len(h);
+        for (cache, sample) in caches[..n].iter_mut().zip(x.data().chunks(sample_len)) {
+            self.forward_sample_into(
+                sample, weights_t, feat, steps, cache, &mut zx, &mut z, &mut c_prev, &mut h_prev,
+            );
+        }
         for (row, cache) in out.data_mut().chunks_mut(h).zip(&caches) {
             row.copy_from_slice(&cache.h[(steps - 1) * h..]);
         }
@@ -386,49 +370,33 @@ impl Layer for Lstm {
         let h4 = 4 * h;
         let slab_x = feat * steps;
         let mut dx = workspace::tensor(&[n, feat, steps]);
-        // Taken out of `self` (and restored below) so the in-order merge
-        // can add into them while every sample's chain reads `self`.
-        let mut grads = [
-            std::mem::take(&mut self.w_ih.grad),
-            std::mem::take(&mut self.w_hh.grad),
-            std::mem::take(&mut self.bias.grad),
-        ];
-        // One slab per sample: its `w_ih`, `w_hh` and bias partials, then
-        // its time-major dx slab, which the merge transposes into the
-        // sample's `(F, steps)` slab of dx. Each chain touches only its
-        // own cache and slab; the partials are added in sample order, so
-        // the bits depend only on that fixed order, never on scheduling.
+        // One reused slab: a sample's `w_ih`, `w_hh` and bias partials,
+        // then its time-major dx slab, which is transposed into the
+        // sample's `(F, steps)` slab of dx. The partials are added in
+        // sample order, each right after its sample's chain.
         let (len_ih, len_hh) = (h4 * feat, h4 * h);
-        bf_par::par_map_merge(
-            n,
-            len_ih + len_hh + h4 + slab_x,
-            1,
-            self.sample_flops(steps),
-            ScratchBuf::of_len,
-            || (ScratchBuf::of_len(h), ScratchBuf::of_len(h), ScratchBuf::of_len(h)),
-            |s, slab, (dh, dh_prev, dc)| {
-                let (dwih, rest) = slab.split_at_mut(len_ih);
-                let (dwhh, rest) = rest.split_at_mut(len_hh);
-                let (dbias, dxs) = rest.split_at_mut(h4);
-                dh.copy_from_slice(&grad.data()[s * h..(s + 1) * h]);
-                dc.fill(0.0);
-                self.backward_sample(
-                    &self.caches[s], feat, steps, dwih, dwhh, dbias, dxs, dh, dh_prev, dc,
-                );
-            },
-            |s, slab| {
-                let (dwih, rest) = slab.split_at(len_ih);
-                let (dwhh, rest) = rest.split_at(len_hh);
-                let (dbias, dxs) = rest.split_at(h4);
-                for (g, part) in grads.iter_mut().zip([dwih, dwhh, dbias]) {
-                    for (dst, src) in g.iter_mut().zip(part) {
-                        *dst += src;
-                    }
+        let mut slab = ScratchBuf::of_len(len_ih + len_hh + h4 + slab_x);
+        let mut dh = ScratchBuf::of_len(h);
+        let mut dh_prev = ScratchBuf::of_len(h);
+        let mut dc = ScratchBuf::of_len(h);
+        for s in 0..n {
+            slab.fill(0.0);
+            let (dwih, rest) = slab.split_at_mut(len_ih);
+            let (dwhh, rest) = rest.split_at_mut(len_hh);
+            let (dbias, dxs) = rest.split_at_mut(h4);
+            dh.copy_from_slice(&grad.data()[s * h..(s + 1) * h]);
+            dc.fill(0.0);
+            self.backward_sample(
+                &self.caches[s], feat, steps, dwih, dwhh, dbias, dxs, &mut dh, &mut dh_prev, &mut dc,
+            );
+            let grads = [&mut self.w_ih.grad, &mut self.w_hh.grad, &mut self.bias.grad];
+            for (g, part) in grads.into_iter().zip([&*dwih, &*dwhh, &*dbias]) {
+                for (dst, src) in g.iter_mut().zip(part) {
+                    *dst += src;
                 }
-                transpose_into(dxs, steps, feat, &mut dx.data_mut()[s * slab_x..(s + 1) * slab_x]);
-            },
-        );
-        [self.w_ih.grad, self.w_hh.grad, self.bias.grad] = grads;
+            }
+            transpose_into(dxs, steps, feat, &mut dx.data_mut()[s * slab_x..(s + 1) * slab_x]);
+        }
         dx
     }
 

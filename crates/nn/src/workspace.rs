@@ -20,12 +20,10 @@
 //!   escapes (e.g. logits handed to a caller) is simply dropped and the
 //!   pool re-warms on the next step.
 //! - The pool is **thread-local** (one arena per thread, reached through
-//!   the free functions below), so `bf-par` workers each get a private
-//!   arena and parallel batches never share buffers. Worker arenas die
-//!   with their threads; only the long-lived training thread's arena
-//!   stays warm, which is exactly the thread the zero-allocation
-//!   contract covers (a kernel that fans out spawns threads, which
-//!   allocate by nature).
+//!   the free functions below), so `bf-par` workers (one cross-validation
+//!   fold each, say) get private arenas and never share buffers. Every
+//!   kernel runs on the thread that calls it, so a training thread's
+//!   arena serves its whole step and stays warm at any pool size.
 //! - `take` always returns a buffer of *exactly* the requested length,
 //!   zero-filled — callers never see stale data.
 //!
@@ -195,9 +193,8 @@ pub fn clear_thread() {
 
 /// A pooled scratch buffer that returns its storage to the owning
 /// thread's arena on drop — the RAII form of [`take`]/[`give`], used
-/// where the buffer's lifetime is managed by a combinator
-/// (`bf_par::par_chunks_mut_scratch` drops per-worker scratch
-/// internally, and `bf_par::par_map_merge` its slab storage).
+/// for a kernel's scratch and reused slabs, which go back to the arena
+/// when the kernel returns.
 #[derive(Debug)]
 pub struct ScratchBuf {
     buf: Vec<f32>,

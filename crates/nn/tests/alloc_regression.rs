@@ -9,11 +9,9 @@
 //! calls count: a sibling test's thread that exits inside the window
 //! frees its own arena, and that is not the step's doing.
 //!
-//! The contract covers one worker (`BF_THREADS=1`), where every kernel
-//! runs inline. Each kernel has a single code path; when `bf-par` fans
-//! one out, the spawned workers and their scratch allocate by nature,
-//! inside `bf-par` rather than in the kernel sources that the
-//! `hot_alloc_lint` test polices.
+//! Every kernel runs on the thread that calls it, so the contract does
+//! not depend on the `bf-par` pool size: one leg trains at the
+//! `cv_train` shape under a 4-thread pool.
 
 use bf_nn::{CnnLstm, CnnLstmConfig, Tensor};
 use bf_stats::SeedRng;
@@ -92,23 +90,24 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, (usize, usize, usize)) {
     )
 }
 
-#[test]
-fn steady_state_training_step_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Inline path only: the budget planner must see a single worker.
-    bf_par::set_threads(Some(1));
-
-    // Paper-shaped smoke network: both convs, pooling, LSTM, dense head,
-    // dropout, and the im2col gate all exercised.
-    let mut cfg = CnnLstmConfig::scaled(300, 4, 16);
+/// Train a `scaled(input_len, n_classes, filters)` network (dropout
+/// 0.3, lr 0.01) on one fixed batch of `batch` rows for five warm-up
+/// steps, then assert that a sixth step touches the heap not at all.
+fn assert_steady_training_step_does_not_allocate(
+    input_len: usize,
+    n_classes: usize,
+    filters: usize,
+    batch: usize,
+) {
+    let mut cfg = CnnLstmConfig::scaled(input_len, n_classes, filters);
     cfg.dropout = 0.3;
     cfg.learning_rate = 0.01;
     let mut net = CnnLstm::new(cfg, 42);
 
     let mut rng = SeedRng::new(7);
-    let data: Vec<f32> = (0..8 * 300).map(|_| rng.standard_normal() as f32).collect();
-    let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
-    let x = Tensor::new(&[8, 1, 300], data);
+    let data: Vec<f32> = (0..batch * input_len).map(|_| rng.standard_normal() as f32).collect();
+    let labels: Vec<usize> = (0..batch).map(|i| i % n_classes).collect();
+    let x = Tensor::new(&[batch, 1, input_len], data);
 
     // Warm-up: arena buffers, layer caches, and Adam moments all settle
     // within the first step; a few extra guard against lazy growth.
@@ -117,21 +116,38 @@ fn steady_state_training_step_does_not_allocate() {
     }
 
     let (loss, (allocs, deallocs, reallocs)) = counted(|| net.train_batch(&x, &labels));
-    bf_par::set_threads(None);
 
     assert!(loss.is_finite(), "training step produced non-finite loss");
     assert_eq!(
         (allocs, deallocs, reallocs),
         (0, 0, 0),
-        "steady-state train_batch touched the heap: \
-         {allocs} allocs, {deallocs} deallocs, {reallocs} reallocs"
+        "steady-state train_batch at input {input_len}, {filters} filters, batch {batch} \
+         touched the heap: {allocs} allocs, {deallocs} deallocs, {reallocs} reallocs"
     );
+}
+
+#[test]
+fn steady_state_training_step_does_not_allocate() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Paper-shaped smoke network: both convs, pooling, LSTM, dense head,
+    // dropout, and the im2col gate all exercised.
+    assert_steady_training_step_does_not_allocate(300, 4, 16, 8);
+}
+
+#[test]
+fn steady_state_training_step_does_not_allocate_at_any_pool_size() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The `cv_train` shape, whose first conv costs 25 344 multiply-adds
+    // per sample, on a 4-thread pool: no kernel reads the pool size, so
+    // the step stays on this thread and on its warm arena.
+    bf_par::set_threads(Some(4));
+    assert_steady_training_step_does_not_allocate(600, 20, 16, 32);
+    bf_par::set_threads(None);
 }
 
 #[test]
 fn steady_state_batched_predict_does_not_allocate() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    bf_par::set_threads(Some(1));
 
     // Same smoke shape as the training case; a full serving micro-batch
     // of 8 rows, including zero-padded prefixes (the anytime rungs).
@@ -156,7 +172,6 @@ fn steady_state_batched_predict_does_not_allocate() {
     }
 
     let (p, (allocs, deallocs, reallocs)) = counted(|| net.predict_proba_batch(&rows));
-    bf_par::set_threads(None);
 
     assert_eq!(p.shape(), &[8, 4]);
     assert!(p.data().iter().all(|v| v.is_finite()));

@@ -3,18 +3,14 @@
 //! `CnnLstm::predict_proba_batch` stacks B rows into one forward pass;
 //! every kernel gives each sample a disjoint output slab and a fixed
 //! per-sample accumulation order, so row `i` of a batched result must be
-//! bit-identical to classifying row `i` alone — at any batch size, for
-//! any mix of full-length and zero-padded prefix rows, and at any thread
-//! count. These properties are what let the serving layer group
-//! requests into micro-batches without perturbing outcomes.
+//! bit-identical to classifying row `i` alone — at any batch size and
+//! for any mix of full-length and zero-padded prefix rows. These
+//! properties are what let the serving layer group requests into
+//! micro-batches without perturbing outcomes.
 
 use bf_nn::{CnnLstm, CnnLstmConfig};
 use bf_stats::SeedRng;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// `bf_par::set_threads` is process-global; serialize tests that flip it.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The issue's batch sizes: singleton, small, odd, full wave.
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 16];
@@ -62,8 +58,6 @@ proptest! {
         filters in 2usize..7,
         seed in 0u64..1_000,
     ) {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        bf_par::set_threads(Some(1));
         let mut net = net_for(input_len, n_classes, filters, seed);
         let rows = random_rows(16, input_len, seed ^ 0xBA7C4);
         let singles: Vec<Vec<u32>> = rows
@@ -88,57 +82,6 @@ proptest! {
             bf_nn::workspace::recycle(p);
         }
     }
-
-    /// Batched predictions are bit-identical across thread counts: the
-    /// fork-join gates only move work between workers, never reorder a
-    /// sample's accumulation. The forced leg disables the minimum-work
-    /// threshold, so the eval-mode kernels (the LSTM forward included)
-    /// fan out instead of staying inline at this small shape. It runs
-    /// first, on a network of its own: the LSTM's persistent per-row
-    /// caches would otherwise still hold an earlier leg's rows, and a
-    /// fanned-out kernel that skipped a row would pass unseen.
-    #[test]
-    fn batched_rows_are_thread_count_invariant(
-        input_len in 210usize..380,
-        seed in 0u64..1_000,
-    ) {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = random_rows(16, input_len, seed ^ 0x7EAD5);
-        bf_par::set_threads(Some(4));
-        let pf = {
-            let _fan_out = ThresholdOff::new();
-            net_for(input_len, 3, 4, seed).predict_proba_batch(&rows)
-        };
-        let mut net = net_for(input_len, 3, 4, seed);
-        bf_par::set_threads(Some(1));
-        let p1 = net.predict_proba_batch(&rows);
-        bf_par::set_threads(Some(4));
-        let p4 = net.predict_proba_batch(&rows);
-        bf_par::set_threads(Some(1));
-        let bits = |p: &bf_nn::Tensor| p.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        prop_assert_eq!(bits(&p1), bits(&p4));
-        prop_assert_eq!(bits(&p1), bits(&pf), "forced fan-out diverged");
-        bf_nn::workspace::recycle(p1);
-        bf_nn::workspace::recycle(p4);
-        bf_nn::workspace::recycle(pf);
-    }
-}
-
-/// Disables the minimum-work threshold for its lifetime and restores
-/// the default on drop (callers hold `SERIAL`).
-struct ThresholdOff;
-
-impl ThresholdOff {
-    fn new() -> Self {
-        bf_par::set_min_units(Some(0));
-        ThresholdOff
-    }
-}
-
-impl Drop for ThresholdOff {
-    fn drop(&mut self) {
-        bf_par::set_min_units(None);
-    }
 }
 
 /// A padded prefix row classifies identically whether it arrives alone
@@ -146,8 +89,6 @@ impl Drop for ThresholdOff {
 /// leaks across sample slabs.
 #[test]
 fn padded_prefix_rows_are_independent_of_neighbors() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    bf_par::set_threads(Some(1));
     let mut net = net_for(300, 4, 6, 11);
     let mut rng = SeedRng::new(23);
     let full: Vec<f32> = (0..300).map(|_| rng.standard_normal() as f32).collect();
