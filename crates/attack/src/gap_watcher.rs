@@ -7,10 +7,9 @@
 
 use bf_sim::SimOutput;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// One user-space-visible execution gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedGap {
     /// Last timer reading before the jump.
     pub start: Nanos,
@@ -34,7 +33,7 @@ impl ObservedGap {
 
 /// A tight polling loop reading the monotonic clock and reporting every
 /// jump larger than a threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapWatcher {
     /// Cost of one poll iteration (a vDSO `clock_gettime` plus loop
     /// control; ~20 ns on the paper's hardware).

@@ -10,10 +10,9 @@
 
 use crate::gap_watcher::ObservedGap;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Detection quality against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionReport {
     /// Detected events matching a true keystroke within tolerance.
     pub true_positives: usize,
@@ -59,7 +58,7 @@ impl DetectionReport {
 /// rescheduling-IPI gap. Single gaps in the same length band (timer
 /// ticks, RCU softirqs) do not pair up, which is what separates key
 /// presses from the idle noise floor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeystrokeDetector {
     /// Smallest gap treated as a candidate key press.
     pub min_gap: Nanos,

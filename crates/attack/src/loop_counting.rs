@@ -4,12 +4,11 @@ use crate::replay::{replay_counting_loop, PeriodRecord};
 use crate::trace::Trace;
 use bf_sim::SimOutput;
 use bf_timer::{BrowserKind, Nanos, Timer};
-use serde::{Deserialize, Serialize};
 
 /// An attacker that repeatedly increments a counter and reads the timer,
 /// recording per-period iteration counts. Makes **no memory accesses**;
 /// its signal comes entirely from execution gaps and frequency variation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopCountingAttacker {
     /// Period length `P` (the paper defaults to 5 ms).
     pub period: Nanos,

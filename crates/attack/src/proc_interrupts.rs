@@ -15,10 +15,9 @@
 use crate::trace::Trace;
 use bf_sim::SimOutput;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Access policy for the interrupt pseudo-file — the mitigation knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProcAccess {
     /// World-readable (the Linux default the attacks exploit).
     #[default]
@@ -29,7 +28,7 @@ pub enum ProcAccess {
 
 /// An attacker that polls machine-wide interrupt counters every period,
 /// recording the per-period delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcInterruptsAttacker {
     /// Sampling period.
     pub period: Nanos,

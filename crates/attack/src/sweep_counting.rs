@@ -6,7 +6,6 @@ use crate::trace::Trace;
 use bf_sim::{CacheConfig, SimOutput};
 use bf_stats::SeedRng;
 use bf_timer::{Nanos, Timer};
-use serde::{Deserialize, Serialize};
 
 /// An attacker that sweeps an LLC-sized buffer inside its counting loop.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// victim evicted since the previous sweep — the cache-occupancy signal —
 /// but the count *also* shrinks whenever interrupts steal the core, which
 /// is the coupling the paper exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepCountingAttacker {
     /// Period length `P`.
     pub period: Nanos,

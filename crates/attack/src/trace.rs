@@ -1,14 +1,13 @@
 //! The traces attackers collect: per-period iteration counts.
 
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// One collected side-channel trace: `values[i]` is the attacker's counter
 /// for the period whose *observed* start time was `i · P` (Fig. 2:
 /// `Trace[t_begin] = counter`). Periods the attacker never began (because
 /// a coarse timer skipped over them) hold 0, exactly as in the paper's
 /// array-indexed implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     period: Nanos,
     values: Vec<f64>,

@@ -19,10 +19,9 @@ use bf_sim::{Machine, MachineConfig};
 use bf_stats::rng::combine_seeds;
 use bf_timer::{BrowserKind, Nanos, Timer};
 use bf_victim::{Catalog, LoadEnv, NoiseApp, ProfileTuning, WebsiteProfile};
-use serde::{Deserialize, Serialize};
 
 /// Which attacker program collects the traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// The paper's loop-counting attack (Fig. 2b).
     LoopCounting,

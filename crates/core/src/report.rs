@@ -1,10 +1,8 @@
 //! Plain-text rendering of experiment results: aligned tables carrying
 //! paper-reference values next to measured ones, and ASCII figure series.
 
-use serde::{Deserialize, Serialize};
-
 /// An aligned text table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportTable {
     title: String,
     columns: Vec<String>,
@@ -108,7 +106,7 @@ impl std::fmt::Display for ReportTable {
 
 /// One named series of a figure, rendered as an ASCII sparkline plus
 /// summary statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureSeries {
     name: String,
     values: Vec<f64>,

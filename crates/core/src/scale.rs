@@ -1,7 +1,5 @@
 //! Experiment sizing.
 
-use serde::{Deserialize, Serialize};
-
 /// How big to run an experiment.
 ///
 /// The paper's full protocol (100 sites × 100 traces, 3 000-sample traces,
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// * [`ExperimentScale::Default`] — minutes per table; the scale the
 ///   committed EXPERIMENTS.md numbers were produced at.
 /// * [`ExperimentScale::Paper`] — the full published protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExperimentScale {
     /// Tiny: smoke tests and CI.
     Smoke,

@@ -36,10 +36,9 @@
 use bf_sim::Workload;
 use bf_timer::{RandomizedTimer, RandomizedTimerConfig, Timer};
 use bf_victim::NoiseProcess;
-use serde::{Deserialize, Serialize};
 
 /// A deployable countermeasure configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Countermeasure {
     /// No defense (baseline).
     #[default]

@@ -40,13 +40,11 @@ pub mod activity;
 pub mod attribution;
 pub mod piggyback;
 pub mod probe;
-pub mod timeline_export;
 
 pub use activity::{interrupt_activity, ActivitySeries};
 pub use attribution::{AttributionReport, GapAttribution};
 pub use piggyback::{cohabitation, Cohabitation};
 pub use probe::ProbeSet;
-pub use timeline_export::{reconstruct, CoreTrace, Span, SpanKind};
 
 use bf_attack::ObservedGap;
 use bf_sim::SimOutput;

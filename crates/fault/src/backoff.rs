@@ -20,7 +20,7 @@ const BACKOFF_STREAM: u64 = 0xB0FF;
 
 /// An exponential-backoff-with-jitter schedule, measured in the same
 /// virtual work units as [`crate::CancelToken`] budgets.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry (attempt 0), pre-jitter.
     pub base_units: u64,

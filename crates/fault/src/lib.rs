@@ -28,9 +28,9 @@
 //!    interrupted after fold *k* resumes to results bit-identical to an
 //!    uninterrupted run.
 //!
-//! The crate sits low in the workspace (only `bf-obs`, `bf-stats`, and
-//! `serde`), so both `bf-ml` (resumable CV) and `bf-core` (collection
-//! boundary) can build on it.
+//! The crate sits low in the workspace (only `bf-obs` and `bf-stats`), so
+//! both `bf-ml` (resumable CV) and `bf-core` (collection boundary) can
+//! build on it.
 
 pub mod backoff;
 pub mod cancel;

@@ -8,7 +8,7 @@
 use bf_stats::rng::{combine_seeds, SeedRng};
 
 /// One class of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A slice of periods is overwritten with implausibly large spikes
     /// (an interrupt storm swamping the counter).
@@ -41,7 +41,7 @@ impl FaultKind {
 /// draw, so their sum should stay ≤ 1. `transient` is the per-attempt
 /// probability that a collection attempt fails before producing a trace
 /// (bounded by `max_transient` consecutive failures).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the plan's own RNG stream (independent of experiment
     /// seeds, so enabling faults never perturbs clean-path collection).

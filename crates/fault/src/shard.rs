@@ -13,7 +13,7 @@
 //! coalesced by the supervisor rather than stacking.
 
 /// One scheduled shard crash, in virtual work units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardKill {
     /// Index of the shard to crash (fleet-relative, `0..shards`).
     pub shard: usize,
@@ -22,7 +22,7 @@ pub struct ShardKill {
 }
 
 /// A deterministic shard-kill schedule for the serving fleet.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardKillPlan {
     kills: Vec<ShardKill>,
 }

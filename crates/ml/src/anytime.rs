@@ -7,7 +7,10 @@
 //! confidence ([`Calibration`], temperature scaling fit on held-out
 //! folds), and stop as soon as the confidence clears a threshold — or
 //! whenever the caller's budget runs out, at which point the best
-//! answer so far is still a usable (if less accurate) prediction.
+//! answer so far is still a usable (if less accurate) prediction. The
+//! rungs live here; the climb itself is `bf-serve`'s
+//! `Service::predict_batch_ladder`, which adds deadlines and the
+//! circuit breaker.
 //!
 //! Prefix features are defined once here and shared by training-time
 //! calibration fitting and the online serving path, so the calibration
@@ -18,8 +21,6 @@
 
 use crate::calibrate::Calibration;
 use crate::{Classifier, Dataset};
-use bf_obs::Json;
-use std::path::Path;
 
 /// The ladder's rungs, as percentages of the full trace. The last rung
 /// is always the full trace.
@@ -55,27 +56,13 @@ pub fn prefix_features(features: &[f32], percent: u8) -> Vec<f32> {
     out
 }
 
-/// The outcome of one anytime classification.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnytimeDecision {
-    /// Calibrated per-class probabilities at the exit rung.
-    pub probs: Vec<f32>,
-    /// Calibrated confidence (max of `probs`).
-    pub confidence: f32,
-    /// The rung answered at, as a percent of the full trace.
-    pub level: u8,
-    /// Whether the confidence threshold was cleared before the full
-    /// trace (as opposed to reaching 100% or exhausting `max_levels`).
-    pub exited_early: bool,
-}
-
 /// Per-prefix-length calibrations for one model: the rungs of the
-/// anytime ladder. Persisted alongside the model snapshot so serving
-/// never refits confidence maps.
+/// anytime ladder, one per [`PREFIX_PERCENTS`] entry. Fit once offline
+/// and held by the serving tiers, so serving never refits confidence
+/// maps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnytimeLadder {
-    levels: Vec<u8>,
-    calibrations: Vec<Calibration>,
+    calibrations: [Calibration; PREFIX_PERCENTS.len()],
 }
 
 impl Default for AnytimeLadder {
@@ -88,15 +75,12 @@ impl AnytimeLadder {
     /// An uncalibrated ladder over [`PREFIX_PERCENTS`]: every rung uses
     /// the identity map, so confidence is the raw max probability.
     pub fn identity() -> Self {
-        AnytimeLadder {
-            levels: PREFIX_PERCENTS.to_vec(), // alloc-ok: constructor
-            calibrations: PREFIX_PERCENTS.iter().map(|_| Calibration::identity()).collect(), // alloc-ok: constructor
-        }
+        AnytimeLadder { calibrations: [Calibration::identity(); PREFIX_PERCENTS.len()] }
     }
 
     /// The rung percentages, shortest first.
     pub fn levels(&self) -> &[u8] {
-        &self.levels
+        &PREFIX_PERCENTS
     }
 
     /// The calibration for rung `idx`.
@@ -113,18 +97,16 @@ impl AnytimeLadder {
     /// Panics when `val` is empty.
     pub fn fit(model: &mut dyn Classifier, val: &Dataset) -> Self {
         assert!(!val.is_empty(), "cannot fit a ladder on an empty validation set");
-        let levels = PREFIX_PERCENTS.to_vec(); // alloc-ok: fit-time (offline)
-        let mut calibrations = Vec::with_capacity(levels.len()); // alloc-ok: fit-time (offline)
-        for &level in &levels {
+        let calibrations = PREFIX_PERCENTS.map(|level| {
             let prefixes: Vec<Vec<f32>> = val
                 .features()
                 .iter()
                 .map(|f| prefix_features(f, level))
                 .collect(); // alloc-ok: fit-time (offline)
             let probs = model.predict_proba_prefix(&prefixes);
-            calibrations.push(Calibration::fit(&probs, val.labels()));
-        }
-        AnytimeLadder { levels, calibrations }
+            Calibration::fit(&probs, val.labels())
+        });
+        AnytimeLadder { calibrations }
     }
 
     /// Classify `features` at rung `idx`: prefix, predict, calibrate.
@@ -135,7 +117,7 @@ impl AnytimeLadder {
         features: &[f32],
         idx: usize,
     ) -> (Vec<f32>, f32) {
-        let prefix = prefix_features(features, self.levels[idx]);
+        let prefix = prefix_features(features, PREFIX_PERCENTS[idx]);
         let mut probs = model
             .predict_proba_prefix(std::slice::from_ref(&prefix))
             .pop()
@@ -161,7 +143,7 @@ impl AnytimeLadder {
     ) -> Vec<(Vec<f32>, f32)> {
         let prefixes: Vec<Vec<f32>> = features
             .iter()
-            .map(|f| prefix_features(f, self.levels[idx]))
+            .map(|f| prefix_features(f, PREFIX_PERCENTS[idx]))
             .collect(); // alloc-ok: per-batch staging (request rows)
         let probs = model.predict_proba_prefix(&prefixes);
         probs
@@ -174,44 +156,12 @@ impl AnytimeLadder {
             .collect() // alloc-ok: per-batch result rows
     }
 
-    /// Walk the rungs shortest-first, exiting as soon as the calibrated
-    /// confidence reaches `threshold` or `max_levels` rungs have been
-    /// tried (the budget-capped case); the final rung's answer is
-    /// returned when nothing clears the bar.
-    pub fn classify_anytime(
-        &self,
-        model: &mut dyn Classifier,
-        features: &[f32],
-        threshold: f64,
-        max_levels: usize,
-    ) -> AnytimeDecision {
-        let last = max_levels.clamp(1, self.levels.len()) - 1;
-        let mut best: Option<AnytimeDecision> = None;
-        for idx in 0..=last {
-            let (probs, confidence) = self.classify_at(model, features, idx);
-            let level = self.levels[idx];
-            let cleared = (confidence as f64) >= threshold;
-            best = Some(AnytimeDecision {
-                probs,
-                confidence,
-                level,
-                exited_early: cleared && idx < self.levels.len() - 1,
-            });
-            if cleared {
-                break;
-            }
-        }
-        best.expect("at least one rung was classified")
-    }
-
     /// Mean calibrated confidence per rung over a dataset — the
     /// training-distribution signal behind early exit (and the property
     /// test that confidence does not decrease with prefix length).
     pub fn mean_confidences(&self, model: &mut dyn Classifier, data: &Dataset) -> Vec<f64> {
-        self.levels
-            .iter()
-            .enumerate()
-            .map(|(idx, _)| {
+        (0..PREFIX_PERCENTS.len())
+            .map(|idx| {
                 let total: f64 = data
                     .features()
                     .iter()
@@ -220,74 +170,6 @@ impl AnytimeLadder {
                 total / data.len().max(1) as f64
             })
             .collect() // alloc-ok: diagnostics (offline)
-    }
-
-    /// JSON form: rung percentages and their fitted temperatures.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "levels",
-                Json::Array(self.levels.iter().map(|&l| Json::UInt(l as u64)).collect()), // alloc-ok: persistence (offline)
-            ),
-            (
-                "calibrations",
-                Json::Array(self.calibrations.iter().map(Calibration::to_json).collect()), // alloc-ok: persistence (offline)
-            ),
-        ])
-    }
-
-    /// Parse a ladder back from [`AnytimeLadder::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes missing/mismatched arrays or an invalid calibration.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let Some(Json::Array(levels)) = json.get("levels") else {
-            return Err("ladder json missing \"levels\" array".to_owned());
-        };
-        let Some(Json::Array(cals)) = json.get("calibrations") else {
-            return Err("ladder json missing \"calibrations\" array".to_owned());
-        };
-        if levels.len() != cals.len() || levels.is_empty() {
-            return Err(format!(
-                "ladder json needs matching non-empty arrays, got {} levels / {} calibrations",
-                levels.len(),
-                cals.len()
-            ));
-        }
-        let mut out_levels = Vec::with_capacity(levels.len()); // alloc-ok: persistence (offline)
-        for l in levels {
-            match l.as_f64() {
-                Some(v) if (1.0..=100.0).contains(&v) => out_levels.push(v as u8),
-                other => return Err(format!("bad ladder level {other:?}")),
-            }
-        }
-        let mut out_cals = Vec::with_capacity(cals.len()); // alloc-ok: persistence (offline)
-        for c in cals {
-            out_cals.push(Calibration::from_json(c)?);
-        }
-        Ok(AnytimeLadder { levels: out_levels, calibrations: out_cals })
-    }
-
-    /// Persist next to the model snapshot (pretty JSON).
-    ///
-    /// # Errors
-    ///
-    /// Human-readable I/O failure.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json().to_pretty_string())
-            .map_err(|e| format!("write {}: {e}", path.display()))
-    }
-
-    /// Load a ladder persisted by [`AnytimeLadder::save`].
-    ///
-    /// # Errors
-    ///
-    /// Human-readable I/O or parse failure.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_json(&Json::parse(&text)?)
     }
 }
 
@@ -341,41 +223,6 @@ mod tests {
         assert_eq!(prefix_len(300, 100), 300);
         assert_eq!(prefix_len(2, 25), 1);
         assert_eq!(prefix_len(1, 25), 1);
-    }
-
-    #[test]
-    fn fitted_ladder_classifies_and_exits_early_on_easy_data() {
-        let train = toy(8, 1);
-        let val = toy(4, 2);
-        let mut model = CentroidClassifier::new(3);
-        model.fit(&train, &Dataset::new(3));
-        let ladder = AnytimeLadder::fit(&mut model, &val);
-        assert_eq!(ladder.levels(), &PREFIX_PERCENTS);
-        // A permissive threshold exits at the first rung; an impossible
-        // one walks to the full trace.
-        let f = &val.features()[0];
-        let easy = ladder.classify_anytime(&mut model, f, 0.0, 4);
-        assert_eq!(easy.level, 25);
-        assert!(easy.exited_early);
-        let hard = ladder.classify_anytime(&mut model, f, 1.1, 4);
-        assert_eq!(hard.level, 100);
-        assert!(!hard.exited_early);
-        // Budget-capped at 2 rungs: answers at 50% without early-exit.
-        let capped = ladder.classify_anytime(&mut model, f, 1.1, 2);
-        assert_eq!(capped.level, 50);
-        assert!(!capped.exited_early);
-    }
-
-    #[test]
-    fn ladder_round_trips_through_json() {
-        let train = toy(6, 3);
-        let val = toy(3, 4);
-        let mut model = CentroidClassifier::new(3);
-        model.fit(&train, &Dataset::new(3));
-        let ladder = AnytimeLadder::fit(&mut model, &val);
-        let back = AnytimeLadder::from_json(&ladder.to_json()).expect("round trip");
-        assert_eq!(back, ladder);
-        assert!(AnytimeLadder::from_json(&Json::object([])).is_err());
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! f64 accumulation), so a calibration is a pure function of its fitting
 //! set, and the applied map is monotone in the raw logit by
 //! construction: `l_a > l_b  ⇒  l_a/T > l_b/T  ⇒  q_a > q_b`.
-//! Persistence goes through `bf_obs::Json` next to the model snapshot.
-
-use bf_obs::Json;
 
 /// Floor for `log p` so that a zero probability stays finite.
 const LOG_FLOOR: f64 = 1e-12;
@@ -134,27 +131,6 @@ impl Calibration {
         // is monotone), and its tempered logit is exactly lmax.
         (1.0 / sum) as f32
     }
-
-    /// JSON form for persistence alongside the model snapshot.
-    pub fn to_json(&self) -> Json {
-        Json::object([("temperature", Json::Float(self.temperature))])
-    }
-
-    /// Parse a calibration back from [`Calibration::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes a missing or non-positive temperature.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let t = json
-            .get("temperature")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "calibration json missing \"temperature\"".to_owned())?;
-        if !(t.is_finite() && t > 0.0) {
-            return Err(format!("temperature must be positive and finite, got {t}"));
-        }
-        Ok(Calibration { temperature: t })
-    }
 }
 
 #[cfg(test)]
@@ -221,17 +197,6 @@ mod tests {
         cal.apply_in_place(&mut mapped);
         let max = mapped.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         assert_eq!(conf.to_bits(), max.to_bits(), "confidence must be the mapped max");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let cal = Calibration::with_temperature(3.25);
-        let back = Calibration::from_json(&cal.to_json()).expect("round trip");
-        assert_eq!(back.temperature().to_bits(), cal.temperature().to_bits());
-        assert!(Calibration::from_json(&Json::object([])).is_err());
-        assert!(
-            Calibration::from_json(&Json::object([("temperature", Json::Float(-1.0))])).is_err()
-        );
     }
 
     #[test]

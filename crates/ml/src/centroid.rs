@@ -5,12 +5,11 @@
 //! separability before spending time on CNN+LSTM training.
 
 use crate::{Classifier, Dataset};
-use serde::{Deserialize, Serialize};
 
 /// Classifies a trace by the nearest class-mean in Euclidean distance,
 /// with distances converted to probabilities via a softmax over negative
 /// distances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CentroidClassifier {
     n_classes: usize,
     centroids: Vec<Vec<f32>>,

@@ -3,10 +3,9 @@
 use crate::{Classifier, Dataset};
 use bf_nn::{CnnLstm, CnnLstmConfig, Tensor};
 use bf_stats::SeedRng;
-use serde::{Deserialize, Serialize};
 
 /// Training-loop hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Maximum epochs (early stopping usually ends sooner).
     pub max_epochs: usize,

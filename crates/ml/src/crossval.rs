@@ -17,12 +17,11 @@ use crate::metrics::{accuracy, argmax, top_k_accuracy};
 use crate::{Classifier, Dataset};
 use bf_fault::checkpoint::{CvCheckpoint, FoldRecord};
 use bf_stats::rng::combine_seeds;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// One fold's held-out test metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FoldResult {
     /// Top-1 accuracy on the held-out fold.
     pub accuracy: f64,
@@ -31,7 +30,7 @@ pub struct FoldResult {
 }
 
 /// Aggregated cross-validation metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValResult {
     /// Per-fold results, in fold order (failed folds are absent).
     pub folds: Vec<FoldResult>,

@@ -1,10 +1,9 @@
 //! Labeled trace datasets and splitting.
 
 use bf_stats::SeedRng;
-use serde::{Deserialize, Serialize};
 
 /// A labeled collection of fixed-length traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     features: Vec<Vec<f32>>,
     labels: Vec<usize>,

@@ -21,10 +21,9 @@ use crate::calibrate::Calibration;
 use crate::{Classifier, Dataset};
 use bf_nn::{CnnLstm, CnnLstmConfig};
 use bf_stats::SeedRng;
-use serde::{Deserialize, Serialize};
 
 /// Distillation hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistillConfig {
     /// Convolution filters per conv layer of the student (teacher uses
     /// the paper's 256 at full scale).

@@ -43,7 +43,7 @@ pub mod distill;
 pub mod metrics;
 pub mod openworld;
 
-pub use anytime::{prefix_features, prefix_len, AnytimeDecision, AnytimeLadder, PREFIX_PERCENTS};
+pub use anytime::{prefix_features, prefix_len, AnytimeLadder, PREFIX_PERCENTS};
 pub use calibrate::Calibration;
 pub use centroid::CentroidClassifier;
 pub use cnn::{CnnLstmClassifier, TrainConfig};

@@ -1,7 +1,5 @@
 //! Classification metrics, including the paper's open-world report.
 
-use serde::{Deserialize, Serialize};
-
 /// NaN-tolerant argmax over a probability row.
 ///
 /// Uses [`f32::total_cmp`], so a NaN probability can never panic; under
@@ -54,7 +52,7 @@ pub fn top_k_accuracy(probas: &[Vec<f32>], labels: &[usize], k: usize) -> f64 {
 }
 
 /// A square confusion matrix: `counts[truth][pred]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
 }
@@ -106,7 +104,7 @@ impl ConfusionMatrix {
 /// The open-world evaluation of Table 1: classes `0..n-1` are sensitive
 /// sites; class `n-1` (the last one) is the aggregate "non-sensitive"
 /// class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenWorldReport {
     /// Accuracy on traces whose true class is a sensitive site.
     pub sensitive_accuracy: f64,

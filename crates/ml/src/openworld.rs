@@ -7,10 +7,8 @@
 //! falsely flagged as a sensitive site. Sweeping a confidence threshold
 //! on the "non-sensitive" probability traces out that curve.
 
-use serde::{Deserialize, Serialize};
-
 /// One operating point of the open-world detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Threshold on the non-sensitive-class probability: predictions
     /// with `p(non-sensitive) >= tau` are reported as non-sensitive.
@@ -23,7 +21,7 @@ pub struct OperatingPoint {
 }
 
 /// The threshold sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdCurve {
     /// Points in increasing `tau` order.
     pub points: Vec<OperatingPoint>,

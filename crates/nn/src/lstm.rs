@@ -43,7 +43,7 @@ fn sigmoid(x: f32) -> f32 {
 /// activation)" reads as the sigmoid variant, which this crate supports
 /// exactly — but tanh trains far better on long sequences and is used by
 /// the scaled experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LstmActivation {
     /// Hyperbolic tangent (Keras default).
     #[default]

@@ -12,10 +12,9 @@ use crate::tensor::Tensor;
 use crate::workspace;
 use crate::Layer;
 use bf_stats::SeedRng;
-use serde::{Deserialize, Serialize};
 
 /// Pooling operator selection for the conv stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolKind {
     /// Max pooling (the paper's model).
     #[default]
@@ -38,7 +37,7 @@ impl PoolKind {
 /// [`CnnLstmConfig::paper`] reproduces the published model exactly;
 /// [`CnnLstmConfig::scaled`] shrinks the filter count for CI-scale runs
 /// while keeping the architecture shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CnnLstmConfig {
     /// Trace length fed to the network.
     pub input_len: usize,

@@ -1,4 +1,5 @@
-//! Source-level allocation lint for the training hot path.
+//! Source-level allocation lint for the training, serving, simulation
+//! and attack-replay hot paths.
 //!
 //! The `alloc_regression` test proves the steady state allocates
 //! nothing at runtime; this lint keeps the *sources* honest between
@@ -7,9 +8,9 @@
 //! must carry an `// alloc-ok: <reason>` annotation stating why it is
 //! off the steady-state path (constructor, pool miss, checkpointing,
 //! first step). An unannotated hit fails the test with
-//! the file, line, and offending code.
-//!
-//! `scripts/check_hot_alloc.sh` runs the same scan without a compile.
+//! the file, line, and offending code. The scan reads each module's
+//! source through `include_str!`, so it runs wherever the bf-nn suite
+//! does.
 
 /// Modules whose bodies constitute the training hot path, plus the
 /// bf-obs primitives that run inside it (span guards, counters, trace

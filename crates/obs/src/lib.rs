@@ -20,8 +20,8 @@
 //!    run (span timings included), then writes JSON to `$BF_MANIFEST_DIR`
 //!    (default `manifests/`) via [`manifest::ManifestBuilder`].
 //!
-//! The crate depends only on `parking_lot` and `serde`, keeping it safe to
-//! pull into every other workspace crate.
+//! The crate depends only on `parking_lot`, keeping it safe to pull into
+//! every other workspace crate.
 
 pub mod env;
 pub mod event;

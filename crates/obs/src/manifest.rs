@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Wall-clock timing of one named phase of a run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTiming {
     /// Phase name (`collect`, `train`, `evaluate`, …).
     pub name: String,
@@ -23,7 +23,7 @@ pub struct PhaseTiming {
 }
 
 /// The complete record of one experiment run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Runner name (`table2`, `figure6`, …).
     pub name: String,

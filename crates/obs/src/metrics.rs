@@ -123,7 +123,7 @@ pub const EXEMPLAR_CAP: usize = 4;
 
 /// A tail observation annotated with the trace that produced it, linking
 /// a histogram's p99+ entries back to their [`crate::trace`] timelines.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exemplar {
     /// The observed value.
     pub value: f64,
@@ -331,7 +331,7 @@ impl LocalHistogram {
 }
 
 /// Immutable histogram state, mergeable across threads / processes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts (`HISTOGRAM_BUCKETS` log-scale buckets).
     pub buckets: Vec<u64>,
@@ -345,7 +345,6 @@ pub struct HistogramSnapshot {
     pub max: Option<f64>,
     /// Top observations by value, tagged with the trace that produced
     /// them (empty unless recorded via [`LogHistogram::record_exemplar`]).
-    #[serde(default)]
     pub exemplars: Vec<Exemplar>,
 }
 
@@ -446,7 +445,7 @@ impl HistogramSnapshot {
 }
 
 /// One metric's snapshot value.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),

@@ -152,11 +152,11 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let f = &f;
-    let collected: Vec<(usize, R)> = crossbeam::thread::scope(|scope| {
+    let collected: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let cursor = &cursor;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _span = bf_obs::span::adopt(sparent);
                     let mut local = Vec::new();
                     loop {
@@ -183,8 +183,7 @@ where
             std::panic::resume_unwind(p);
         }
         all
-    })
-    .expect("bf-par scope");
+    });
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for (i, r) in collected {
         slots[i] = Some(r);

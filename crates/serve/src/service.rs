@@ -913,7 +913,7 @@ impl Service {
         let levels = tiers.ladder.levels();
         let n_levels = levels.len();
         let cc4 = (cfg.collect_attempt_units / 4).max(1);
-        let first_level = levels.first().copied().unwrap_or(100);
+        let first_level = bf_ml::PREFIX_PERCENTS[0];
         let mut st: Vec<Climb> = members
             .iter()
             .zip(injected)

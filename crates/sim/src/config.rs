@@ -2,13 +2,12 @@
 
 use crate::routing::RoutingPolicy;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Operating systems evaluated in Table 1.
 ///
 /// The OS determines the scheduler tick period, the background housekeeping
 /// interrupt volume, and the default IRQ distribution policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OsKind {
     /// Ubuntu 20.04-like Linux (CONFIG_HZ=250, irqbalance available).
     Linux,
@@ -59,7 +58,7 @@ impl std::fmt::Display for OsKind {
 
 /// Virtual-machine placement of the attacker and victim (§5.1, Table 3
 /// row 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VmMode {
     /// Attacker and victim share the host OS directly.
     #[default]
@@ -77,7 +76,7 @@ pub enum VmMode {
 /// §5.1 ("Disable Frequency Scaling"): the paper's machine runs at
 /// 1.6–3 GHz and is pinned to 2.5 GHz with `cpufreq-set` for the second
 /// Table 3 row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyConfig {
     /// Whether the governor may vary the clock.
     pub scaling_enabled: bool,
@@ -109,7 +108,7 @@ impl FrequencyConfig {
 }
 
 /// Last-level cache model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total LLC size in cache lines (6 MiB / 64 B = 98 304 for the
     /// paper's Core i5).
@@ -142,7 +141,7 @@ impl Default for CacheConfig {
 }
 
 /// Isolation mechanisms, applied cumulatively in Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsolationConfig {
     /// `cpufreq-set`: pin the clock (row 2).
     pub pin_frequency: bool,
@@ -183,7 +182,7 @@ impl IsolationConfig {
 }
 
 /// Full machine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of physical cores (the paper's desktops: 4, no SMT).
     pub num_cores: usize,

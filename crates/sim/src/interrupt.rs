@@ -2,10 +2,9 @@
 
 use bf_stats::SeedRng;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Linux softirq classes relevant to the attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SoftirqKind {
     /// `NET_RX`: deferred network-packet processing. Long-running — this is
     /// where the decryption/protocol work for a burst of packets happens.
@@ -26,7 +25,7 @@ pub enum SoftirqKind {
 /// re-route device IRQs away from a core (`irqbalance`), but timer ticks,
 /// IPIs, softirqs, and IRQ work execute on whatever core the kernel chose
 /// and offer no user-facing affinity control (§5.1, Takeaway 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterruptKind {
     /// NIC receive interrupt (movable device IRQ).
     NetworkRx,
@@ -157,7 +156,7 @@ impl std::fmt::Display for InterruptKind {
 }
 
 /// Coarse interrupt classes used by the figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterruptClass {
     /// Hardware device IRQs (movable).
     DeviceIrq,

@@ -8,10 +8,9 @@
 
 use crate::interrupt::InterruptKind;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// What the kernel was doing during a logged interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelEventKind {
     /// An interrupt handler ran.
     Interrupt(InterruptKind),
@@ -30,7 +29,7 @@ impl KernelEventKind {
 }
 
 /// One kernel-mode interval on one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelEvent {
     /// Core the handler ran on.
     pub core: usize,
@@ -55,7 +54,7 @@ impl KernelEvent {
 }
 
 /// Time-ordered log of kernel activity across all cores.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelLog {
     events: Vec<KernelEvent>,
     sorted: bool,

@@ -7,13 +7,12 @@
 
 use crate::interrupt::InterruptKind;
 use bf_stats::rng::combine_seeds;
-use serde::{Deserialize, Serialize};
 
 /// How movable device IRQs are assigned to cores.
 ///
 /// Non-movable interrupts (ticks, IPIs, softirqs, IRQ work) never consult
 /// this policy — that asymmetry is the paper's Takeaway 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingPolicy {
     /// Distribute interrupts across all cores (hash of source and
     /// sequence number — models MSI-X spreading / default irqbalance).

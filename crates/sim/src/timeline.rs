@@ -13,10 +13,9 @@ use crate::interrupt::InterruptKind;
 use bf_stats::series::partition_point_from;
 use bf_stats::{StepCursor, StepSeries};
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Why user code was not running during a gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GapCause {
     /// An interrupt handler (possibly with further handlers queued
     /// back-to-back; the kernel log holds the full decomposition).
@@ -39,7 +38,7 @@ impl GapCause {
 }
 
 /// One interval during which user code on a core did not execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gap {
     /// Gap start (user code pauses).
     pub start: Nanos,
@@ -69,7 +68,7 @@ impl Gap {
 }
 
 /// The execution timeline of one core over a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreTimeline {
     duration: Nanos,
     /// Sorted, non-overlapping, non-empty.

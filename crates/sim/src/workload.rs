@@ -5,10 +5,9 @@
 //! interrupts, cache traffic, and CPU load.
 
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// One unit of victim activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadEvent {
     /// A network packet arrives at the NIC: a receive IRQ plus deferred
     /// `NET_RX` softirq work proportional to the backlog.
@@ -53,7 +52,7 @@ pub enum WorkloadEvent {
 }
 
 /// A workload event stamped with its virtual arrival time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedEvent {
     /// Arrival time.
     pub t: Nanos,
@@ -65,7 +64,7 @@ pub struct TimedEvent {
 ///
 /// Events may be pushed in any order; [`Workload::finalize`] (called
 /// automatically by the engine) sorts them by time.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Workload {
     duration: Nanos,
     events: Vec<TimedEvent>,

@@ -6,10 +6,11 @@
 //! distributions (Fig. 6, histograms), and the deterministic random number
 //! machinery used to seed every synthetic workload.
 //!
-//! The crate is dependency-light by design: all special functions
+//! The crate depends on nothing but `std`: all special functions
 //! (log-gamma, regularized incomplete beta for the *t* distribution CDF) and
 //! all samplers (normal, log-normal, exponential, Poisson, Pareto) are
-//! implemented from scratch on top of [`rand`]'s uniform source.
+//! implemented from scratch on top of [`SeedRng`]'s xoshiro256++ uniform
+//! source.
 //!
 //! # Example
 //!

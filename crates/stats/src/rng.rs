@@ -5,10 +5,6 @@
 //! explicit 64-bit seeds so experiments replay bit-for-bit. [`SeedRng`] is a
 //! small, fast xoshiro256++ generator with the distribution samplers the
 //! simulator needs (normal, log-normal, exponential, Poisson, Pareto).
-//! It also implements [`rand::RngCore`] so it composes with the wider
-//! `rand` ecosystem.
-
-use rand::RngCore;
 
 /// SplitMix64 step, used for seed expansion and as a stable string/stream
 /// hash combiner.
@@ -315,23 +311,6 @@ impl NormalSlots {
     }
 }
 
-impl RngCore for SeedRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_raw().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,14 +457,6 @@ mod tests {
         assert_eq!(hash64(b"nytimes.com"), hash64(b"nytimes.com"));
         assert_ne!(hash64(b"nytimes.com"), hash64(b"amazon.com"));
         assert_ne!(hash64(b""), hash64(b"\0"));
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_fills_everything() {
-        let mut r = SeedRng::new(17);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! `O(1)` each.
 
 use crate::{Result, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Linear probes a seek makes before binary-searching the rest.
 const PROBES: usize = 4;
@@ -40,7 +39,7 @@ pub fn partition_point_from<T>(items: &[T], hint: usize, pred: impl Fn(&T) -> bo
 
 /// A right-continuous step function of `u64` time (nanoseconds in the
 /// simulator) to `f64` values.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepSeries {
     /// Change points sorted by time; value holds from its time (inclusive)
     /// until the next change point.

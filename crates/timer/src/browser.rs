@@ -8,12 +8,11 @@
 
 use crate::models::{JitteredTimer, PreciseTimer, QuantizedTimer};
 use crate::{Nanos, Timer};
-use serde::{Deserialize, Serialize};
 
 /// The browsers evaluated in Table 1, plus a native (non-browser) attacker
 /// environment used for Table 3's Python attacker and §5.2's Rust gap
 /// watcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BrowserKind {
     /// Chrome 92: 0.1 ms timer with hash jitter.
     Chrome,

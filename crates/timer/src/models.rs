@@ -2,7 +2,6 @@
 
 use crate::{Nanos, Timer};
 use bf_stats::rng::{combine_seeds, splitmix64, SeedRng};
-use serde::{Deserialize, Serialize};
 
 /// A perfect-resolution timer (the native attacker's `CLOCK_MONOTONIC`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,7 +158,7 @@ impl Timer for JitteredTimer {
 /// by β·Δ; and if the lag somehow exceeds `threshold` the value snaps to
 /// real time plus β·Δ. The paper's evaluation uses α, β ~ U\[5, 25\],
 /// Δ = 1 ms, threshold = 100 ms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomizedTimerConfig {
     /// Update period Δ.
     pub delta: Nanos,

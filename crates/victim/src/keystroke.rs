@@ -13,10 +13,9 @@ use bf_sim::{TimedEvent, Workload, WorkloadEvent};
 use bf_stats::rng::combine_seeds;
 use bf_stats::SeedRng;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A user typing at a given speed on an otherwise mostly idle machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeystrokeSession {
     /// Typing speed in words per minute (≈5 keys per word).
     pub wpm: f64,

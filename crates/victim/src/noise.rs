@@ -9,10 +9,9 @@ use bf_sim::{TimedEvent, Workload, WorkloadEvent};
 use bf_stats::rng::combine_seeds;
 use bf_stats::SeedRng;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Background applications modeled for the noise-robustness experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NoiseApp {
     /// Slack: periodic websocket traffic, rendering of message updates,
     /// event-loop timers.
@@ -96,7 +95,7 @@ impl NoiseApp {
 
 /// Generic stochastic noise processes used by the defense evaluation and
 /// robustness tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseProcess {
     /// Poisson spurious-interrupt noise at `rate` events/second (the §6.2
     /// countermeasure's mechanism, also usable as an attack stressor).

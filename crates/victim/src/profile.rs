@@ -4,11 +4,10 @@ use bf_sim::{TimedEvent, Workload, WorkloadEvent};
 use bf_stats::rng::{combine_seeds, hash64};
 use bf_stats::SeedRng;
 use bf_timer::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Global knobs for workload synthesis, used by calibration and ablation
 /// studies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileTuning {
     /// Multiplier on all event volumes (packets, wakes, shootdowns).
     pub intensity: f64,
@@ -29,7 +28,7 @@ impl Default for ProfileTuning {
 /// several times longer and their timing varies wildly between runs
 /// (which is why the paper collects 50-second traces for Tor). The
 /// environment stretches and delays the generated activity accordingly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadEnv {
     /// Median multiplicative time stretch applied to all activity
     /// (1.0 = direct connection).
@@ -67,7 +66,7 @@ impl LoadEnv {
 
 /// One network/activity wave of a page load (document fetch, subresource
 /// waves, late ad/analytics bursts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Wave {
     /// Wave start, seconds after navigation.
     start: f64,
@@ -83,7 +82,7 @@ struct Wave {
 
 /// Site-characteristic parameters, derived deterministically from the
 /// hostname.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SiteParams {
     waves: Vec<Wave>,
     /// Event-loop wake rate during active phases (wakes/second).
@@ -111,7 +110,7 @@ struct SiteParams {
 
 /// A synthetic website whose load produces a stable, site-characteristic
 /// interrupt and cache-activity fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebsiteProfile {
     hostname: String,
     params: SiteParams,
