@@ -14,7 +14,7 @@ use bf_ml::{
     prefix_features, CentroidClassifier, Classifier, CnnLstmClassifier, CrossValResult, Dataset,
     DistillConfig, DistilledClassifier, TrainConfig,
 };
-use bf_nn::CnnLstmConfig;
+use bf_nn::{CnnLstmConfig, PoolKind};
 use bf_timer::BrowserKind;
 use std::sync::Mutex;
 
@@ -144,14 +144,16 @@ fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
 }
 
 /// The golden training fixture: `scaled(input_len, 4, filters)` with
-/// dropout 0.3 and lr 0.01, net seed 1234, a 12×`input_len`
-/// standard-normal batch from `SeedRng(77)` with labels `i % 4`, trained
-/// `steps` batches. Returns the FNV-1a fingerprint of every trained
-/// weight's bits. `input_len` 300 gives the LSTM one step, 1000 six.
-fn golden_train_hash(input_len: usize, filters: usize, steps: usize) -> u64 {
+/// `pool_kind`, dropout 0.3 and lr 0.01, net seed 1234, a
+/// 12×`input_len` standard-normal batch from `SeedRng(77)` with labels
+/// `i % 4`, trained `steps` batches. Returns the FNV-1a fingerprint of
+/// every trained weight's bits. `input_len` 300 gives the LSTM one
+/// step, 1000 six.
+fn golden_train_hash(input_len: usize, filters: usize, steps: usize, pool_kind: PoolKind) -> u64 {
     use bf_nn::{CnnLstm, Tensor};
     use bf_stats::SeedRng;
     let mut cfg = CnnLstmConfig::scaled(input_len, 4, filters);
+    cfg.pool_kind = pool_kind;
     cfg.dropout = 0.3;
     cfg.learning_rate = 0.01;
     let mut net = CnnLstm::new(cfg, 1234);
@@ -176,12 +178,19 @@ const GOLDEN_SCALAR_4F: u64 = 0x90909a245530d3da;
 /// Recorded on the kernels that kept separate inline and fan-out arms.
 const GOLDEN_LSTM6_16F: u64 = 0x5b8b5783c75fd4a4;
 
+/// The `GOLDEN_IM2COL_16F` fixture with average pooling, the `ablation`
+/// bin's "avg pool + tanh LSTM" row. Recorded on the three-layer conv
+/// stages (Conv1d, then ReLU, then AvgPool1d, each a layer of its own).
+const GOLDEN_AVG_16F: u64 = 0x35d4810741bd20a6;
+
 #[test]
 fn trained_weights_match_pre_workspace_golden_hashes() {
     // 16 filters drives the im2col/matmul path in both convs; 4 filters
     // drives the scalar fallback. Both must match the hashes recorded
     // before the zero-allocation refactor, at every thread count.
-    let (seq, par) = at_thread_counts(|| (golden_train_hash(300, 16, 4), golden_train_hash(300, 4, 4)));
+    let (seq, par) = at_thread_counts(|| {
+        (golden_train_hash(300, 16, 4, PoolKind::Max), golden_train_hash(300, 4, 4, PoolKind::Max))
+    });
     assert_eq!(seq.0, GOLDEN_IM2COL_16F, "im2col path diverged from pre-workspace bits (t=1)");
     assert_eq!(seq.1, GOLDEN_SCALAR_4F, "scalar path diverged from pre-workspace bits (t=1)");
     assert_eq!(par.0, GOLDEN_IM2COL_16F, "im2col path diverged from pre-workspace bits (t=4)");
@@ -190,9 +199,16 @@ fn trained_weights_match_pre_workspace_golden_hashes() {
 
 #[test]
 fn multi_step_lstm_golden_holds_across_thread_counts() {
-    let (seq, par) = at_thread_counts(|| golden_train_hash(1000, 16, 4));
+    let (seq, par) = at_thread_counts(|| golden_train_hash(1000, 16, 4, PoolKind::Max));
     assert_eq!(seq, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged (t=1)");
     assert_eq!(par, GOLDEN_LSTM6_16F, "six-step LSTM fixture diverged (t=4)");
+}
+
+#[test]
+fn avg_pool_golden_holds_across_thread_counts() {
+    let (seq, par) = at_thread_counts(|| golden_train_hash(300, 16, 4, PoolKind::Avg));
+    assert_eq!(seq, GOLDEN_AVG_16F, "avg-pool fixture diverged (t=1)");
+    assert_eq!(par, GOLDEN_AVG_16F, "avg-pool fixture diverged (t=4)");
 }
 
 #[test]
@@ -202,8 +218,8 @@ fn warm_workspace_pool_is_bit_stable() {
     // ones.
     let _lock = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     bf_par::set_threads(Some(1));
-    let cold = golden_train_hash(300, 16, 4);
-    let warm = golden_train_hash(300, 16, 4);
+    let cold = golden_train_hash(300, 16, 4, PoolKind::Max);
+    let warm = golden_train_hash(300, 16, 4, PoolKind::Max);
     bf_par::set_threads(None);
     assert_eq!(cold, GOLDEN_IM2COL_16F);
     assert_eq!(warm, cold, "warm-pool training diverged from cold-pool training");

@@ -83,11 +83,6 @@ impl AnytimeLadder {
         &PREFIX_PERCENTS
     }
 
-    /// The calibration for rung `idx`.
-    pub fn calibration(&self, idx: usize) -> &Calibration {
-        &self.calibrations[idx]
-    }
-
     /// Fit one temperature per rung on held-out data: classify every
     /// validation trace at each prefix length and scale that rung's
     /// confidences by NLL. Deterministic for a fixed `(model, val)`.

@@ -1,4 +1,5 @@
-//! 1-D convolution.
+//! 1-D convolution: the kernel inside each conv stage
+//! ([`ConvPool1d`](crate::ConvPool1d)).
 //!
 //! The forward unfolds each sample (im2col) and runs one [`matmul`] on
 //! it, one sample after another on the calling thread. The matmul's
@@ -13,13 +14,15 @@
 //! bit-identical to the scalar path. Tiny shapes skip the im2col detour
 //! and take a hoisted scalar path instead.
 //!
-//! The parameter-gradient sweep walks, per output channel, each
-//! sample's gradient row (and, on the im2col paths, that sample's block
-//! of im2col rows): the flat loop's `(i, p)` order, with no index
-//! division per element. Its zero skip lists each row block's nonzero
-//! positions without a branch per entry (`for_each_nonzero`).
-//! [`Layer::backward_params`] runs the same backward body without the
-//! input-gradient pass: the network's first layer has no reader for it.
+//! The backward visits only the output entries that carry gradient: the
+//! stage hands it, per `(sample, channel)` row, the row's nonzero
+//! `(position, value)` entries in position order ([`RowLists`]). The
+//! parameter-gradient pass walks, per output channel, each sample's
+//! entries — the flat loop's `(i, p)` order with its zero skip — reading
+//! each window straight from the input when the unfolded row is narrow,
+//! else from the batch's im2col matrix. The input-gradient pass walks the
+//! same entries per sample, and is skipped for the network's first
+//! layer, whose input gradient nothing reads.
 
 use crate::param::Param;
 use crate::tensor::{
@@ -27,36 +30,65 @@ use crate::tensor::{
     transpose_into, Tensor,
 };
 use crate::workspace::{self, ScratchBuf};
-use crate::Layer;
 use bf_stats::SeedRng;
 
 /// Below this many multiply-adds per sample the im2col buffer costs more
-/// than it saves; take the scalar path. Both paths produce identical
-/// bits, so the threshold only affects speed.
+/// than it saves; the forward takes the scalar path. Both paths produce
+/// identical bits, so the threshold only affects speed.
 const IM2COL_MIN_FLOPS: usize = 8 * 1024;
 
-/// Calls `f(p, row[p])` for every entry of `row` that is not `±0` (a
-/// NaN counts), in index order: the weight-gradient sweep's zero skip,
-/// exactly as `if g == 0.0 { continue }` would skip. Each block of 64
-/// entries is first scanned without a per-entry branch into a stack
-/// list of its nonzero positions. Gradients behind a ReLU and a
-/// max-pool are mostly zero in no pattern a branch predictor learns, so
-/// a branch per entry would mispredict often.
-#[inline]
-fn for_each_nonzero(row: &[f32], mut f: impl FnMut(usize, f32)) {
-    const BLOCK: usize = 64;
-    let mut nonzero = [0u8; BLOCK];
-    for (b, block) in row.chunks(BLOCK).enumerate() {
-        let mut m = 0;
-        for (p, &g) in block.iter().enumerate() {
-            // Written unconditionally, kept only when `g` is nonzero.
-            nonzero[m] = p as u8;
-            m += usize::from(g != 0.0);
+/// Unfolded rows at most this wide (`C_in · K`, e.g. the 1-channel first
+/// conv's 8) keep a channel's weight-gradient partial in a stack
+/// accumulator and read each window straight from the input.
+const NARROW_ROW: usize = 16;
+
+/// Per-row lists of `(position, value)` pairs: one row per
+/// `(sample, channel)` in row-major order, stored back to back in one
+/// buffer that its owner reuses in place, so a warm list never
+/// allocates. Rows are appended in order with [`RowLists::push_row`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowLists<T> {
+    items: Vec<(u32, T)>,
+    len: usize,
+    /// `ends[r]` is one past row `r`'s last item.
+    ends: Vec<usize>,
+}
+
+impl<T: Copy + Default> RowLists<T> {
+    /// Empty every row, with room for `max_items` items in all.
+    pub(crate) fn clear(&mut self, max_items: usize) {
+        if self.items.len() < max_items {
+            self.items.resize(max_items, (0, T::default()));
         }
-        for &p in &nonzero[..m] {
-            let p = usize::from(p);
-            f(b * BLOCK + p, block[p]);
-        }
+        self.len = 0;
+        self.ends.clear();
+    }
+
+    /// Append a row: `fill` writes its items to the front of the free
+    /// slots and returns how many it wrote. A filler that compacts
+    /// without a branch writes every candidate and advances its count
+    /// only past the kept ones, so keep patterns a branch predictor
+    /// cannot learn (ReLU signs, gradient zeros) cost no mispredictions.
+    #[inline(always)]
+    pub(crate) fn push_row(&mut self, fill: impl FnOnce(&mut [(u32, T)]) -> usize) {
+        self.len += fill(&mut self.items[self.len..]);
+        self.ends.push(self.len);
+    }
+
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Items in all rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `r`'s items, in the order they were written.
+    pub(crate) fn row(&self, r: usize) -> &[(u32, T)] {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        &self.items[start..self.ends[r]]
     }
 }
 
@@ -74,14 +106,14 @@ enum Path {
 /// Strided valid 1-D convolution mapping `(N, C_in, L)` to
 /// `(N, C_out, L_out)` with `L_out = (L - kernel) / stride + 1`.
 #[derive(Debug, Clone)]
-pub struct Conv1d {
+pub(crate) struct Conv1d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
     stride: usize,
     /// Weights laid out `(C_out, C_in, K)` row-major.
-    weight: Param,
-    bias: Param,
+    pub(crate) weight: Param,
+    pub(crate) bias: Param,
     cached_input: Option<Tensor>,
 }
 
@@ -91,7 +123,7 @@ impl Conv1d {
     /// # Panics
     ///
     /// Panics when kernel or stride is zero.
-    pub fn new(
+    pub(crate) fn new(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
@@ -116,7 +148,7 @@ impl Conv1d {
     /// # Panics
     ///
     /// Panics when `l < kernel` (no valid window).
-    pub fn out_len(&self, l: usize) -> usize {
+    pub(crate) fn out_len(&self, l: usize) -> usize {
         assert!(l >= self.kernel, "input length {l} shorter than kernel {}", self.kernel);
         (l - self.kernel) / self.stride + 1
     }
@@ -167,189 +199,9 @@ impl Conv1d {
         }
     }
 
-    /// One channel's parameter-gradient partial, accumulated over
-    /// `(i, p)` in index order (the per-element order of the sequential
-    /// quadruple loop): samples in order, and within a sample the
-    /// nonzero entries of the channel's gradient row in position order.
-    /// `cols` is the batch's im2col matrix when the im2col gate is open
-    /// (sample `i`'s `lo` rows of `ck` start at row `i * lo`); `wg` must
-    /// arrive zeroed.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_channel(
-        &self,
-        co: usize,
-        x: &Tensor,
-        grad: &Tensor,
-        cols: Option<&[f32]>,
-        n: usize,
-        l: usize,
-        lo: usize,
-        wg: &mut [f32],
-        bg: &mut f32,
-    ) {
-        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
-        let ck = cin * k;
-        let sample_len = cin * l;
-        let grad_row = |i: usize| {
-            let base = (i * self.out_channels + co) * lo;
-            &grad.data()[base..base + lo]
-        };
-        if let Some(cols) = cols {
-            let sample_cols = |i: usize| &cols[i * lo * ck..(i + 1) * lo * ck];
-            if ck <= 16 {
-                // Narrow rows (e.g. a 1-channel first conv): keep the
-                // whole partial in a stack accumulator so the `(i, p)`
-                // sweep never re-reads `wg` from memory. Each element
-                // still receives its nonzero-`g` products strictly in
-                // `(i, p)` order.
-                let mut acc = [0.0f32; 16];
-                let acc = &mut acc[..ck];
-                for i in 0..n {
-                    let icols = sample_cols(i);
-                    for_each_nonzero(grad_row(i), |p, g| {
-                        *bg += g;
-                        for (av, cv) in acc.iter_mut().zip(&icols[p * ck..(p + 1) * ck]) {
-                            *av += g * cv;
-                        }
-                    });
-                }
-                wg.copy_from_slice(acc);
-            } else {
-                // Wide rows: fuse pairs of nonzero-`g` updates (a pair
-                // may straddle two samples) so each sweep over `wg`
-                // applies two products per element — same per-element
-                // order, half the row traffic.
-                let mut pending: Option<(f32, &[f32])> = None;
-                for i in 0..n {
-                    let icols = sample_cols(i);
-                    for_each_nonzero(grad_row(i), |p, g| {
-                        *bg += g;
-                        let colrow = &icols[p * ck..(p + 1) * ck];
-                        match pending.take() {
-                            Some((g0, row0)) => axpy2_unrolled(wg, g0, row0, g, colrow),
-                            None => pending = Some((g, colrow)),
-                        }
-                    });
-                }
-                if let Some((g0, row0)) = pending {
-                    axpy_unrolled(wg, g0, row0);
-                }
-            }
-            return;
-        }
-        for i in 0..n {
-            let sample = &x.data()[i * sample_len..(i + 1) * sample_len];
-            for_each_nonzero(grad_row(i), |p, g| {
-                *bg += g;
-                let start = p * stride;
-                for ci in 0..cin {
-                    let xs = &sample[ci * l + start..ci * l + start + k];
-                    axpy_unrolled(&mut wg[ci * k..(ci + 1) * k], g, xs);
-                }
-            });
-        }
-    }
-
-    /// One sample's input-gradient slab, accumulated in `(co, p, ci, k)`
-    /// order as the sequential loop did. `dxi` must arrive zeroed.
-    fn backward_sample_dx(&self, i: usize, grad: &Tensor, l: usize, lo: usize, dxi: &mut [f32]) {
-        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
-        let ck = cin * k;
-        for co in 0..self.out_channels {
-            let wrow_base = co * ck;
-            let grow = &grad.data()[(i * self.out_channels + co) * lo..(i * self.out_channels + co + 1) * lo];
-            for (p, &g) in grow.iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                let start = p * stride;
-                if k == 8 {
-                    // The paper's kernel width: a fixed-size window lets
-                    // the eight independent multiply-adds compile to
-                    // straight-line SIMD with no per-call loop setup.
-                    for ci in 0..cin {
-                        let wbase = wrow_base + ci * k;
-                        let ws: &[f32; 8] =
-                            self.weight.value[wbase..wbase + 8].try_into().expect("k == 8");
-                        let base = ci * l + start;
-                        let d: &mut [f32; 8] =
-                            (&mut dxi[base..base + 8]).try_into().expect("k == 8");
-                        d[0] += g * ws[0];
-                        d[1] += g * ws[1];
-                        d[2] += g * ws[2];
-                        d[3] += g * ws[3];
-                        d[4] += g * ws[4];
-                        d[5] += g * ws[5];
-                        d[6] += g * ws[6];
-                        d[7] += g * ws[7];
-                    }
-                } else {
-                    for ci in 0..cin {
-                        let ws = &self.weight.value[wrow_base + ci * k..wrow_base + (ci + 1) * k];
-                        axpy_unrolled(&mut dxi[ci * l + start..ci * l + start + k], g, ws);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The one backward body: pass A accumulates the parameter
-    /// gradients, then pass B builds ∂loss/∂input when `input_grad` is
-    /// set. Pass B reads only the weights and `grad`, so skipping it
-    /// leaves every parameter-gradient bit as it was.
-    fn backward_pass(&mut self, grad: &Tensor, input_grad: bool) -> Option<Tensor> {
-        let x = self.cached_input.as_ref().expect("backward without forward");
-        let n = x.shape()[0];
-        let l = x.shape()[2];
-        let lo = self.out_len(l);
-        assert_eq!(grad.shape(), &[n, self.out_channels, lo]);
-        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
-        let ck = cin * k;
-        let sample_len = cin * l;
-
-        // The whole batch's im2col matrix, built once and read by every
-        // channel's sweep.
-        let use_im2col = self.sample_flops(lo) >= IM2COL_MIN_FLOPS;
-        let mut col_buf = ScratchBuf::of_len(if use_im2col { n * lo * ck } else { 0 });
-        if use_im2col {
-            for (i, sample) in x.data().chunks(sample_len).enumerate() {
-                im2col_into(sample, cin, l, k, stride, &mut col_buf[i * lo * ck..(i + 1) * lo * ck]);
-            }
-        }
-        let cols: Option<&[f32]> = use_im2col.then_some(&col_buf);
-
-        // Pass A — parameter gradients, one output channel at a time:
-        // the channel's slab holds its `weight.grad` row partial and its
-        // bias partial, accumulated over `(i, p)` in index order (the
-        // same per-element order as the sequential quadruple loop) and
-        // added in channel order.
-        let mut slab = ScratchBuf::of_len(ck + 1);
-        for co in 0..self.out_channels {
-            slab.fill(0.0);
-            let (wg, bg) = slab.split_at_mut(ck);
-            self.backward_channel(co, x, grad, cols, n, l, lo, wg, &mut bg[0]);
-            for (dst, src) in self.weight.grad[co * ck..(co + 1) * ck].iter_mut().zip(&*wg) {
-                *dst += src;
-            }
-            self.bias.grad[co] += bg[0];
-        }
-        drop(slab); // back to the arena before the input-gradient pass takes dx
-
-        // Pass B — input gradients, one sample at a time: each sample's
-        // dx slab is disjoint, accumulated in `(co, p, ci, k)` order as
-        // the sequential loop did. Skipped for `backward_params`.
-        input_grad.then(|| {
-            let mut dx = workspace::tensor(&[n, cin, l]);
-            for (i, dxi) in dx.data_mut().chunks_mut(sample_len).enumerate() {
-                self.backward_sample_dx(i, grad, l, lo, dxi);
-            }
-            dx
-        })
-    }
-}
-
-impl Layer for Conv1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// The convolution of `x`; a training forward keeps `x` for the
+    /// backward.
+    pub(crate) fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 3, "conv1d expects (N, C, L)");
         assert_eq!(x.shape()[1], self.in_channels, "channel mismatch");
         let n = x.shape()[0];
@@ -399,28 +251,174 @@ impl Layer for Conv1d {
         out
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.backward_pass(grad, true).expect("input gradient requested")
+    /// One channel's parameter-gradient partial, accumulated over its
+    /// entries in `(i, p)` order (the per-element order of the
+    /// sequential quadruple loop): samples in order, and within a sample
+    /// the channel's row entries in position order. `cols` is the
+    /// batch's im2col matrix for wide rows (sample `i`'s `lo` rows of
+    /// `ck` start at row `i * lo`), `None` for narrow ones; `wg` must
+    /// arrive zeroed.
+    #[allow(clippy::too_many_arguments)]
+    fn backward_channel(
+        &self,
+        co: usize,
+        x: &Tensor,
+        entries: &RowLists<f32>,
+        cols: Option<&[f32]>,
+        n: usize,
+        l: usize,
+        lo: usize,
+        wg: &mut [f32],
+        bg: &mut f32,
+    ) {
+        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
+        let ck = cin * k;
+        let row = |i: usize| entries.row(i * self.out_channels + co);
+        let Some(cols) = cols else {
+            // Narrow rows (e.g. the 1-channel first conv): keep the whole
+            // partial in a stack accumulator and read each listed window
+            // straight from the input. Each element still receives its
+            // products strictly in `(i, p)` order.
+            let mut acc = [0.0f32; NARROW_ROW];
+            let acc = &mut acc[..ck];
+            for (i, sample) in x.data().chunks_exact(cin * l).enumerate() {
+                for &(p, g) in row(i) {
+                    *bg += g;
+                    let start = p as usize * stride;
+                    for (a, xrow) in acc.chunks_exact_mut(k).zip(sample.chunks_exact(l)) {
+                        for (av, xv) in a.iter_mut().zip(&xrow[start..start + k]) {
+                            *av += g * xv;
+                        }
+                    }
+                }
+            }
+            wg.copy_from_slice(acc);
+            return;
+        };
+        // Wide rows: fuse pairs of updates (a pair may straddle two
+        // samples) so each sweep over `wg` applies two products per
+        // element — same per-element order, half the row traffic.
+        let mut pending: Option<(f32, &[f32])> = None;
+        for i in 0..n {
+            let icols = &cols[i * lo * ck..(i + 1) * lo * ck];
+            for &(p, g) in row(i) {
+                *bg += g;
+                let p = p as usize;
+                let colrow = &icols[p * ck..(p + 1) * ck];
+                match pending.take() {
+                    Some((g0, row0)) => axpy2_unrolled(wg, g0, row0, g, colrow),
+                    None => pending = Some((g, colrow)),
+                }
+            }
+        }
+        if let Some((g0, row0)) = pending {
+            axpy_unrolled(wg, g0, row0);
+        }
     }
 
-    fn backward_params(&mut self, grad: &Tensor) {
-        self.backward_pass(grad, false);
+    /// One sample's input-gradient slab, accumulated over its entries in
+    /// `(co, p, ci, k)` order as the sequential loop did. `dxi` must
+    /// arrive zeroed.
+    fn backward_sample_dx(&self, i: usize, entries: &RowLists<f32>, l: usize, dxi: &mut [f32]) {
+        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
+        let ck = cin * k;
+        for co in 0..self.out_channels {
+            let wrow_base = co * ck;
+            for &(p, g) in entries.row(i * self.out_channels + co) {
+                let start = p as usize * stride;
+                if k == 8 {
+                    // The paper's kernel width: a fixed-size window lets
+                    // the eight independent multiply-adds compile to
+                    // straight-line SIMD with no per-call loop setup.
+                    for ci in 0..cin {
+                        let wbase = wrow_base + ci * k;
+                        let ws: &[f32; 8] =
+                            self.weight.value[wbase..wbase + 8].try_into().expect("k == 8");
+                        let base = ci * l + start;
+                        let d: &mut [f32; 8] =
+                            (&mut dxi[base..base + 8]).try_into().expect("k == 8");
+                        d[0] += g * ws[0];
+                        d[1] += g * ws[1];
+                        d[2] += g * ws[2];
+                        d[3] += g * ws[3];
+                        d[4] += g * ws[4];
+                        d[5] += g * ws[5];
+                        d[6] += g * ws[6];
+                        d[7] += g * ws[7];
+                    }
+                } else {
+                    for ci in 0..cin {
+                        let ws = &self.weight.value[wrow_base + ci * k..wrow_base + (ci + 1) * k];
+                        axpy_unrolled(&mut dxi[ci * l + start..ci * l + start + k], g, ws);
+                    }
+                }
+            }
+        }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias] // alloc-ok: cold path (save/restore)
-    }
+    /// The one backward body, over the output gradient's nonzero
+    /// entries: `entries` holds one row per `(sample, channel)` of the
+    /// last training forward's output, each with its `(position, value)`
+    /// pairs in position order and no `±0` value. Pass A accumulates the
+    /// parameter gradients, then pass B builds ∂loss/∂input when
+    /// `input_grad` is set. Pass B reads only the weights and the
+    /// entries, so skipping it leaves every parameter-gradient bit as it
+    /// was.
+    pub(crate) fn backward(&mut self, entries: &RowLists<f32>, input_grad: bool) -> Option<Tensor> {
+        let x = self.cached_input.as_ref().expect("backward without forward");
+        let n = x.shape()[0];
+        let l = x.shape()[2];
+        let lo = self.out_len(l);
+        assert_eq!(entries.rows(), n * self.out_channels, "gradient rows mismatch");
+        let (cin, k, stride) = (self.in_channels, self.kernel, self.stride);
+        let ck = cin * k;
+        let sample_len = cin * l;
 
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
+        // Wide rows read the whole batch's im2col matrix, built once and
+        // shared by every channel's sweep.
+        let wide = ck > NARROW_ROW;
+        let mut col_buf = ScratchBuf::of_len(if wide { n * lo * ck } else { 0 });
+        if wide {
+            for (i, sample) in x.data().chunks(sample_len).enumerate() {
+                im2col_into(sample, cin, l, k, stride, &mut col_buf[i * lo * ck..(i + 1) * lo * ck]);
+            }
+        }
+        let cols: Option<&[f32]> = wide.then_some(&col_buf);
+
+        // Pass A — parameter gradients, one output channel at a time:
+        // the channel's slab holds its `weight.grad` row partial and its
+        // bias partial, accumulated over `(i, p)` in index order (the
+        // same per-element order as the sequential quadruple loop) and
+        // added in channel order.
+        let mut slab = ScratchBuf::of_len(ck + 1);
+        for co in 0..self.out_channels {
+            slab.fill(0.0);
+            let (wg, bg) = slab.split_at_mut(ck);
+            self.backward_channel(co, x, entries, cols, n, l, lo, wg, &mut bg[0]);
+            for (dst, src) in self.weight.grad[co * ck..(co + 1) * ck].iter_mut().zip(&*wg) {
+                *dst += src;
+            }
+            self.bias.grad[co] += bg[0];
+        }
+        drop(slab); // back to the arena before the input-gradient pass takes dx
+        drop(col_buf);
+
+        // Pass B — input gradients, one sample at a time: each sample's
+        // dx slab is disjoint, accumulated in `(co, p, ci, k)` order as
+        // the sequential loop did. Skipped for the first layer.
+        input_grad.then(|| {
+            let mut dx = workspace::tensor(&[n, cin, l]);
+            for (i, dxi) in dx.data_mut().chunks_mut(sample_len).enumerate() {
+                self.backward_sample_dx(i, entries, l, dxi);
+            }
+            dx
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::loss::softmax_cross_entropy;
 
     #[test]
     fn out_len_formula() {
@@ -463,59 +461,14 @@ mod tests {
         assert_eq!(y.data(), &[31.0, 42.0]);
     }
 
-    #[test]
-    fn gradient_check() {
-        let mut rng = SeedRng::new(5);
-        let mut c = Conv1d::new(2, 3, 3, 2, &mut rng);
-        let x = Tensor::new(&[1, 2, 9], (0..18).map(|i| (i as f32 * 0.13).sin()).collect());
-        // Loss: flatten conv output through softmax CE with a fake label.
-        let lo = c.out_len(9);
-        let flat = |t: Tensor| t.reshaped(&[1, 3 * lo]);
-        let y = c.forward(&x, true);
-        let (_, g) = softmax_cross_entropy(&flat(y), &[2]);
-        let g3 = g.reshaped(&[1, 3, lo]);
-        let dx = c.backward(&g3);
-
-        let eps = 1e-2;
-        let loss_at = |c: &mut Conv1d, x: &Tensor| {
-            let y = c.forward(x, false);
-            let (l, _) = softmax_cross_entropy(&y.reshaped(&[1, 3 * lo]), &[2]);
-            l
-        };
-        for &wi in &[0usize, 7, 17] {
-            let orig = c.weight.value[wi];
-            c.weight.value[wi] = orig + eps;
-            let lp = loss_at(&mut c, &x);
-            c.weight.value[wi] = orig - eps;
-            let lm = loss_at(&mut c, &x);
-            c.weight.value[wi] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = c.weight.grad[wi];
-            assert!(
-                (numeric - analytic).abs() < 2e-2 * (1.0 + numeric.abs()),
-                "w[{wi}]: numeric {numeric} analytic {analytic}"
-            );
-        }
-        for &xi in &[0usize, 8, 17] {
-            let mut xp = x.clone();
-            xp.data_mut()[xi] += eps;
-            let lp = loss_at(&mut c, &xp);
-            let mut xm = x.clone();
-            xm.data_mut()[xi] -= eps;
-            let lm = loss_at(&mut c, &xm);
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = dx.data()[xi];
-            assert!(
-                (numeric - analytic).abs() < 2e-2 * (1.0 + numeric.abs()),
-                "x[{xi}]: numeric {numeric} analytic {analytic}"
-            );
-        }
-    }
-
     /// The sweep's contract, written as the flat quadruple loop: each
     /// channel's partial summed over `(i, p)` in index order with zero
     /// gradients skipped, then added to the gradient already held.
-    fn reference_param_grads(c: &Conv1d, x: &Tensor, grad: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    pub(crate) fn reference_param_grads(
+        c: &Conv1d,
+        x: &Tensor,
+        grad: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>) {
         let (n, cin, l) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let (cout, k, lo) = (c.out_channels, c.kernel, c.out_len(l));
         let mut wgrad = c.weight.grad.clone();
@@ -545,6 +498,46 @@ mod tests {
         (wgrad, bgrad)
     }
 
+    /// The input-gradient pass's contract, written as the flat loop:
+    /// per sample, `(co, p, ci, k)` in index order with zero gradients
+    /// skipped.
+    pub(crate) fn reference_input_grad(c: &Conv1d, x: &Tensor, grad: &Tensor) -> Vec<f32> {
+        let (n, cin, l) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (cout, k, lo) = (c.out_channels, c.kernel, c.out_len(l));
+        let mut dx = vec![0.0f32; n * cin * l];
+        for i in 0..n {
+            for co in 0..cout {
+                for p in 0..lo {
+                    let g = grad.data()[(i * cout + co) * lo + p];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ci in 0..cin {
+                        for kk in 0..k {
+                            let w = c.weight.value[c.w(co, ci, kk)];
+                            dx[(i * cin + ci) * l + p * c.stride + kk] += g * w;
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    /// The entries a dense gradient holds: each row's nonzero values in
+    /// position order.
+    fn entries_of(grad: &Tensor) -> RowLists<f32> {
+        let mut entries = RowLists::default();
+        entries.clear(grad.len());
+        for row in grad.data().chunks_exact(grad.shape()[2]) {
+            entries.push_row(|slots| {
+                let nonzero = row.iter().enumerate().filter(|(_, &g)| g != 0.0);
+                slots.iter_mut().zip(nonzero).map(|(slot, (p, &g))| *slot = (p as u32, g)).count()
+            });
+        }
+        entries
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -552,7 +545,7 @@ mod tests {
     /// The forward's contract, written as the textbook loop: each output
     /// starts at its channel's bias and adds its `(ci, k)` products in
     /// index order.
-    fn reference_forward(c: &Conv1d, x: &Tensor) -> Vec<f32> {
+    pub(crate) fn reference_forward(c: &Conv1d, x: &Tensor) -> Vec<f32> {
         let (n, cin, l) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let (cout, k, lo) = (c.out_channels, c.kernel, c.out_len(l));
         let mut out = vec![0.0f32; n * cout * lo];
@@ -605,33 +598,13 @@ mod tests {
     }
 
     #[test]
-    fn for_each_nonzero_visits_what_the_zero_skip_keeps_in_order() {
-        for len in [0usize, 1, 63, 64, 65, 200] {
-            let row: Vec<f32> = (0..len)
-                .map(|p| match p % 5 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 if p % 3 == 0 => f32::NAN,
-                    _ => p as f32 - 7.5,
-                })
-                .collect();
-            let want: Vec<(usize, u32)> = (row.iter().enumerate())
-                .filter(|(_, g)| **g != 0.0)
-                .map(|(p, g)| (p, g.to_bits()))
-                .collect();
-            let mut got = Vec::new();
-            for_each_nonzero(&row, |p, g| got.push((p, g.to_bits())));
-            assert_eq!(got, want, "len {len}");
-        }
-    }
-
-    #[test]
-    fn param_grads_match_the_ordered_reference_on_every_path() {
-        // (label, in, out, kernel, stride, length, im2col, ck <= 16)
+    fn backward_matches_the_ordered_reference_on_every_path() {
+        // (label, in, out, kernel, stride, length, im2col gate, ck <= 16)
         let cases = [
-            ("narrow im2col", 1, 16, 8, 3, 301, true, true),
-            ("wide im2col", 16, 16, 8, 3, 61, true, false),
-            ("scalar", 2, 3, 3, 2, 20, false, true),
+            ("narrow (cv_train conv1)", 1, 16, 8, 3, 301, true, true),
+            ("wide (cv_train conv2)", 16, 16, 8, 3, 61, true, false),
+            ("narrow, scalar forward", 2, 3, 3, 2, 20, false, true),
+            ("wide, scalar forward", 4, 3, 5, 1, 30, false, false),
         ];
         let n = 3;
         for (seed, (path, cin, cout, k, stride, l, im2col, narrow)) in (7u64..).zip(cases) {
@@ -639,7 +612,7 @@ mod tests {
             let mut c = Conv1d::new(cin, cout, k, stride, &mut rng);
             let lo = c.out_len(l);
             assert_eq!(c.sample_flops(lo) >= IM2COL_MIN_FLOPS, im2col, "{path}: gate");
-            assert_eq!(cin * k <= 16, narrow, "{path}: row width");
+            assert_eq!(cin * k <= NARROW_ROW, narrow, "{path}: row width");
             let mut normal = |std: f64| rng.normal(0.0, std) as f32;
             let x = Tensor::new(&[n, cin, l], (0..n * cin * l).map(|_| normal(1.0)).collect());
             // Gradients already accumulated by an earlier batch.
@@ -653,14 +626,40 @@ mod tests {
 
             let _ = c.forward(&x, true);
             let (want_w, want_b) = reference_param_grads(&c, &x, &g);
+            let want_dx = reference_input_grad(&c, &x, &g);
             let mut params_only = c.clone();
-            let dx = c.backward(&g);
+            let entries = entries_of(&g);
+            let dx = c.backward(&entries, true).expect("input gradient");
             assert_eq!(dx.shape(), &[n, cin, l]);
+            assert_eq!(bits(dx.data()), bits(&want_dx), "{path}: input gradient");
             assert_eq!(bits(&c.weight.grad), bits(&want_w), "{path}: weight.grad");
             assert_eq!(bits(&c.bias.grad), bits(&want_b), "{path}: bias.grad");
-            params_only.backward_params(&g);
+            assert!(params_only.backward(&entries, false).is_none());
             let only = (bits(&params_only.weight.grad), bits(&params_only.bias.grad));
-            assert_eq!(only, (bits(&c.weight.grad), bits(&c.bias.grad)), "{path}: backward_params");
+            assert_eq!(only, (bits(&c.weight.grad), bits(&c.bias.grad)), "{path}: parameters only");
+        }
+    }
+
+    #[test]
+    fn row_lists_hold_each_row_as_written() {
+        let mut lists = RowLists::default();
+        for max_items in [6, 3] {
+            // A reused list must not show the previous fill's items.
+            lists.clear(max_items);
+            lists.push_row(|slots| {
+                slots[..2].copy_from_slice(&[(4, 1.0f32), (5, 2.0)]);
+                1
+            });
+            lists.push_row(|_| 0);
+            lists.push_row(|slots| {
+                slots[0] = (1, 3.0);
+                1
+            });
+            assert_eq!(lists.rows(), 3);
+            assert_eq!(lists.len(), 2);
+            assert_eq!(lists.row(0), &[(4, 1.0)]);
+            assert!(lists.row(1).is_empty());
+            assert_eq!(lists.row(2), &[(1, 3.0)]);
         }
     }
 

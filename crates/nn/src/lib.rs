@@ -10,10 +10,11 @@
 //! The sanctioned offline crate set has no deep-learning framework, so
 //! this crate implements the pieces directly: a contiguous f32 [`Tensor`],
 //! the [`Layer`] abstraction with hand-derived backward passes
-//! ([`Conv1d`], [`MaxPool1d`], [`Dropout`], [`Lstm`], [`Dense`], ReLU),
-//! softmax cross-entropy, the [`Adam`] optimizer, and the assembled
-//! [`CnnLstm`] architecture. Every layer's gradient is validated against
-//! finite differences in the test suite.
+//! ([`ConvPool1d`], the conv stage: convolution, ReLU and max or average
+//! pooling in one layer; [`Lstm`], [`Dropout`], [`Dense`]), softmax
+//! cross-entropy, the [`Adam`] optimizer, and the assembled [`CnnLstm`]
+//! architecture. Every layer's gradient is validated against finite
+//! differences in the test suite.
 //!
 //! # Example
 //!
@@ -27,7 +28,7 @@
 //! assert_eq!(logits.shape(), &[2, 5]);
 //! ```
 
-pub mod conv;
+mod conv;
 pub mod dense;
 pub mod dropout;
 pub mod loss;
@@ -35,23 +36,20 @@ pub mod lstm;
 pub mod network;
 pub mod optim;
 pub mod param;
-pub mod pool;
-pub mod relu;
 pub mod serialize;
+pub mod stage;
 pub mod tensor;
 pub mod workspace;
 
-pub use conv::Conv1d;
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use loss::{softmax_cross_entropy, softmax_cross_entropy_soft};
 pub use lstm::{Lstm, LstmActivation};
-pub use network::{CnnLstm, CnnLstmConfig, PoolKind};
+pub use network::{CnnLstm, CnnLstmConfig};
 pub use optim::Adam;
 pub use param::Param;
-pub use pool::{AvgPool1d, MaxPool1d};
-pub use relu::Relu;
 pub use serialize::{load_network, read_params, save_network, write_params, CheckpointError};
+pub use stage::{ConvPool1d, PoolKind};
 pub use tensor::Tensor;
 pub use workspace::{Workspace, WorkspaceStats};
 
@@ -79,8 +77,9 @@ pub trait Layer: std::fmt::Debug + Send {
     /// gradients: [`CnnLstm`]'s training step calls it on the network's
     /// first layer, whose ∂loss/∂input (the gradient with respect to the
     /// traces) nothing reads. The default runs `backward` and recycles
-    /// the result; [`Conv1d`] overrides it to skip its input-gradient
-    /// pass, which leaves every parameter-gradient bit unchanged.
+    /// the result; [`ConvPool1d`] overrides it to skip its conv's
+    /// input-gradient pass, which leaves every parameter-gradient bit
+    /// unchanged.
     ///
     /// # Panics
     ///

@@ -1,36 +1,15 @@
 //! The assembled CNN+LSTM classifier of §4.1 (footnote 2).
 
-use crate::conv::Conv1d;
 use crate::dense::Dense;
 use crate::dropout::Dropout;
 use crate::loss::{softmax, softmax_cross_entropy, softmax_cross_entropy_soft};
 use crate::lstm::{Lstm, LstmActivation};
 use crate::optim::Adam;
-use crate::pool::{AvgPool1d, MaxPool1d};
-use crate::relu::Relu;
+use crate::stage::{ConvPool1d, PoolKind};
 use crate::tensor::Tensor;
 use crate::workspace;
 use crate::Layer;
 use bf_stats::SeedRng;
-
-/// Pooling operator selection for the conv stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolKind {
-    /// Max pooling (the paper's model).
-    #[default]
-    Max,
-    /// Average pooling (ablation).
-    Avg,
-}
-
-impl PoolKind {
-    fn build(self, size: usize) -> Box<dyn crate::Layer> {
-        match self {
-            PoolKind::Max => Box::new(MaxPool1d::new(size)),
-            PoolKind::Avg => Box::new(AvgPool1d::new(size)),
-        }
-    }
-}
 
 /// Architecture hyperparameters.
 ///
@@ -129,7 +108,8 @@ impl CnnLstmConfig {
 }
 
 /// The paper's classifier: 2 × [Conv1d + ReLU + MaxPool] → LSTM →
-/// Dropout → Dense, trained with softmax cross-entropy and Adam.
+/// Dropout → Dense, trained with softmax cross-entropy and Adam. Each
+/// conv/ReLU/pool triple is one layer, a [`ConvPool1d`] stage.
 #[derive(Debug)]
 pub struct CnnLstm {
     config: CnnLstmConfig,
@@ -148,13 +128,11 @@ impl CnnLstm {
         let _ = config.lstm_steps(); // validate geometry eagerly
         let mut rng = SeedRng::new(seed);
         let f = config.conv_filters;
+        let (k, s) = (config.conv_kernel, config.conv_stride);
+        let (pool, size) = (config.pool_kind, config.pool_size);
         let layers: Vec<Box<dyn Layer>> = vec![ // alloc-ok: construction
-            Box::new(Conv1d::new(1, f, config.conv_kernel, config.conv_stride, &mut rng)),
-            Box::new(Relu::new()),
-            config.pool_kind.build(config.pool_size),
-            Box::new(Conv1d::new(f, f, config.conv_kernel, config.conv_stride, &mut rng)),
-            Box::new(Relu::new()),
-            config.pool_kind.build(config.pool_size),
+            Box::new(ConvPool1d::new(1, f, k, s, pool, size, &mut rng)),
+            Box::new(ConvPool1d::new(f, f, k, s, pool, size, &mut rng)),
             Box::new(Lstm::with_activation(f, config.lstm_units, config.lstm_activation, &mut rng)),
             Box::new(Dropout::new(config.dropout, rng.next_raw())),
             Box::new(Dense::new(config.lstm_units, config.n_classes, &mut rng)),

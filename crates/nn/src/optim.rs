@@ -73,15 +73,19 @@ impl Adam {
         }
         assert!(pi < self.m.len(), "parameter {pi} visited out of order");
         assert_eq!(self.m[pi].len(), p.len(), "parameter {pi} changed size");
-        let m = &mut self.m[pi];
-        let v = &mut self.v[pi];
-        for j in 0..p.len() {
-            let g = p.grad[j];
-            m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g;
-            v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g * g;
-            let m_hat = m[j] / self.b1t;
-            let v_hat = v[j] / self.b2t;
-            p.value[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (lr, beta1, beta2, eps, b1t, b2t) =
+            (self.lr, self.beta1, self.beta2, self.eps, self.b1t, self.b2t);
+        // One zipped sweep, so no element needs a bounds check and the
+        // loop runs in SIMD lanes. Each element's expression is the
+        // textbook update in its own operation order, and Rust fuses no
+        // multiply-add, so every bit is the indexed loop's.
+        let moments = self.m[pi].iter_mut().zip(self.v[pi].iter_mut());
+        for ((m, v), (&g, value)) in moments.zip(p.grad.iter().zip(p.value.iter_mut())) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / b1t;
+            let v_hat = *v / b2t;
+            *value -= lr * m_hat / (v_hat.sqrt() + eps);
         }
         p.zero_grad();
     }
@@ -170,6 +174,73 @@ mod tests {
         }
         assert_eq!(pa.value, qa.value);
         assert_eq!(pb.value, qb.value);
+    }
+
+    /// The update as an indexed loop, the form the zipped sweep replaced.
+    fn indexed_step(adam: &mut Adam, pi: usize, p: &mut Param) {
+        if pi == adam.m.len() {
+            adam.m.push(vec![0.0; p.len()]);
+            adam.v.push(vec![0.0; p.len()]);
+        }
+        let m = &mut adam.m[pi];
+        let v = &mut adam.v[pi];
+        for j in 0..p.len() {
+            let g = p.grad[j];
+            m[j] = adam.beta1 * m[j] + (1.0 - adam.beta1) * g;
+            v[j] = adam.beta2 * v[j] + (1.0 - adam.beta2) * g * g;
+            let m_hat = m[j] / adam.b1t;
+            let v_hat = v[j] / adam.b2t;
+            p.value[j] -= adam.lr * m_hat / (v_hat.sqrt() + adam.eps);
+        }
+        p.zero_grad();
+    }
+
+    /// Bits with every NaN read as one value.
+    fn canon(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    #[test]
+    fn sweep_matches_the_indexed_loop_bit_for_bit() {
+        let mut rng = bf_stats::SeedRng::new(0xADA);
+        // Lengths below, at and past a SIMD width, with a remainder.
+        let lens = [1usize, 3, 4, 17, 64];
+        let mut swept: Vec<Param> = lens.iter().map(|&n| Param::zeros(n)).collect();
+        for p in &mut swept {
+            p.value.iter_mut().for_each(|v| *v = rng.normal(0.0, 1.0) as f32);
+        }
+        let mut indexed = swept.clone();
+        let (mut a, mut b) = (Adam::new(0.01), Adam::new(0.01));
+        for step in 0..6 {
+            for (p, q) in swept.iter_mut().zip(&mut indexed) {
+                for (j, g) in p.grad.iter_mut().enumerate() {
+                    // Mostly normal; zeros, NaNs and infinities too (a
+                    // NaN or inf poisons its element's later steps).
+                    *g = match (step * 7 + j) % 11 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 if step == 2 => f32::NAN,
+                        3 if step == 4 => f32::INFINITY,
+                        4 if step == 5 => f32::NEG_INFINITY,
+                        _ => rng.normal(0.0, 1e-3 + step as f64) as f32,
+                    };
+                }
+                q.grad.copy_from_slice(&p.grad);
+            }
+            a.begin_step();
+            b.begin_step();
+            for (pi, (p, q)) in swept.iter_mut().zip(&mut indexed).enumerate() {
+                a.step_param(pi, p);
+                indexed_step(&mut b, pi, q);
+            }
+            for (pi, (p, q)) in swept.iter().zip(&indexed).enumerate() {
+                assert_eq!(canon(&p.value), canon(&q.value), "step {step}, param {pi}: values");
+                assert_eq!(canon(&a.m[pi]), canon(&b.m[pi]), "step {step}, param {pi}: m");
+                assert_eq!(canon(&a.v[pi]), canon(&b.v[pi]), "step {step}, param {pi}: v");
+                assert!(p.grad.iter().all(|g| g.to_bits() == 0), "step {step}: grad zeroed");
+            }
+        }
+        assert!(swept.iter().any(|p| p.value.iter().any(|v| v.is_nan())), "a NaN reached a value");
     }
 
     #[test]

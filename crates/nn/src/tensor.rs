@@ -121,18 +121,6 @@ impl Tensor {
         self
     }
 
-    /// Flat index for a 3-D coordinate `(a, b, c)` in shape `[A, B, C]`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics on rank or bounds violations.
-    #[inline]
-    pub fn idx3(&self, a: usize, b: usize, c: usize) -> usize {
-        debug_assert_eq!(self.shape.len(), 3);
-        debug_assert!(a < self.shape[0] && b < self.shape[1] && c < self.shape[2]);
-        (a * self.shape[1] + b) * self.shape[2] + c
-    }
-
     /// Flat index for a 2-D coordinate.
     #[inline]
     pub fn idx2(&self, a: usize, b: usize) -> usize {
@@ -477,16 +465,6 @@ mod tests {
     fn zeros_is_zero() {
         let t = Tensor::zeros(&[4]);
         assert!(t.data().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn idx3_row_major() {
-        let t = Tensor::zeros(&[2, 3, 4]);
-        assert_eq!(t.idx3(0, 0, 0), 0);
-        assert_eq!(t.idx3(0, 0, 3), 3);
-        assert_eq!(t.idx3(0, 1, 0), 4);
-        assert_eq!(t.idx3(1, 0, 0), 12);
-        assert_eq!(t.idx3(1, 2, 3), 23);
     }
 
     #[test]

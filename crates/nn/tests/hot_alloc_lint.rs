@@ -17,11 +17,10 @@
 /// context) — instrumentation is not exempt from its own budget.
 const HOT_MODULES: &[(&str, &str)] = &[
     ("conv.rs", include_str!("../src/conv.rs")),
+    ("stage.rs", include_str!("../src/stage.rs")),
     ("dense.rs", include_str!("../src/dense.rs")),
     ("lstm.rs", include_str!("../src/lstm.rs")),
-    ("pool.rs", include_str!("../src/pool.rs")),
     ("dropout.rs", include_str!("../src/dropout.rs")),
-    ("relu.rs", include_str!("../src/relu.rs")),
     ("network.rs", include_str!("../src/network.rs")),
     ("loss.rs", include_str!("../src/loss.rs")),
     ("optim.rs", include_str!("../src/optim.rs")),
