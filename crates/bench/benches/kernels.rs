@@ -11,7 +11,7 @@
 //! Every kernel runs on the calling thread, so `BF_THREADS` does not
 //! enter.
 
-use bf_nn::{ConvPool1d, Dense, Layer, Lstm, PoolKind, Tensor};
+use bf_nn::{ConvPool1d, Dense, Lstm, PoolKind, Tensor};
 use bf_stats::SeedRng;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -26,8 +26,8 @@ fn bench_kernels(c: &mut Criterion) {
     g.sample_size(10);
 
     // First stage at paper scale: (32, 1, 5000) -> conv (32, 256, 1665)
-    // -> pooled (32, 256, 416). The network's first layer computes no
-    // input gradient, so its backward is `backward_params`.
+    // -> pooled (32, 256, 416). The network's first stage computes no
+    // input gradient, so its backward runs with `input_grad` off.
     let x_stage1 = Tensor::new(&[32, 1, 5_000], signal(32 * 5_000, 1));
     g.bench_function("conv_stage1_forward_32x5000_256f", |b| {
         let mut stage = ConvPool1d::new(1, 256, 8, 3, PoolKind::Max, 4, &mut SeedRng::new(2));
@@ -37,7 +37,7 @@ fn bench_kernels(c: &mut Criterion) {
         let mut stage = ConvPool1d::new(1, 256, 8, 3, PoolKind::Max, 4, &mut SeedRng::new(3));
         let y = stage.forward(&x_stage1, true);
         let grad = Tensor::new(y.shape(), signal(y.len(), 4));
-        b.iter(|| stage.backward_params(black_box(&grad)))
+        b.iter(|| stage.backward(black_box(&grad), false))
     });
 
     // Second stage: (32, 256, 416) -> conv (32, 256, 137) -> pooled
@@ -51,7 +51,7 @@ fn bench_kernels(c: &mut Criterion) {
         let mut stage = ConvPool1d::new(256, 256, 8, 3, PoolKind::Max, 4, &mut SeedRng::new(19));
         let y = stage.forward(&x_stage2, true);
         let grad = Tensor::new(y.shape(), signal(y.len(), 20));
-        b.iter(|| black_box(stage.backward(black_box(&grad))))
+        b.iter(|| black_box(stage.backward(black_box(&grad), true)))
     });
 
     // LSTM over the conv/pool stack's output geometry: 256 channels,

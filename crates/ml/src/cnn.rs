@@ -88,6 +88,10 @@ impl Classifier for CnnLstmClassifier {
             self.arch.input_len,
             "dataset trace length must match architecture input_len"
         );
+        assert!(
+            val.is_empty() || val.feature_len() == self.arch.input_len,
+            "validation trace length must match architecture input_len"
+        );
         let mut net = CnnLstm::new(self.arch, self.train_cfg.seed);
         let mut rng = SeedRng::new(self.train_cfg.seed ^ 0x7A1);
         let n = train.len();
@@ -124,9 +128,9 @@ impl Classifier for CnnLstmClassifier {
                 bf_obs::debug!("epoch {}: loss {mean_loss:.4} (no validation)", epoch + 1);
                 continue;
             }
-            self.net = Some(net);
-            let acc = self.evaluate(val);
-            net = self.net.take().expect("net stored above");
+            let probas = predict_rows(&mut net, self.arch.n_classes, val.features());
+            let preds: Vec<usize> = probas.iter().map(|row| crate::metrics::argmax(row)).collect(); // alloc-ok: fit-time (offline)
+            let acc = crate::metrics::accuracy(&preds, val.labels());
             bf_obs::debug!(
                 "epoch {}: loss {mean_loss:.4} val acc {acc:.3} best {best_acc:.3} \
                  ({:.2} s)",

@@ -11,7 +11,6 @@
 use crate::param::Param;
 use crate::tensor::{axpy_unrolled, matmul, transpose_into, Tensor};
 use crate::workspace::{self, ScratchBuf};
-use crate::Layer;
 use bf_stats::SeedRng;
 
 /// `y = x·Wᵀ + b`, mapping `(N, in)` to `(N, out)`.
@@ -37,19 +36,9 @@ impl Dense {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// `x·Wᵀ + b` for `x` of shape `(N, in)`; a training forward keeps
+    /// `x` for the backward.
+    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "dense expects (N, features)");
         assert_eq!(x.shape()[1], self.in_features, "dense input width mismatch");
         let (n, in_f, out_f) = (x.batch(), self.in_features, self.out_features);
@@ -76,7 +65,13 @@ impl Layer for Dense {
         out
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
+    /// Given ∂loss/∂output of the last training forward, accumulate the
+    /// parameter gradients and return ∂loss/∂input.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training forward.
+    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         let x = self.cached_input.as_ref().expect("backward without forward");
         let n = x.batch();
         assert_eq!(grad.shape(), &[n, self.out_features]);
@@ -118,13 +113,9 @@ impl Layer for Dense {
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias] // alloc-ok: cold path (save/restore)
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
+    /// The weight and bias, in checkpoint order.
+    pub fn params_mut(&mut self) -> [&mut Param; 2] {
+        [&mut self.weight, &mut self.bias]
     }
 }
 

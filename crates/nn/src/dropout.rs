@@ -2,7 +2,6 @@
 
 use crate::tensor::Tensor;
 use crate::workspace;
-use crate::Layer;
 use bf_stats::SeedRng;
 
 /// Inverted dropout: at train time each element is zeroed with
@@ -35,14 +34,9 @@ impl Dropout {
         Dropout { rate, rng: SeedRng::new(seed), mask: Vec::new(), mask_active: false }
     }
 
-    /// The drop probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// `x` with the dropout mask applied in training mode; a copy of
+    /// `x` otherwise.
+    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if !train || self.rate == 0.0 {
             self.mask_active = false;
             return workspace::tensor_copy_of(x);
@@ -60,7 +54,9 @@ impl Layer for Dropout {
         out
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
+    /// ∂loss/∂input: `grad` through the last forward's mask (a copy of
+    /// `grad` after an inference or rate-0 forward).
+    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         if !self.mask_active {
             return workspace::tensor_copy_of(grad); // eval-mode or rate-0 forward
         }

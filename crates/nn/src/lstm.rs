@@ -30,7 +30,6 @@
 use crate::param::Param;
 use crate::tensor::{axpy_unrolled, matmul, transpose_into, Tensor};
 use crate::workspace::{self, ScratchBuf};
-use crate::Layer;
 use bf_stats::SeedRng;
 
 #[inline]
@@ -168,11 +167,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden-state width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     /// Run one sample `(feat, steps)` through the recurrence, leaving
     /// the per-step values in `cache` (the final hidden state is its
     /// last `h` row). `w_ih_t` and `w_hh_t` are the input and recurrent
@@ -307,10 +301,11 @@ impl Lstm {
             std::mem::swap(&mut dh, &mut dh_prev);
         }
     }
-}
 
-impl Layer for Lstm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// The final hidden state `(N, H)` of the recurrence over `x`'s
+    /// length axis; a training forward keeps the per-step caches for the
+    /// backward.
+    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 3, "lstm expects (N, C, L)");
         assert_eq!(x.shape()[1], self.input_size, "lstm feature width mismatch");
         let (n, feat, steps) = (x.shape()[0], x.shape()[1], x.shape()[2]);
@@ -363,7 +358,13 @@ impl Layer for Lstm {
         out
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
+    /// Given ∂loss/∂output of the last training forward, accumulate the
+    /// parameter gradients and return ∂loss/∂input.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training forward.
+    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         let (feat, steps, n) = self.cache_meta.expect("backward without forward");
         assert_eq!(grad.shape(), &[n, self.hidden]);
         let h = self.hidden;
@@ -400,14 +401,9 @@ impl Layer for Lstm {
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.w_ih, &mut self.w_hh, &mut self.bias] // alloc-ok: cold path (save/restore)
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w_ih);
-        f(&mut self.w_hh);
-        f(&mut self.bias);
+    /// `w_ih`, `w_hh` and the bias, in checkpoint order.
+    pub fn params_mut(&mut self) -> [&mut Param; 3] {
+        [&mut self.w_ih, &mut self.w_hh, &mut self.bias]
     }
 }
 

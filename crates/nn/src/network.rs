@@ -5,10 +5,10 @@ use crate::dropout::Dropout;
 use crate::loss::{softmax, softmax_cross_entropy, softmax_cross_entropy_soft};
 use crate::lstm::{Lstm, LstmActivation};
 use crate::optim::Adam;
+use crate::param::Param;
 use crate::stage::{ConvPool1d, PoolKind};
 use crate::tensor::Tensor;
 use crate::workspace;
-use crate::Layer;
 use bf_stats::SeedRng;
 
 /// Architecture hyperparameters.
@@ -113,7 +113,11 @@ impl CnnLstmConfig {
 #[derive(Debug)]
 pub struct CnnLstm {
     config: CnnLstmConfig,
-    layers: Vec<Box<dyn Layer>>,
+    conv1: ConvPool1d,
+    conv2: ConvPool1d,
+    lstm: Lstm,
+    dropout: Dropout,
+    dense: Dense,
     optimizer: Adam,
 }
 
@@ -130,19 +134,15 @@ impl CnnLstm {
         let f = config.conv_filters;
         let (k, s) = (config.conv_kernel, config.conv_stride);
         let (pool, size) = (config.pool_kind, config.pool_size);
-        let layers: Vec<Box<dyn Layer>> = vec![ // alloc-ok: construction
-            Box::new(ConvPool1d::new(1, f, k, s, pool, size, &mut rng)),
-            Box::new(ConvPool1d::new(f, f, k, s, pool, size, &mut rng)),
-            Box::new(Lstm::with_activation(f, config.lstm_units, config.lstm_activation, &mut rng)),
-            Box::new(Dropout::new(config.dropout, rng.next_raw())),
-            Box::new(Dense::new(config.lstm_units, config.n_classes, &mut rng)),
-        ];
-        CnnLstm { config, layers, optimizer: Adam::new(config.learning_rate) }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CnnLstmConfig {
-        &self.config
+        // Built in this order, so each layer draws its initial weights
+        // from the same point of the seed's stream.
+        let conv1 = ConvPool1d::new(1, f, k, s, pool, size, &mut rng);
+        let conv2 = ConvPool1d::new(f, f, k, s, pool, size, &mut rng);
+        let lstm = Lstm::with_activation(f, config.lstm_units, config.lstm_activation, &mut rng);
+        let dropout = Dropout::new(config.dropout, rng.next_raw());
+        let dense = Dense::new(config.lstm_units, config.n_classes, &mut rng);
+        let optimizer = Adam::new(config.learning_rate);
+        CnnLstm { config, conv1, conv2, lstm, dropout, dense, optimizer }
     }
 
     /// Forward pass: traces `(N, 1, input_len)` → logits `(N, classes)`.
@@ -156,26 +156,24 @@ impl CnnLstm {
         assert_eq!(x.shape().len(), 3, "input must be (N, 1, L)");
         assert_eq!(x.shape()[1], 1, "input must have one channel");
         assert_eq!(x.shape()[2], self.config.input_len, "trace length mismatch");
-        let mut cur: Option<Tensor> = None;
-        for layer in &mut self.layers {
-            let next = match &cur {
-                Some(t) => layer.forward(t, train),
-                None => layer.forward(x, train),
-            };
-            if let Some(t) = cur.take() {
-                workspace::recycle(t);
-            }
-            cur = Some(next);
-        }
-        cur.expect("network has no layers")
+        let h1 = self.conv1.forward(x, train);
+        let h2 = self.conv2.forward(&h1, train);
+        workspace::recycle(h1);
+        let h3 = self.lstm.forward(&h2, train);
+        workspace::recycle(h2);
+        let h4 = self.dropout.forward(&h3, train);
+        workspace::recycle(h3);
+        let logits = self.dense.forward(&h4, train);
+        workspace::recycle(h4);
+        logits
     }
 
     /// One training step on a batch; returns the batch loss.
     ///
     /// Steady-state steps are allocation-free: activations, gradients,
-    /// and every layer's scratch are pooled, and the optimizer visits
-    /// parameters through [`Layer::for_each_param`] without building a
-    /// list (asserted end-to-end by `tests/alloc_regression.rs`).
+    /// and every layer's scratch are pooled, and the optimizer walks the
+    /// network's fixed parameter array (asserted end-to-end by
+    /// `tests/alloc_regression.rs`).
     pub fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         self.train_step(x, |logits| softmax_cross_entropy(logits, labels))
     }
@@ -192,32 +190,39 @@ impl CnnLstm {
     /// The step both training entry points share: a training forward,
     /// `loss_fn` on the logits (returning the loss and ∂loss/∂logits),
     /// the backward through every layer with each gradient recycled, and
-    /// one Adam update. The first layer runs
-    /// [`Layer::backward_params`]: the gradient with respect to the
-    /// input traces has no reader.
+    /// one Adam update. The first stage computes no input gradient: the
+    /// gradient with respect to the traces has no reader.
     fn train_step(&mut self, x: &Tensor, loss_fn: impl FnOnce(&Tensor) -> (f32, Tensor)) -> f32 {
         let logits = self.forward(x, true);
-        let (loss, grad) = loss_fn(&logits);
+        let (loss, g5) = loss_fn(&logits);
         workspace::recycle(logits);
-        let (first, rest) = self.layers.split_first_mut().expect("network has no layers");
-        let mut g = grad;
-        for layer in rest.iter_mut().rev() {
-            let next = layer.backward(&g);
-            workspace::recycle(g);
-            g = next;
-        }
-        first.backward_params(&g);
-        workspace::recycle(g);
-        self.optimizer.begin_step();
-        let CnnLstm { layers, optimizer, .. } = self;
-        let mut pi = 0usize;
-        for layer in layers.iter_mut() {
-            layer.for_each_param(&mut |p| {
-                optimizer.step_param(pi, p);
-                pi += 1;
-            });
-        }
+        let g4 = self.dense.backward(&g5);
+        workspace::recycle(g5);
+        let g3 = self.dropout.backward(&g4);
+        workspace::recycle(g4);
+        let g2 = self.lstm.backward(&g3);
+        workspace::recycle(g3);
+        let g1 = self.conv2.backward(&g2, true).expect("input gradient requested");
+        workspace::recycle(g2);
+        self.conv1.backward(&g1, false);
+        workspace::recycle(g1);
+        let (params, optimizer) = self.params_mut();
+        optimizer.step(params);
         loss
+    }
+
+    /// Every parameter in checkpoint order (each stage's conv weight and
+    /// bias, the LSTM's `w_ih`, `w_hh` and bias, the dense weight and
+    /// bias): the one list that Adam, [`CnnLstm::save_params`] and
+    /// [`CnnLstm::try_restore_params`] walk. The optimizer comes with
+    /// it, borrowed apart from the layers.
+    fn params_mut(&mut self) -> ([&mut Param; 9], &mut Adam) {
+        let CnnLstm { conv1, conv2, lstm, dense, optimizer, .. } = self;
+        let [w1, b1] = conv1.params_mut();
+        let [w2, b2] = conv2.params_mut();
+        let [w_ih, w_hh, b_lstm] = lstm.params_mut();
+        let [w_dense, b_dense] = dense.params_mut();
+        ([w1, b1, w2, b2, w_ih, w_hh, b_lstm, w_dense, b_dense], optimizer)
     }
 
     /// Gather trace *prefixes* into a `(N, 1, input_len)` batch: each
@@ -277,29 +282,9 @@ impl CnnLstm {
         p
     }
 
-    /// Argmax predictions for a batch.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let p = self.predict_proba(x);
-        let k = self.config.n_classes;
-        (0..p.batch())
-            .map(|i| {
-                let row = &p.data()[i * k..(i + 1) * k];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
-            .collect() // alloc-ok: cold path (inference API)
-    }
-
     /// Snapshot all parameter values (early-stopping checkpoints).
     pub fn save_params(&mut self) -> Vec<Vec<f32>> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .map(|p| p.value.clone())
-            .collect() // alloc-ok: cold path (checkpoints)
+        self.params_mut().0.into_iter().map(|p| p.value.clone()).collect() // alloc-ok: cold path (checkpoints)
     }
 
     /// Restore parameters from a snapshot.
@@ -321,8 +306,7 @@ impl CnnLstm {
     ///
     /// Describes the first tensor-count or tensor-size disagreement.
     pub fn try_restore_params(&mut self, snapshot: &[Vec<f32>]) -> Result<(), String> {
-        let mut params: Vec<&mut crate::Param> =
-            self.layers.iter_mut().flat_map(|l| l.params_mut()).collect(); // alloc-ok: cold path (checkpoints)
+        let (params, _) = self.params_mut();
         if params.len() != snapshot.len() {
             return Err(format!(
                 "snapshot has {} tensors, network has {}",
@@ -342,15 +326,10 @@ impl CnnLstm {
                 p.len()
             ));
         }
-        for (p, s) in params.iter_mut().zip(snapshot) {
+        for (p, s) in params.into_iter().zip(snapshot) {
             p.value.copy_from_slice(s);
         }
         Ok(())
-    }
-
-    /// Total scalar parameter count.
-    pub fn param_count(&mut self) -> usize {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).map(|p| p.len()).sum()
     }
 }
 
@@ -424,8 +403,11 @@ mod tests {
             last = net.train_batch(&x, &labels);
         }
         assert!(last < first * 0.5, "first {first} last {last}");
-        let preds = net.predict(&x);
-        let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
+        let p = net.predict_proba(&x);
+        let argmax =
+            |row: &[f32]| (0..row.len()).fold(0, |b, j| if row[j] > row[b] { j } else { b });
+        let preds = p.data().chunks_exact(4).map(argmax);
+        let correct = preds.zip(&labels).filter(|(p, l)| p == *l).count();
         assert!(
             correct as f64 >= labels.len() as f64 * 0.9,
             "correct {correct}/{}",
@@ -458,15 +440,6 @@ mod tests {
         net.restore_params(&snapshot);
         let restored = net.predict_proba(&x);
         assert_eq!(before.data(), restored.data());
-    }
-
-    #[test]
-    fn param_count_reasonable() {
-        let mut net = tiny();
-        // conv1: 6*1*8+6, conv2: 6*6*8+6, lstm: 4*32*6? no — units 32:
-        // w_ih 4*32*6, w_hh 4*32*32, b 128; dense 32*4+4.
-        let count = net.param_count();
-        assert!(count > 4_000 && count < 30_000, "count = {count}");
     }
 
     #[test]

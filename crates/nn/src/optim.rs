@@ -5,11 +5,9 @@ use crate::param::Param;
 
 /// Adam with bias-corrected first and second moments.
 ///
-/// The hot path is [`Adam::begin_step`] + [`Adam::step_param`], which
-/// visit parameters one at a time without materializing a list — moment
-/// buffers are created lazily on the first step and reused in place
-/// forever after, so steady-state updates never allocate. The
-/// list-based [`Adam::step`] wraps the same machinery.
+/// [`Adam::step`] walks the parameters in the caller's stable order;
+/// moment buffers are created on the first step and reused in place
+/// forever after, so steady-state updates never allocate.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -17,9 +15,6 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
-    /// Bias corrections `1 - βᵗ` of the step opened by `begin_step`.
-    b1t: f32,
-    b2t: f32,
     /// Per-parameter moment buffers, keyed by visit position (the
     /// caller must visit parameters in a stable order).
     m: Vec<Vec<f32>>,
@@ -30,80 +25,46 @@ impl Adam {
     /// Adam with the paper's learning rate and standard betas.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            b1t: 0.0,
-            b2t: 0.0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Number of updates performed.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Open an update step: advances the step counter and fixes the
-    /// bias corrections that every subsequent [`Adam::step_param`] call
-    /// of this step uses.
-    pub fn begin_step(&mut self) {
-        self.t += 1;
-        self.b1t = 1.0 - self.beta1.powi(self.t as i32);
-        self.b2t = 1.0 - self.beta2.powi(self.t as i32);
-    }
-
-    /// Update one parameter from its accumulated gradient, then zero
-    /// the gradient. `pi` is the parameter's position in the caller's
-    /// stable visit order; on the first step each new position
-    /// allocates its moment buffers, afterwards they are reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pi` skips ahead of the known parameter count or the
-    /// parameter's size changed between steps.
-    pub fn step_param(&mut self, pi: usize, p: &mut Param) {
-        if pi == self.m.len() {
-            self.m.push(vec![0.0; p.len()]); // alloc-ok: first step only
-            self.v.push(vec![0.0; p.len()]); // alloc-ok: first step only
-        }
-        assert!(pi < self.m.len(), "parameter {pi} visited out of order");
-        assert_eq!(self.m[pi].len(), p.len(), "parameter {pi} changed size");
-        let (lr, beta1, beta2, eps, b1t, b2t) =
-            (self.lr, self.beta1, self.beta2, self.eps, self.b1t, self.b2t);
-        // One zipped sweep, so no element needs a bounds check and the
-        // loop runs in SIMD lanes. Each element's expression is the
-        // textbook update in its own operation order, and Rust fuses no
-        // multiply-add, so every bit is the indexed loop's.
-        let moments = self.m[pi].iter_mut().zip(self.v[pi].iter_mut());
-        for ((m, v), (&g, value)) in moments.zip(p.grad.iter().zip(p.value.iter_mut())) {
-            *m = beta1 * *m + (1.0 - beta1) * g;
-            *v = beta2 * *v + (1.0 - beta2) * g * g;
-            let m_hat = *m / b1t;
-            let v_hat = *v / b2t;
-            *value -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
-        p.zero_grad();
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Apply one update to `params` from their accumulated gradients,
-    /// then zero the gradients.
+    /// then zero the gradients. The first step allocates each
+    /// parameter's moment buffers; later steps reuse them.
     ///
     /// # Panics
     ///
-    /// Panics when the parameter list's shape changes between calls.
-    pub fn step(&mut self, mut params: Vec<&mut Param>) {
-        if !self.m.is_empty() {
-            assert_eq!(self.m.len(), params.len(), "parameter list changed shape");
+    /// Panics when the parameter count or a parameter's size changes
+    /// between steps.
+    pub fn step<'a>(&mut self, params: impl IntoIterator<Item = &'a mut Param>) {
+        self.t += 1;
+        let b1t = 1.0 - self.beta1.powi(self.t as i32);
+        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let mut visited = 0;
+        for (pi, p) in params.into_iter().enumerate() {
+            if self.t == 1 {
+                self.m.push(vec![0.0; p.len()]); // alloc-ok: first step only
+                self.v.push(vec![0.0; p.len()]); // alloc-ok: first step only
+            }
+            assert!(pi < self.m.len(), "parameter list changed shape");
+            assert_eq!(self.m[pi].len(), p.len(), "parameter {pi} changed size");
+            // One zipped sweep, so no element needs a bounds check and
+            // the loop runs in SIMD lanes. Each element's expression is
+            // the textbook update in its own operation order, and Rust
+            // fuses no multiply-add, so every bit is the indexed loop's.
+            let moments = self.m[pi].iter_mut().zip(self.v[pi].iter_mut());
+            for ((m, v), (&g, value)) in moments.zip(p.grad.iter().zip(p.value.iter_mut())) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / b1t;
+                let v_hat = *v / b2t;
+                *value -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            p.zero_grad();
+            visited += 1;
         }
-        self.begin_step();
-        for (pi, p) in params.iter_mut().enumerate() {
-            self.step_param(pi, p);
-        }
+        assert_eq!(visited, self.m.len(), "parameter list changed shape");
     }
 }
 
@@ -118,7 +79,7 @@ mod tests {
         let mut adam = Adam::new(0.1);
         for _ in 0..500 {
             p.grad[0] = 2.0 * (p.value[0] - 3.0);
-            adam.step(vec![&mut p]);
+            adam.step([&mut p]);
         }
         assert!((p.value[0] - 3.0).abs() < 1e-2, "x = {}", p.value[0]);
     }
@@ -128,9 +89,8 @@ mod tests {
         let mut p = Param::zeros(2);
         p.grad = vec![1.0, -1.0];
         let mut adam = Adam::new(0.01);
-        adam.step(vec![&mut p]);
+        adam.step([&mut p]);
         assert!(p.grad.iter().all(|&g| g == 0.0));
-        assert_eq!(adam.steps(), 1);
     }
 
     #[test]
@@ -139,7 +99,7 @@ mod tests {
         let mut p = Param::zeros(1);
         p.grad[0] = 0.5;
         let mut adam = Adam::new(0.001);
-        adam.step(vec![&mut p]);
+        adam.step([&mut p]);
         assert!((p.value[0] + 0.001).abs() < 1e-5, "x = {}", p.value[0]);
     }
 
@@ -148,51 +108,32 @@ mod tests {
         let mut p = Param::zeros(3);
         let before = p.value.clone();
         let mut adam = Adam::new(0.01);
-        adam.step(vec![&mut p]);
+        adam.step([&mut p]);
         assert_eq!(p.value, before);
     }
 
-    #[test]
-    fn visitor_form_matches_list_form() {
-        let mut pa = Param::zeros(2);
-        let mut pb = Param::zeros(3);
-        let mut qa = Param::zeros(2);
-        let mut qb = Param::zeros(3);
-        let mut list_adam = Adam::new(0.01);
-        let mut visit_adam = Adam::new(0.01);
-        for step in 0..5 {
-            for (i, (p, q)) in [(&mut pa, &mut qa), (&mut pb, &mut qb)].into_iter().enumerate() {
-                for (j, g) in p.grad.iter_mut().enumerate() {
-                    *g = ((step * 7 + i * 3 + j) as f32 * 0.21).sin();
-                }
-                q.grad.copy_from_slice(&p.grad);
+    /// One step as an indexed loop, the form the zipped sweep replaced.
+    fn indexed_step(adam: &mut Adam, params: &mut [Param]) {
+        adam.t += 1;
+        let b1t = 1.0 - adam.beta1.powi(adam.t as i32);
+        let b2t = 1.0 - adam.beta2.powi(adam.t as i32);
+        for (pi, p) in params.iter_mut().enumerate() {
+            if pi == adam.m.len() {
+                adam.m.push(vec![0.0; p.len()]);
+                adam.v.push(vec![0.0; p.len()]);
             }
-            list_adam.step(vec![&mut pa, &mut pb]);
-            visit_adam.begin_step();
-            visit_adam.step_param(0, &mut qa);
-            visit_adam.step_param(1, &mut qb);
+            let m = &mut adam.m[pi];
+            let v = &mut adam.v[pi];
+            for j in 0..p.len() {
+                let g = p.grad[j];
+                m[j] = adam.beta1 * m[j] + (1.0 - adam.beta1) * g;
+                v[j] = adam.beta2 * v[j] + (1.0 - adam.beta2) * g * g;
+                let m_hat = m[j] / b1t;
+                let v_hat = v[j] / b2t;
+                p.value[j] -= adam.lr * m_hat / (v_hat.sqrt() + adam.eps);
+            }
+            p.zero_grad();
         }
-        assert_eq!(pa.value, qa.value);
-        assert_eq!(pb.value, qb.value);
-    }
-
-    /// The update as an indexed loop, the form the zipped sweep replaced.
-    fn indexed_step(adam: &mut Adam, pi: usize, p: &mut Param) {
-        if pi == adam.m.len() {
-            adam.m.push(vec![0.0; p.len()]);
-            adam.v.push(vec![0.0; p.len()]);
-        }
-        let m = &mut adam.m[pi];
-        let v = &mut adam.v[pi];
-        for j in 0..p.len() {
-            let g = p.grad[j];
-            m[j] = adam.beta1 * m[j] + (1.0 - adam.beta1) * g;
-            v[j] = adam.beta2 * v[j] + (1.0 - adam.beta2) * g * g;
-            let m_hat = m[j] / adam.b1t;
-            let v_hat = v[j] / adam.b2t;
-            p.value[j] -= adam.lr * m_hat / (v_hat.sqrt() + adam.eps);
-        }
-        p.zero_grad();
     }
 
     /// Bits with every NaN read as one value.
@@ -227,12 +168,8 @@ mod tests {
                 }
                 q.grad.copy_from_slice(&p.grad);
             }
-            a.begin_step();
-            b.begin_step();
-            for (pi, (p, q)) in swept.iter_mut().zip(&mut indexed).enumerate() {
-                a.step_param(pi, p);
-                indexed_step(&mut b, pi, q);
-            }
+            a.step(&mut swept);
+            indexed_step(&mut b, &mut indexed);
             for (pi, (p, q)) in swept.iter().zip(&indexed).enumerate() {
                 assert_eq!(canon(&p.value), canon(&q.value), "step {step}, param {pi}: values");
                 assert_eq!(canon(&a.m[pi]), canon(&b.m[pi]), "step {step}, param {pi}: m");
@@ -249,7 +186,7 @@ mod tests {
         let mut a = Param::zeros(1);
         let mut b = Param::zeros(1);
         let mut adam = Adam::new(0.01);
-        adam.step(vec![&mut a]);
-        adam.step(vec![&mut a, &mut b]);
+        adam.step([&mut a]);
+        adam.step([&mut a, &mut b]);
     }
 }

@@ -35,7 +35,6 @@ use crate::conv::{Conv1d, RowLists};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace;
-use crate::Layer;
 use bf_stats::SeedRng;
 
 /// Pooling operator of a conv stage.
@@ -103,9 +102,56 @@ impl ConvPool1d {
         self.conv.out_len(l) / self.size
     }
 
-    /// The one backward body: the entries from the reach lists and the
-    /// upstream gradient, then the conv backward over them.
-    fn backward_pass(&mut self, grad: &Tensor, input_grad: bool) -> Option<Tensor> {
+    /// The pooled ReLU of the convolution of `x`; a training forward
+    /// also keeps what the backward needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` is not `(N, C_in, L)` or is too short for one
+    /// pooled output.
+    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        assert_eq!(x.shape().len(), 3, "conv stage expects (N, C, L)");
+        let lc = self.conv.out_len(x.shape()[2]);
+        let lo = lc / self.size;
+        assert!(lo > 0, "conv output length {lc} shorter than pool window {}", self.size);
+        let y = self.conv.forward(x, train);
+        let (n, c) = (y.shape()[0], y.shape()[1]);
+        let mut out = workspace::tensor(&[n, c, lo]);
+        let (kind, size) = (self.kind, self.size);
+        let mut reach = train.then_some(&mut self.reach);
+        if let Some(reach) = reach.as_deref_mut() {
+            let per_window = if kind == PoolKind::Max { 1 } else { size };
+            reach.clear(n * c * lo * per_window);
+            self.trained_shape = Some([n, c, lo]);
+        }
+        for (row, orow) in y.data().chunks_exact(lc).zip(out.data_mut().chunks_exact_mut(lo)) {
+            let mut pool = |slots: Option<&mut [(u32, u32)]>| match (kind, size) {
+                (PoolKind::Max, PAPER_POOL) => max_row(row, PAPER_POOL, orow, slots),
+                (PoolKind::Max, _) => max_row(row, size, orow, slots),
+                (PoolKind::Avg, _) => avg_row(row, size, orow, slots),
+            };
+            match reach.as_deref_mut() {
+                Some(reach) => reach.push_row(|slots| pool(Some(slots))),
+                None => {
+                    pool(None);
+                }
+            }
+        }
+        workspace::recycle(y);
+        out
+    }
+
+    /// Given ∂loss/∂output of the last training forward, accumulate the
+    /// conv's parameter gradients and, when `input_grad` is set, return
+    /// ∂loss/∂input. The network's first stage passes `false`: nothing
+    /// reads the gradient with respect to the traces, and skipping it
+    /// leaves every parameter-gradient bit unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training forward, or when `grad`'s
+    /// shape is not that forward's output shape.
+    pub fn backward(&mut self, grad: &Tensor, input_grad: bool) -> Option<Tensor> {
         let shape = self.trained_shape.expect("backward without forward");
         assert_eq!(grad.shape(), &shape, "gradient shape mismatch");
         let (kind, inv) = (self.kind, 1.0 / self.size as f32);
@@ -128,6 +174,11 @@ impl ConvPool1d {
             });
         }
         self.conv.backward(&self.entries, input_grad)
+    }
+
+    /// The conv's weight and bias, in checkpoint order.
+    pub fn params_mut(&mut self) -> [&mut Param; 2] {
+        [&mut self.conv.weight, &mut self.conv.bias]
     }
 }
 
@@ -184,57 +235,6 @@ fn avg_row(
         }
     }
     kept
-}
-
-impl Layer for ConvPool1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.shape().len(), 3, "conv stage expects (N, C, L)");
-        let lc = self.conv.out_len(x.shape()[2]);
-        let lo = lc / self.size;
-        assert!(lo > 0, "conv output length {lc} shorter than pool window {}", self.size);
-        let y = self.conv.forward(x, train);
-        let (n, c) = (y.shape()[0], y.shape()[1]);
-        let mut out = workspace::tensor(&[n, c, lo]);
-        let (kind, size) = (self.kind, self.size);
-        let mut reach = train.then_some(&mut self.reach);
-        if let Some(reach) = reach.as_deref_mut() {
-            let per_window = if kind == PoolKind::Max { 1 } else { size };
-            reach.clear(n * c * lo * per_window);
-            self.trained_shape = Some([n, c, lo]);
-        }
-        for (row, orow) in y.data().chunks_exact(lc).zip(out.data_mut().chunks_exact_mut(lo)) {
-            let mut pool = |slots: Option<&mut [(u32, u32)]>| match (kind, size) {
-                (PoolKind::Max, PAPER_POOL) => max_row(row, PAPER_POOL, orow, slots),
-                (PoolKind::Max, _) => max_row(row, size, orow, slots),
-                (PoolKind::Avg, _) => avg_row(row, size, orow, slots),
-            };
-            match reach.as_deref_mut() {
-                Some(reach) => reach.push_row(|slots| pool(Some(slots))),
-                None => {
-                    pool(None);
-                }
-            }
-        }
-        workspace::recycle(y);
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.backward_pass(grad, true).expect("input gradient requested")
-    }
-
-    fn backward_params(&mut self, grad: &Tensor) {
-        self.backward_pass(grad, false);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.conv.weight, &mut self.conv.bias] // alloc-ok: cold path (save/restore)
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.conv.weight);
-        f(&mut self.conv.bias);
-    }
 }
 
 #[cfg(test)]
@@ -388,7 +388,7 @@ mod tests {
                     assert_eq!(canon(y.data()), canon(&want.out), "{case}: output");
                     let g = Tensor::new(&[n, cout, lo], g);
                     let mut params_only = stage.clone();
-                    let dx = stage.backward(&g);
+                    let dx = stage.backward(&g, true).expect("input gradient");
                     assert_eq!(
                         canon(&stage.conv.weight.grad),
                         canon(&want.weight_grad),
@@ -400,11 +400,11 @@ mod tests {
                         "{case}: bias.grad"
                     );
                     assert_eq!(canon(dx.data()), canon(&want.input_grad), "{case}: input gradient");
-                    params_only.backward_params(&g);
+                    assert!(params_only.backward(&g, false).is_none(), "{case}");
                     assert_eq!(
                         (canon(&params_only.conv.weight.grad), canon(&params_only.conv.bias.grad)),
                         (canon(&stage.conv.weight.grad), canon(&stage.conv.bias.grad)),
-                        "{case}: backward_params"
+                        "{case}: parameters only"
                     );
 
                     // Count the windows that exercise the max contract.
@@ -444,7 +444,7 @@ mod tests {
             let flat = |t: Tensor| t.reshaped(&[1, 3 * lo]);
             let y = s.forward(&x, true);
             let (_, g) = softmax_cross_entropy(&flat(y), &[2]);
-            let dx = s.backward(&g.reshaped(&[1, 3, lo]));
+            let dx = s.backward(&g.reshaped(&[1, 3, lo]), true).unwrap();
 
             let eps = 1e-2;
             let loss_at = |s: &mut ConvPool1d, x: &Tensor| {
@@ -513,7 +513,7 @@ mod tests {
     fn max_backward_routes_to_the_winner() {
         let mut s = identity(1, PoolKind::Max, 3);
         let _ = s.forward(&row(&[1.0, 7.0, 2.0, 4.0, 4.5, 3.0]), true);
-        let dx = s.backward(&row(&[10.0, 20.0]));
+        let dx = s.backward(&row(&[10.0, 20.0]), true).unwrap();
         assert_eq!(dx.data(), &[0.0, 10.0, 0.0, 0.0, 20.0, 0.0]);
     }
 
@@ -521,7 +521,7 @@ mod tests {
     fn ties_go_to_first() {
         let mut s = identity(1, PoolKind::Max, 2);
         let _ = s.forward(&row(&[3.0, 3.0]), true);
-        assert_eq!(s.backward(&row(&[1.0])).data(), &[1.0, 0.0]);
+        assert_eq!(s.backward(&row(&[1.0]), true).unwrap().data(), &[1.0, 0.0]);
     }
 
     #[test]
@@ -530,7 +530,7 @@ mod tests {
         let y =
             s.forward(&row(&[-1.0, -2.0, f32::NAN, f32::NAN, f32::NAN, -3.0, f32::NAN, 3.0]), true);
         assert_eq!(canon(y.data()), canon(&[0.0, 0.0, 0.0, 3.0]));
-        let dx = s.backward(&row(&[1.0, 1.0, 1.0, 1.0]));
+        let dx = s.backward(&row(&[1.0, 1.0, 1.0, 1.0]), true).unwrap();
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
@@ -546,7 +546,7 @@ mod tests {
         let _ = s.forward(&row(&[1.0, 5.0, 2.0, 2.0, 9.0, 0.0]), true);
         // A shorter input after a longer one must not read stale lists.
         let _ = s.forward(&row(&[4.0, 1.0, 0.0, 8.0]), true);
-        assert_eq!(s.backward(&row(&[1.0, 2.0])).data(), &[1.0, 0.0, 0.0, 2.0]);
+        assert_eq!(s.backward(&row(&[1.0, 2.0]), true).unwrap().data(), &[1.0, 0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -565,7 +565,10 @@ mod tests {
     fn avg_backward_spreads_gradient_uniformly() {
         let mut s = identity(1, PoolKind::Avg, 3);
         let _ = s.forward(&row(&[1.0; 6]), true);
-        assert_eq!(s.backward(&row(&[3.0, 6.0])).data(), &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
+        assert_eq!(
+            s.backward(&row(&[3.0, 6.0]), true).unwrap().data(),
+            &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        );
     }
 
     #[test]
@@ -573,7 +576,7 @@ mod tests {
         let mut s = identity(3, PoolKind::Avg, 4);
         let _ = s.forward(&Tensor::new(&[2, 3, 8], vec![0.5; 48]), true);
         let g = Tensor::new(&[2, 3, 2], (0..12).map(|i| i as f32).collect());
-        let dx = s.backward(&g);
+        let dx = s.backward(&g, true).unwrap();
         let (g_sum, dx_sum): (f32, f32) = (g.data().iter().sum(), dx.data().iter().sum());
         assert!((g_sum - dx_sum).abs() < 1e-4);
     }
@@ -591,7 +594,11 @@ mod tests {
         for kind in [PoolKind::Max, PoolKind::Avg] {
             let mut s = identity(1, kind, 1);
             let _ = s.forward(&row(&[-1.0, 0.5, 2.0, -3.0]), true);
-            assert_eq!(s.backward(&row(&[1.0; 4])).data(), &[0.0, 1.0, 1.0, 0.0], "{kind:?}");
+            assert_eq!(
+                s.backward(&row(&[1.0; 4]), true).unwrap().data(),
+                &[0.0, 1.0, 1.0, 0.0],
+                "{kind:?}"
+            );
         }
     }
 
@@ -599,7 +606,7 @@ mod tests {
     fn zero_input_blocks_gradient() {
         let mut s = identity(1, PoolKind::Max, 1);
         let _ = s.forward(&row(&[0.0]), true);
-        assert_eq!(s.backward(&row(&[5.0])).data(), &[0.0]);
+        assert_eq!(s.backward(&row(&[5.0]), true).unwrap().data(), &[0.0]);
     }
 
     #[test]
@@ -607,6 +614,6 @@ mod tests {
     fn backward_requires_training_forward() {
         let mut s = identity(1, PoolKind::Max, 1);
         let _ = s.forward(&row(&[1.0]), false);
-        let _ = s.backward(&row(&[1.0]));
+        let _ = s.backward(&row(&[1.0]), true).unwrap();
     }
 }

@@ -35,13 +35,6 @@ impl Tensor {
         Tensor { shape: shape.to_vec(), data: vec![0.0; shape.iter().product()] } // alloc-ok: owned constructor
     }
 
-    /// All-zeros tensor drawing its storage from a workspace arena
-    /// instead of the allocator — the hot-path counterpart of
-    /// [`Tensor::zeros`].
-    pub fn zeroed_in(ws: &mut crate::workspace::Workspace, shape: &[usize]) -> Self {
-        ws.tensor(shape)
-    }
-
     /// Assemble a tensor from already-owned parts (workspace recycling).
     ///
     /// # Panics
@@ -121,14 +114,6 @@ impl Tensor {
         self
     }
 
-    /// Flat index for a 2-D coordinate.
-    #[inline]
-    pub fn idx2(&self, a: usize, b: usize) -> usize {
-        debug_assert_eq!(self.shape.len(), 2);
-        debug_assert!(a < self.shape[0] && b < self.shape[1]);
-        a * self.shape[1] + b
-    }
-
     /// Batch size (first dimension).
     ///
     /// # Panics
@@ -145,37 +130,14 @@ impl Tensor {
 /// holds the window starting at `p * stride`, laid out channel-major
 /// `(ci, k)` — exactly the layout of a `Conv1d` weight row, so a
 /// convolution output becomes one contiguous dot product per `(co, p)`.
-///
-/// Appends into `out` (cleared first) so callers can reuse one buffer
-/// across samples.
+/// Writes into an exactly-sized slice (pooled scratch on the training
+/// path) and returns `L_out`.
 ///
 /// # Panics
 ///
 /// Panics when `sample.len() != channels * len`, `kernel == 0`,
-/// `stride == 0`, or `len < kernel`.
-pub fn im2col(
-    sample: &[f32],
-    channels: usize,
-    len: usize,
-    kernel: usize,
-    stride: usize,
-    out: &mut Vec<f32>,
-) -> usize {
-    assert!(kernel > 0 && stride > 0, "kernel and stride must be positive");
-    assert!(len >= kernel, "input length {len} shorter than kernel {kernel}");
-    let lo = (len - kernel) / stride + 1;
-    out.clear();
-    out.resize(lo * channels * kernel, 0.0);
-    im2col_into(sample, channels, len, kernel, stride, out)
-}
-
-/// [`im2col`] writing into an exactly-sized pre-allocated slice — the
-/// workspace-arena form used by the zero-allocation training path.
-///
-/// # Panics
-///
-/// Panics on the same shape violations as [`im2col`], or when
-/// `out.len()` is not exactly `L_out * channels * kernel`.
+/// `stride == 0`, `len < kernel`, or `out.len()` is not exactly
+/// `L_out * channels * kernel`.
 pub fn im2col_into(
     sample: &[f32],
     channels: usize,
@@ -275,12 +237,6 @@ pub fn dot_unrolled_from(init: f32, a: &[f32], b: &[f32]) -> f32 {
         acc += av * bv;
     }
     acc
-}
-
-/// `Σ a[i]·b[i]` — [`dot_unrolled_from`] with a zero seed.
-#[inline]
-pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
-    dot_unrolled_from(0.0, a, b)
 }
 
 /// `y[i] += a·x[i]`. Purely elementwise, so evaluation order cannot
@@ -468,12 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn idx2_row_major() {
-        let t = Tensor::zeros(&[3, 5]);
-        assert_eq!(t.idx2(2, 4), 14);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::new(&[2, 3], (0..6).map(|x| x as f32).collect());
         let r = t.clone().reshaped(&[3, 2]);
@@ -485,6 +435,24 @@ mod tests {
     #[should_panic(expected = "mismatches")]
     fn reshape_rejects_bad_count() {
         Tensor::zeros(&[2, 3]).reshaped(&[7]);
+    }
+
+    /// [`im2col_into`] appending into a `Vec` (cleared first), the form
+    /// the slice-writing kernels are checked against.
+    fn im2col(
+        sample: &[f32],
+        channels: usize,
+        len: usize,
+        kernel: usize,
+        stride: usize,
+        out: &mut Vec<f32>,
+    ) -> usize {
+        assert!(kernel > 0 && stride > 0, "kernel and stride must be positive");
+        assert!(len >= kernel, "input length {len} shorter than kernel {kernel}");
+        let lo = (len - kernel) / stride + 1;
+        out.clear();
+        out.resize(lo * channels * kernel, 0.0);
+        im2col_into(sample, channels, len, kernel, stride, out)
     }
 
     #[test]
@@ -662,7 +630,6 @@ mod tests {
             }
             let fast = dot_unrolled_from(0.25, &a, &b);
             assert_eq!(naive.to_bits(), fast.to_bits(), "n = {n}");
-            assert_eq!(dot_unrolled(&a, &b).to_bits(), dot_unrolled_from(0.0, &a, &b).to_bits());
         }
     }
 
@@ -708,17 +675,5 @@ mod tests {
         assert_eq!(dst.shape(), src.shape());
         assert_eq!(dst.data(), src.data());
         assert_eq!(dst.data.capacity(), cap, "same-size copy must not reallocate");
-    }
-
-    #[test]
-    fn zeroed_in_draws_from_workspace() {
-        let mut ws = crate::workspace::Workspace::new();
-        let t = Tensor::zeroed_in(&mut ws, &[2, 4]);
-        assert_eq!(t.shape(), &[2, 4]);
-        assert!(t.data().iter().all(|&v| v == 0.0));
-        ws.recycle(t);
-        let t = Tensor::zeroed_in(&mut ws, &[4, 2]);
-        assert_eq!(ws.stats().hits, 1);
-        assert_eq!(t.len(), 8);
     }
 }
