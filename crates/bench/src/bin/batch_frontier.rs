@@ -20,10 +20,11 @@
 //! in the batch capacity at every deadline.
 //!
 //! Writes `BENCH_serve_batch_frontier.json` (override with
-//! `BF_BATCH_FRONTIER_OUT`). Request count is `BF_FRONTIER_REQUESTS`
-//! (default 400).
+//! `BF_BATCH_FRONTIER_OUT`). The stream holds 400 requests, 60 at
+//! `BF_SCALE=smoke`.
 
 use bf_bench::{run_bin, BatchMark, BatchStats, ServingStack, Tally};
+use bf_core::ExperimentScale;
 use bf_fault::FaultPlan;
 use bf_obs::Json;
 use bf_serve::{open_loop_arrivals, ServeConfig};
@@ -74,8 +75,7 @@ impl Cell {
 
 fn main() -> ExitCode {
     run_bin("micro-batch deadline frontier", "batch_frontier", |m, scale, seed| {
-        let n_requests: usize =
-            bf_obs::env::parse_or("BF_FRONTIER_REQUESTS", 400, "a positive request count").max(1);
+        let n_requests = if scale == ExperimentScale::Smoke { 60 } else { 400 };
         m.config("frontier.requests", n_requests);
         m.config("frontier.mean_gap_units", MEAN_GAP_UNITS);
 
@@ -147,7 +147,7 @@ fn main() -> ExitCode {
         // Gate (skipped at smoke scale, where cells hold too few
         // requests to be statistical): at every deadline, growing the
         // batch capacity must not cost answered requests.
-        if scale.to_string() != "smoke" {
+        if scale != ExperimentScale::Smoke {
             for &deadline in &DEADLINES {
                 let curve: Vec<f64> = cells
                     .iter()

@@ -21,10 +21,11 @@
 //! accuracy).
 //!
 //! Writes `BENCH_deadline_frontier.json` (override with
-//! `BF_DEADLINE_FRONTIER_OUT`). Request count is
-//! `BF_FRONTIER_REQUESTS` (default 400).
+//! `BF_DEADLINE_FRONTIER_OUT`). The stream holds 400 requests, 120 at
+//! `BF_SCALE=smoke`.
 
 use bf_bench::{run_bin, tier_slot, ServingStack, Tally, TIER_LABELS};
+use bf_core::ExperimentScale;
 use bf_fault::FaultPlan;
 use bf_ml::{metrics::argmax, Classifier, Dataset};
 use bf_obs::Json;
@@ -84,8 +85,7 @@ fn offline_accuracy(model: &mut dyn Classifier, data: &Dataset) -> f64 {
 
 fn main() -> ExitCode {
     run_bin("anytime ladder deadline frontier", "deadline_frontier", |m, scale, seed| {
-        let n_requests: usize =
-            bf_obs::env::parse_or("BF_FRONTIER_REQUESTS", 400, "a positive request count").max(1);
+        let n_requests = if scale == ExperimentScale::Smoke { 120 } else { 400 };
         m.config("frontier.requests", n_requests);
         m.config("frontier.mean_gap_units", MEAN_GAP_UNITS);
 
@@ -170,7 +170,7 @@ fn main() -> ExitCode {
 
         // Gates (skipped at smoke scale, where the 6-site centroid
         // stack leaves too few requests per cell to be statistical).
-        let smoke = scale.to_string() == "smoke";
+        let smoke = scale == ExperimentScale::Smoke;
         if !smoke {
             for &threshold in &THRESHOLDS {
                 let curve: Vec<f64> = cells

@@ -30,11 +30,11 @@
 //! Writes `BENCH_fleet.json` (override with `BF_FLEET_OUT`): per-run
 //! fleet SLOs — p50/p99/p99.9 latency, throughput, shed / degraded /
 //! shard-down rates, restart and breaker-flap counts, hedged-retry
-//! volume — plus a per-shard breakdown. Request count is
-//! `BF_FLEET_REQUESTS` (default 600; CI smoke uses less).
+//! volume — plus a per-shard breakdown. The stream holds 600 requests,
+//! 150 at `BF_SCALE=smoke`.
 
 use bf_bench::{run_bin, LoadConfig, Tally};
-use bf_core::{AttackKind, CollectionConfig};
+use bf_core::{AttackKind, CollectionConfig, ExperimentScale};
 use bf_fault::{FaultPlan, ShardKillPlan};
 use bf_ml::{CentroidClassifier, Classifier};
 use bf_obs::Json;
@@ -147,8 +147,7 @@ impl RunStats {
 
 fn main() -> ExitCode {
     run_bin("fleet serving under open-system load", "fleet_load", |m, scale, seed| {
-        let n_requests: usize =
-            bf_obs::env::parse_or("BF_FLEET_REQUESTS", 600, "a positive request count").max(1);
+        let n_requests = if scale == ExperimentScale::Smoke { 150 } else { 600 };
         let default_shards = FleetConfig::default().shards;
         let shards: usize = match bf_obs::env::parse("BF_FLEET_SHARDS", "a positive shard count") {
             // A zero-shard fleet cannot serve: reject it, don't clamp.

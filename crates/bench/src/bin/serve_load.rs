@@ -26,10 +26,11 @@
 //! `BF_SERVE_BASELINE_OUT`): virtual-time throughput, p50/p99 latency,
 //! shed rate, degraded fraction, and per-tier answer fractions (full /
 //! early-exit@k / distilled / centroid over the `answered` denominator)
-//! per thread count. Request count is `BF_SERVE_REQUESTS` (default
-//! 1000; CI smoke uses a smaller stream).
+//! per thread count. The stream holds 1000 requests, 200 at
+//! `BF_SCALE=smoke`.
 
 use bf_bench::{run_bin, BatchMark, BatchStats, ServingStack, Tally, TIER_LABELS};
+use bf_core::ExperimentScale;
 use bf_fault::FaultPlan;
 use bf_obs::Json;
 use bf_serve::{open_loop_arrivals, ServeConfig, TierConfig};
@@ -100,8 +101,7 @@ impl RunStats {
 
 fn main() -> ExitCode {
     run_bin("online serving load baseline", "serve_load", |m, scale, seed| {
-        let n_requests: usize =
-            bf_obs::env::parse_or("BF_SERVE_REQUESTS", 1000, "a positive request count").max(1);
+        let n_requests = if scale == ExperimentScale::Smoke { 200 } else { 1000 };
         m.config("serve.requests", n_requests);
         m.config("serve.mean_gap_units", MEAN_GAP_UNITS);
 

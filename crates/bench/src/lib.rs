@@ -2,14 +2,14 @@
 //!
 //! # Regenerating the paper's tables and figures
 //!
-//! Each binary prints one table/figure with the paper's reference values
-//! inline. `BF_SCALE` selects `smoke` (seconds), `default` (minutes,
-//! the committed EXPERIMENTS.md numbers), or `paper` (the full protocol).
+//! The `experiments` binary prints each named table/figure with the
+//! paper's reference values inline, or all of them in sequence when given
+//! no name. `BF_SCALE` selects `smoke` (seconds), `default` (minutes, the
+//! committed EXPERIMENTS.md numbers), or `paper` (the full protocol).
 //!
 //! ```sh
-//! BF_SCALE=default cargo run --release -p bf-bench --bin table1
-//! BF_SCALE=default cargo run --release -p bf-bench --bin figure6
-//! cargo run --release -p bf-bench --bin all   # everything in sequence
+//! BF_SCALE=default cargo run --release -p bf-bench --bin experiments -- table1 figure6
+//! cargo run --release -p bf-bench --bin experiments   # everything in sequence
 //! ```
 //!
 //! # Criterion micro-benchmarks
@@ -33,11 +33,11 @@ use std::process::ExitCode;
 /// Error type regeneration binaries may bubble up through [`run_bin`].
 pub type BinError = Box<dyn std::error::Error + Send + Sync>;
 
-/// Shared binary entry glue: scale from `BF_SCALE`, seed from `BF_SEED`
-/// (default 42, the seed behind the committed EXPERIMENTS.md numbers).
-/// A malformed `BF_SEED` falls back to 42 after a one-shot
-/// `bf_obs::error!` naming the rejected value.
-pub fn scale_and_seed() -> (ExperimentScale, u64) {
+/// Scale from `BF_SCALE`, seed from `BF_SEED` (default 42, the seed
+/// behind the committed EXPERIMENTS.md numbers). A malformed `BF_SEED`
+/// falls back to 42 after a one-shot `bf_obs::error!` naming the
+/// rejected value.
+fn scale_and_seed() -> (ExperimentScale, u64) {
     let seed = bf_obs::env::parse_or("BF_SEED", 42, "a 64-bit unsigned integer");
     (ExperimentScale::from_env(), seed)
 }
@@ -97,7 +97,7 @@ pub fn time_rounds(rows: usize, mut time: impl FnMut(usize) -> f64) -> Vec<Round
 }
 
 /// Print a standard header for a regeneration binary.
-pub fn banner(what: &str, scale: ExperimentScale) {
+fn banner(what: &str, scale: ExperimentScale) {
     println!("=== bigger-fish reproduction: {what} (scale: {scale}) ===\n");
 }
 

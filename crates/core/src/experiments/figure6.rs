@@ -73,7 +73,16 @@ impl std::fmt::Display for Figure6 {
         writeln!(
             f,
             "paper: all gaps > 1.5us; IRQ-work spike matches timer spike (~5.5us)"
-        )
+        )?;
+        for k in &self.kinds {
+            write!(
+                f,
+                "\n{} gap-length histogram (µs):\n{}",
+                k.kind,
+                k.histogram.render(40)
+            )?;
+        }
+        Ok(())
     }
 }
 

@@ -109,6 +109,19 @@ pub fn run(scale: ExperimentScale, seed: u64) -> LeakageAnalysis {
     }
 }
 
+/// The §5.2 report: [`run`]'s analysis followed by the footnote-4
+/// Turbo Boost check of [`run_turbo_comparison`].
+pub fn report(scale: ExperimentScale, seed: u64) -> String {
+    let analysis = run(scale, seed);
+    let (off, on) = run_turbo_comparison(seed);
+    format!(
+        "{analysis}\nfootnote 4 check - attribution with Turbo Boost disabled: {:.2}%, \
+         enabled: {:.2}%\n(the paper disables Turbo Boost for exactly this reason)",
+        off * 100.0,
+        on * 100.0
+    )
+}
+
 /// Footnote-4 comparison: attribution fraction with Turbo Boost disabled
 /// (the paper's analysis setting) vs enabled. Returns
 /// `(fraction_turbo_off, fraction_turbo_on)`.

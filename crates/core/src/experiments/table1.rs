@@ -220,8 +220,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table1`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table1`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table1`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table1`"]
     fn smoke_grid_reproduces_orderings() {
         let t = run(ExperimentScale::Smoke, 2);
         assert_eq!(t.cells.len(), 2);
@@ -245,8 +245,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table1`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table1`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table1`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table1`"]
     fn table_renders_with_paper_refs() {
         let t = run(ExperimentScale::Smoke, 3);
         let text = t.to_table().to_string();

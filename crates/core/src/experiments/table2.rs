@@ -59,9 +59,8 @@ impl Table2Row {
 pub struct Table2 {
     /// Loop-counting and sweep-counting rows.
     pub rows: Vec<Table2Row>,
-    /// §4.2 background-noise result: (baseline, with Slack+Spotify),
-    /// present unless skipped.
-    pub background: Option<(CrossValResult, CrossValResult)>,
+    /// §4.2 background-noise result: (baseline, with Slack+Spotify).
+    pub background: (CrossValResult, CrossValResult),
     /// Scale the experiment ran at.
     pub scale: ExperimentScale,
 }
@@ -96,15 +95,14 @@ impl Table2 {
                 ),
             ]);
         }
-        if let Some((base, noisy)) = &self.background {
-            t.push_note(format!(
-                "§4.2 background noise (Slack+Spotify): {:.1}% -> {:.1}% (paper {:.1}% -> {:.1}%)",
-                base.mean_accuracy() * 100.0,
-                noisy.mean_accuracy() * 100.0,
-                PAPER_BACKGROUND.0,
-                PAPER_BACKGROUND.1
-            ));
-        }
+        let (base, noisy) = &self.background;
+        t.push_note(format!(
+            "§4.2 background noise (Slack+Spotify): {:.1}% -> {:.1}% (paper {:.1}% -> {:.1}%)",
+            base.mean_accuracy() * 100.0,
+            noisy.mean_accuracy() * 100.0,
+            PAPER_BACKGROUND.0,
+            PAPER_BACKGROUND.1
+        ));
         for row in &self.rows {
             t.push_note(format!(
                 "{}: cache noise costs {:.1} pts, interrupt noise {:.1} pts (paper: {:.1} / {:.1})",
@@ -139,9 +137,9 @@ fn cell(
         .evaluate_closed_world(seed)
 }
 
-/// Run the noise study; `with_background` additionally runs the §4.2
-/// Slack+Spotify comparison (one extra pair of evaluations).
-pub fn run(scale: ExperimentScale, seed: u64, with_background: bool) -> Table2 {
+/// Run the noise study and the §4.2 Slack+Spotify comparison (one extra
+/// pair of evaluations).
+pub fn run(scale: ExperimentScale, seed: u64) -> Table2 {
     let noises = [
         Countermeasure::None,
         Countermeasure::cache_sweep_default(),
@@ -163,22 +161,19 @@ pub fn run(scale: ExperimentScale, seed: u64, with_background: bool) -> Table2 {
             }
         })
         .collect();
-    let background = with_background.then(|| {
-        let base = cell(
-            AttackKind::LoopCounting,
-            Countermeasure::None,
-            scale,
-            seed ^ 0xB0,
-        );
-        let noisy = CollectionConfig::new(BrowserKind::Chrome, AttackKind::LoopCounting)
-            .with_background(&NoiseApp::ALL)
-            .with_scale(scale)
-            .evaluate_closed_world(seed ^ 0xB1);
-        (base, noisy)
-    });
+    let base = cell(
+        AttackKind::LoopCounting,
+        Countermeasure::None,
+        scale,
+        seed ^ 0xB0,
+    );
+    let noisy = CollectionConfig::new(BrowserKind::Chrome, AttackKind::LoopCounting)
+        .with_background(&NoiseApp::ALL)
+        .with_scale(scale)
+        .evaluate_closed_world(seed ^ 0xB1);
     Table2 {
         rows,
-        background,
+        background: (base, noisy),
         scale,
     }
 }
@@ -189,10 +184,10 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table2`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table2`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table2`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table2`"]
     fn interrupt_noise_hurts_more_than_cache_noise() {
-        let t = run(ExperimentScale::Smoke, 5, false);
+        let t = run(ExperimentScale::Smoke, 5);
         for row in &t.rows {
             // At smoke scale (6 classes × 8 traces, 2 folds) fold noise is
             // several points; the default-scale run asserts the strict
@@ -218,10 +213,10 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table2`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table2`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table2`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table2`"]
     fn renders_with_notes() {
-        let t = run(ExperimentScale::Smoke, 6, false);
+        let t = run(ExperimentScale::Smoke, 6);
         let text = t.to_table().to_string();
         assert!(text.contains("No Noise"));
         assert!(text.contains("paper 95.7%"));

@@ -134,8 +134,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table3`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table3`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table3`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table3`"]
     fn ladder_reproduces_paper_shape() {
         let t = run(ExperimentScale::Smoke, 7);
         assert_eq!(t.rows.len(), 5);
@@ -157,8 +157,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table3`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table3`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table3`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table3`"]
     fn renders_all_mechanisms() {
         let t = run(ExperimentScale::Smoke, 8);
         let text = t.to_table().to_string();

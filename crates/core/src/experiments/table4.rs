@@ -204,8 +204,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table4`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table4`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table4`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table4`"]
     fn randomized_timer_collapses_accuracy() {
         let t = run(ExperimentScale::Smoke, 9);
         assert_eq!(t.rows.len(), 5);
@@ -221,8 +221,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table4`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table4`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table4`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table4`"]
     fn quantized_sits_between() {
         let t = run(ExperimentScale::Smoke, 10);
         let jittered = t.rows[0].result.mean_accuracy();
@@ -240,8 +240,8 @@ mod tests {
 
     #[test]
     // Runs a full smoke-scale experiment (tens of seconds); exercised
-    // end-to-end by `cargo run -p bf-bench --bin table4`.
-    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin table4`"]
+    // end-to-end by `cargo run -p bf-bench --bin experiments -- table4`.
+    #[ignore = "slow in debug (~30-120 s); CI runs it in release via the experiments step, or use `cargo run -p bf-bench --bin experiments -- table4`"]
     fn renders_all_rows() {
         let t = run(ExperimentScale::Smoke, 11);
         let text = t.to_table().to_string();

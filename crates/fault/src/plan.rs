@@ -109,9 +109,11 @@ impl FaultPlan {
     ///
     /// Unset, empty, or `off` → [`FaultPlan::off`]; `default` →
     /// [`FaultPlan::default_plan`]; otherwise a comma-separated
-    /// `key=value` list over `corrupt`, `truncate`, `nan`, `drop`,
-    /// `transient`, `seed`, `max_transient`, and `interrupt_folds`
-    /// (e.g. `corrupt=0.1,nan=0.05,seed=7`). Unknown keys or unparsable
+    /// `key=value` list over the rates `corrupt`, `truncate`, `nan`,
+    /// `drop`, `transient`, `slow_model` and `worker_panic`, and `seed`,
+    /// `max_transient` and `interrupt_folds` (e.g.
+    /// `corrupt=0.1,nan=0.05,seed=7`); a later entry for a key overrides
+    /// an earlier one. Unknown keys, out-of-range rates and unparsable
     /// values are reported and ignored rather than aborting the run.
     pub fn from_env() -> Self {
         match std::env::var("BF_FAULT_PLAN") {

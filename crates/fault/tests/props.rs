@@ -5,6 +5,85 @@ use bf_fault::checkpoint::{CvCheckpoint, FoldRecord};
 use bf_fault::validate::{clamp_values, TraceValidator};
 use bf_fault::{BackoffPolicy, FaultPlan};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// The `BF_FAULT_PLAN` keys whose value is a rate in `[0, 1]`.
+const RATE_KEYS: [&str; 7] =
+    ["corrupt", "truncate", "nan", "drop", "transient", "slow_model", "worker_panic"];
+
+/// The field a [`RATE_KEYS`] entry sets.
+fn rate_field(plan: &mut FaultPlan, key: usize) -> &mut f64 {
+    match key {
+        0 => &mut plan.corrupt,
+        1 => &mut plan.truncate,
+        2 => &mut plan.nan,
+        3 => &mut plan.drop,
+        4 => &mut plan.transient,
+        5 => &mut plan.slow_model,
+        _ => &mut plan.worker_panic,
+    }
+}
+
+/// What one comma-separated part of a plan spec should do.
+#[derive(Debug, Clone)]
+enum Effect {
+    /// Nothing: an empty part, or one the parser must reject and report.
+    Ignored,
+    Rate(usize, f64),
+    Seed(u64),
+    MaxTransient(u32),
+    InterruptFolds(usize),
+}
+
+/// One part of a plan spec with the effect it should have: a valid
+/// value for a key, an out-of-range or unparsable value, an unknown key
+/// (keys are case-sensitive), a part with no `=`, or an empty part.
+/// `kind` picks the shape; `bits`, `rate` and `pick` fill it in.
+fn plan_part((kind, bits, rate, pick): (u8, u64, f64, usize)) -> (String, Effect) {
+    let key = RATE_KEYS[pick % RATE_KEYS.len()];
+    let choose = |values: &[&str]| values[pick % values.len()].to_owned();
+    match kind {
+        0 => (format!("{key}={rate}"), Effect::Rate(pick % RATE_KEYS.len(), rate)),
+        1 => (format!("{key} = 1.{}", 1 + bits % 999), Effect::Ignored),
+        2 => (format!("{key}=-0.{}", 1 + bits % 999), Effect::Ignored),
+        3 => {
+            let value = choose(&["nan", "inf", "-inf", "half", ""]);
+            (format!("{key}={value}"), Effect::Ignored)
+        }
+        4 => (format!("seed={bits}"), Effect::Seed(bits)),
+        5 => {
+            let value = choose(&["-1", "1.5", "0x2a", "18446744073709551616"]);
+            (format!("seed={value}"), Effect::Ignored)
+        }
+        6 => (format!(" max_transient={}", bits as u32), Effect::MaxTransient(bits as u32)),
+        7 => {
+            let value = choose(&["-1", "4294967296", "two"]);
+            (format!("max_transient={value}"), Effect::Ignored)
+        }
+        8 => {
+            let folds = (bits % 1000) as usize;
+            (format!("interrupt_folds={folds}"), Effect::InterruptFolds(folds))
+        }
+        9 => {
+            let value = choose(&["-1", "1.5", "once"]);
+            (format!("interrupt_folds={value}"), Effect::Ignored)
+        }
+        10 => (choose(&["bogus=1", "Corrupt=0.1", "SEED=7", "rate=0.5", "=0.5"]), Effect::Ignored),
+        _ => (choose(&["whatever", "corrupt", "", "  "]), Effect::Ignored),
+    }
+}
+
+/// The parser reports rejected parts through the process-wide event
+/// sink, which the grammar tests capture one at a time.
+static EVENTS: Mutex<()> = Mutex::new(());
+
+/// Parse `spec` with its reports captured: the plan and the report lines.
+fn parse_captured(spec: &str) -> (FaultPlan, Vec<String>) {
+    let _lock = EVENTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    bf_obs::begin_capture();
+    let plan = FaultPlan::parse(spec);
+    (plan, bf_obs::end_capture())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -122,6 +201,76 @@ proptest! {
                 prop_assert_eq!(ba, bb);
             }
             prop_assert_eq!(&a.net_path, &b.net_path);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// No spec makes the parser panic, and no spec sets a rate outside
+    /// `[0, 1]`.
+    #[test]
+    fn any_plan_spec_parses_to_rates_in_range(
+        (grammar_like, chars, ascii) in (
+            any::<bool>(),
+            proptest::collection::vec(0u32..0x11_0000, 0..48),
+            "[a-z_=,. 0-9-]{0,48}",
+        ),
+    ) {
+        // Any Unicode scalar values (surrogates become U+FFFD), or text
+        // over the grammar's own alphabet.
+        let spec: String = if grammar_like {
+            ascii
+        } else {
+            chars.into_iter().map(|c| char::from_u32(c).unwrap_or('\u{FFFD}')).collect()
+        };
+        let (plan, _) = parse_captured(&spec);
+        for rate in [
+            plan.corrupt,
+            plan.truncate,
+            plan.nan,
+            plan.drop,
+            plan.transient,
+            plan.slow_model,
+            plan.worker_panic,
+        ] {
+            prop_assert!((0.0..=1.0).contains(&rate), "rate {rate} from {spec:?}");
+        }
+    }
+
+    /// Each field of a parsed `key=value` list holds the last valid
+    /// entry for its key, or the off plan's value when there is none,
+    /// and every rejected part is reported once.
+    #[test]
+    fn plan_fields_hold_the_last_valid_entry(
+        draws in proptest::collection::vec(
+            (0u8..12, any::<u64>(), 0.0f64..=1.0, 0usize..60),
+            0..12,
+        ),
+    ) {
+        let parts: Vec<(String, Effect)> = draws.into_iter().map(plan_part).collect();
+        let spec = parts.iter().map(|(text, _)| text.as_str()).collect::<Vec<_>>().join(",");
+        let mut expected = FaultPlan::off();
+        for (_, effect) in &parts {
+            match *effect {
+                Effect::Ignored => {}
+                Effect::Rate(key, v) => *rate_field(&mut expected, key) = v,
+                Effect::Seed(v) => expected.seed = v,
+                Effect::MaxTransient(v) => expected.max_transient = v,
+                Effect::InterruptFolds(v) => expected.interrupt_folds = Some(v),
+            }
+        }
+        let (plan, reports) = parse_captured(&spec);
+        prop_assert_eq!(&plan, &expected, "spec {:?}", spec);
+        if bf_obs::enabled(bf_obs::Level::Error) {
+            let rejected = parts
+                .iter()
+                .filter(|(text, effect)| {
+                    matches!(effect, Effect::Ignored) && !text.trim().is_empty()
+                })
+                .count();
+            prop_assert_eq!(reports.len(), rejected, "spec {:?}: {:?}", spec, reports);
         }
     }
 }

@@ -338,11 +338,6 @@ impl OofPredictions {
         self.probas.iter().map(|row| argmax(row)).collect()
     }
 
-    /// Confusion matrix of the out-of-fold predictions.
-    pub fn confusion(&self, labels: &[usize], n_classes: usize) -> crate::ConfusionMatrix {
-        crate::ConfusionMatrix::from_predictions(&self.predictions(), labels, n_classes)
-    }
-
     /// Per-fold [`FoldResult`]s against the given labels.
     pub fn fold_results(&self, labels: &[usize], k_folds: usize) -> CrossValResult {
         let folds = (0..k_folds)
@@ -519,17 +514,6 @@ mod tests {
         let via_oof = oof.fold_results(d.labels(), 3);
         let direct = cross_validate(&d, 3, 21, || Box::new(CentroidClassifier::new(3)));
         assert!((via_oof.mean_accuracy() - direct.mean_accuracy()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn oof_confusion_diagonal_dominates_on_separable_data() {
-        let d = separable_dataset(10, 3, 0.3, 14);
-        let oof = cross_validate_oof(&d, 2, 3, || Box::new(CentroidClassifier::new(3)));
-        let cm = oof.confusion(d.labels(), 3);
-        assert!(cm.accuracy() > 0.9, "accuracy = {}", cm.accuracy());
-        for c in 0..3 {
-            assert!(cm.recall(c).unwrap() > 0.8);
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`Classifier`] — the common interface over the paper's
 //!   [`CnnLstmClassifier`] and the fast [`CentroidClassifier`] baseline
 //!   used for smoke-scale runs;
-//! * [`metrics`] — top-1/top-k accuracy, confusion matrices, and the
-//!   open-world sensitive/non-sensitive/combined report of Table 1;
+//! * [`metrics`] — top-1/top-k accuracy and the open-world
+//!   sensitive/non-sensitive/combined report of Table 1;
 //! * [`crossval`] — the paper's 10-fold cross-validation protocol
 //!   (per fold: one held-out test fold, with the remainder split 90/10
 //!   into train/validation and early stopping on validation accuracy),
@@ -41,7 +41,6 @@ pub mod crossval;
 pub mod dataset;
 pub mod distill;
 pub mod metrics;
-pub mod openworld;
 
 pub use anytime::{prefix_features, prefix_len, AnytimeLadder, PREFIX_PERCENTS};
 pub use calibrate::Calibration;
@@ -53,8 +52,7 @@ pub use crossval::{
     CrossValResult, FoldResult, OofPredictions, Resumable, ResumeOptions,
 };
 pub use dataset::Dataset;
-pub use metrics::{accuracy, argmax, top_k_accuracy, ConfusionMatrix, OpenWorldReport};
-pub use openworld::{OperatingPoint, ThresholdCurve};
+pub use metrics::{accuracy, argmax, top_k_accuracy, OpenWorldReport};
 
 /// A trainable trace classifier.
 pub trait Classifier: Send {

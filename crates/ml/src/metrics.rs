@@ -51,56 +51,6 @@ pub fn top_k_accuracy(probas: &[Vec<f32>], labels: &[usize], k: usize) -> f64 {
     hits as f64 / probas.len() as f64
 }
 
-/// A square confusion matrix: `counts[truth][pred]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Build from predictions and labels over `n_classes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or out-of-range classes.
-    pub fn from_predictions(preds: &[usize], labels: &[usize], n_classes: usize) -> Self {
-        assert_eq!(preds.len(), labels.len(), "prediction/label length mismatch");
-        let mut counts = vec![vec![0usize; n_classes]; n_classes];
-        for (&p, &l) in preds.iter().zip(labels) {
-            assert!(p < n_classes && l < n_classes, "class out of range");
-            counts[l][p] += 1;
-        }
-        ConfusionMatrix { counts }
-    }
-
-    /// Raw counts, `[truth][pred]`.
-    pub fn counts(&self) -> &[Vec<usize>] {
-        &self.counts
-    }
-
-    /// Per-class recall (None for absent classes).
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row = &self.counts[class];
-        let total: usize = row.iter().sum();
-        if total == 0 {
-            None
-        } else {
-            Some(row[class] as f64 / total as f64)
-        }
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let correct: usize = (0..self.counts.len()).map(|i| self.counts[i][i]).sum();
-        let total: usize = self.counts.iter().flatten().sum();
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
-    }
-}
-
 /// The open-world evaluation of Table 1: classes `0..n-1` are sensitive
 /// sites; class `n-1` (the last one) is the aggregate "non-sensitive"
 /// class.
@@ -249,24 +199,6 @@ mod tests {
         let preds: Vec<usize> =
             probas.iter().map(|r| if r[0] >= r[1] { 0 } else { 1 }).collect();
         assert_eq!(top_k_accuracy(&probas, &labels, 1), accuracy(&preds, &labels));
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_recall() {
-        let cm = ConfusionMatrix::from_predictions(&[0, 0, 1, 1, 1], &[0, 1, 1, 1, 0], 2);
-        assert_eq!(cm.counts()[0][0], 1);
-        assert_eq!(cm.counts()[0][1], 1);
-        assert_eq!(cm.counts()[1][0], 1);
-        assert_eq!(cm.counts()[1][1], 2);
-        assert_eq!(cm.recall(0), Some(0.5));
-        assert_eq!(cm.recall(1), Some(2.0 / 3.0));
-        assert_eq!(cm.accuracy(), 0.6);
-    }
-
-    #[test]
-    fn confusion_absent_class_has_no_recall() {
-        let cm = ConfusionMatrix::from_predictions(&[0], &[0], 3);
-        assert_eq!(cm.recall(2), None);
     }
 
     #[test]

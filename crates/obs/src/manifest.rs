@@ -4,8 +4,8 @@
 //! `span.<path>` histograms).
 //!
 //! Builders take a metrics snapshot at construction and subtract it at
-//! [`ManifestBuilder::finish`], so several experiments in one process
-//! (e.g. the `all` bin) each report only their own activity.
+//! [`ManifestBuilder::finish`], so several runs in one process each
+//! report only their own activity.
 
 use crate::json::Json;
 use crate::metrics::{self, HistogramSnapshot, MetricValue, MetricsSnapshot};
@@ -158,8 +158,7 @@ fn metric_to_json(v: &MetricValue) -> Json {
 }
 
 /// Accumulates one run's manifest; create at runner start, call
-/// [`finish`](Self::finish) (or [`finish_and_write`](Self::finish_and_write))
-/// at the end.
+/// [`finish`](Self::finish) at the end.
 #[derive(Debug)]
 pub struct ManifestBuilder {
     name: String,
@@ -226,17 +225,6 @@ impl ManifestBuilder {
             phases: self.phases,
             metrics: metrics::snapshot_delta(&now, &self.baseline),
         }
-    }
-
-    /// [`finish`](Self::finish), write via [`RunManifest::write`], and
-    /// report the path at info level. IO errors are reported, not fatal.
-    pub fn finish_and_write(self) -> RunManifest {
-        let manifest = self.finish();
-        match manifest.write() {
-            Ok(path) => crate::info!("run manifest written to {}", path.display()),
-            Err(e) => crate::error!("failed to write run manifest: {e}"),
-        }
-        manifest
     }
 }
 
