@@ -47,10 +47,16 @@
 //!
 //! The cascade is the one source whose raw emissions are not time-sorted
 //! (NIC coalescing flushes a batch at its *first* packet's timestamp,
-//! after later packets have been seen). It reorders internally through a
-//! min-heap keyed `(t, emission seq)` and only releases an arrival when
-//! no future emission can precede it: the next unprocessed workload
-//! event's time, or the pending NIC batch's start, whichever binds.
+//! after later packets have been seen, and some arms stamp follow-ups
+//! after their event). It reorders internally by `(t, emission seq)` and
+//! only releases an arrival when no future emission can precede it: the
+//! next unprocessed workload event's time, or the pending NIC batch's
+//! start, whichever binds. An open batch holds thousands of emissions
+//! back, but nearly all of them are stamped at their own event's time
+//! and so arrive in key order: they queue on a FIFO lane, and only the
+//! rest (a flush behind later keys, the delayed follow-ups) go through a
+//! binary heap. Release takes the smaller of the two fronts, which is
+//! the order one heap over everything would pop.
 //!
 //! Per-core kernel logs are built already sorted (service start times are
 //! strictly increasing per core) and k-way merged by `(start, core)` when
@@ -67,8 +73,10 @@ use crate::timeline::{CoreTimeline, Gap, GapCause};
 use crate::workload::{TimedEvent, Workload, WorkloadEvent};
 use crate::workspace;
 use bf_stats::{NormalSlot, NormalSlots, SeedRng, StepSeries};
-use std::sync::OnceLock;
 use bf_timer::Nanos;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::OnceLock;
 
 /// Kernel-behavior tuning knobs (deferral probabilities, coalescing,
 /// preemption model). The defaults model an Ubuntu-20.04-like kernel; the
@@ -397,12 +405,13 @@ struct Preemption {
     len: Nanos,
 }
 
-/// A cascade emission buffered in the reorder heap, keyed `(t, seq)`
-/// where `seq` is the emission index — exactly the key the retired
-/// engine's stable sort ordered cascade arrivals by. The key is packed
-/// into one `u128` (`t` in the high half, `seq` in the low) so the heap's
-/// sift loops compare a single word; `seq` is unique, so key order is
-/// exactly `(t, seq)` lexicographic order.
+/// A cascade emission waiting for release, keyed `(t, seq)` where `seq`
+/// is the emission index — exactly the key the retired engine's stable
+/// sort ordered cascade arrivals by. The key is packed into one `u128`
+/// (`t` in the high half, `seq` in the low) so a comparison reads a
+/// single word; `seq` is unique, so key order is exactly `(t, seq)`
+/// lexicographic order. `Ord` is key order *reversed*, so
+/// `std::collections::BinaryHeap`, a max-heap, pops the smallest key.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingArrival {
     key: u128,
@@ -418,82 +427,105 @@ impl PendingArrival {
     }
 }
 
-/// 4-ary implicit min-heap over [`PendingArrival`] keys.
-///
-/// Every correct priority queue pops the unique ascending key order, so
-/// the heap's internal layout cannot affect `SimOutput` — this is free to
-/// differ from `std::collections::BinaryHeap`. The buffer runs deep
-/// (bursts hold hundreds to thousands of in-flight emissions, so a
-/// sorted-vec insert would degenerate quadratically); the 4-wide fan-out
-/// halves sift-down depth vs a binary heap and keeps each child scan
-/// inside two cache lines, and the sift loops move elements into a hole
-/// instead of swapping.
-struct ReorderHeap {
-    v: Vec<PendingArrival>,
+impl PartialEq for PendingArrival {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
 }
 
-impl ReorderHeap {
-    fn new(v: Vec<PendingArrival>) -> Self {
-        debug_assert!(v.is_empty());
-        ReorderHeap { v }
+impl Eq for PendingArrival {}
+
+impl PartialOrd for PendingArrival {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PendingArrival {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// The cascade's reorder buffer: two lanes, each holding its keys in
+/// ascending order.
+///
+/// Most emissions are stamped at their own event's time, and event times
+/// only grow, so they arrive in key order and queue on a FIFO `lane`.
+/// The rest go to a min-`heap`: a NIC flush stamped at its batch's first
+/// packet, behind keys already queued, and the follow-ups stamped after
+/// their event (graphics IRQ work and tasklets, key releases, burst
+/// timer softirqs, most NET_RX softirqs). The smaller of the two fronts is
+/// the smallest key buffered, so pops come out in the unique ascending
+/// key order — the order one heap over every emission gave.
+struct ReorderBuffer {
+    lane: VecDeque<PendingArrival>,
+    heap: BinaryHeap<PendingArrival>,
+}
+
+impl ReorderBuffer {
+    /// Both lanes take their storage from the workspace pool: the lane
+    /// here, the heap on its first push, so a run that never needs the
+    /// heap leaves the pooled buffer for one that does.
+    fn new() -> Self {
+        ReorderBuffer {
+            lane: VecDeque::from(workspace::take_pending()),
+            heap: BinaryHeap::new(),
+        }
     }
 
+    /// Buffer `e`, emitted while processing an event at `now`.
+    #[inline]
+    fn push(&mut self, now: Nanos, e: PendingArrival) {
+        if e.t() <= now && self.lane.back().is_none_or(|back| back.key < e.key) {
+            self.lane.push_back(e); // alloc-ok: pooled buffer, amortized by reuse across runs
+        } else {
+            if self.heap.capacity() == 0 {
+                self.heap = BinaryHeap::from(workspace::take_pending());
+            }
+            self.heap.push(e); // alloc-ok: pooled buffer, amortized by reuse across runs
+        }
+    }
+
+    /// Whether the smallest buffered key heads the heap, not the lane.
+    #[inline]
+    fn heap_leads(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => h.key < l.key,
+            (l, _) => l.is_none(),
+        }
+    }
+
+    /// The smallest buffered key.
     #[inline]
     fn peek(&self) -> Option<&PendingArrival> {
-        self.v.first()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.v.is_empty()
-    }
-
-    #[inline]
-    fn push(&mut self, e: PendingArrival) {
-        let mut i = self.v.len();
-        self.v.push(e); // alloc-ok: pooled buffer, amortized by reuse across runs
-        while i > 0 {
-            let p = (i - 1) >> 2;
-            if self.v[p].key <= e.key {
-                break;
-            }
-            self.v[i] = self.v[p];
-            i = p;
+        if self.heap_leads() {
+            self.heap.peek()
+        } else {
+            self.lane.front()
         }
-        self.v[i] = e;
     }
 
+    /// Remove and return the smallest buffered key.
     #[inline]
     fn pop(&mut self) -> Option<PendingArrival> {
-        let top = *self.v.first()?;
-        let last = self.v.pop().expect("non-empty");
-        let n = self.v.len();
-        if n == 0 {
-            return Some(top);
+        if self.heap_leads() {
+            self.heap.pop()
+        } else {
+            self.lane.pop_front()
         }
-        let mut i = 0;
-        loop {
-            let c0 = (i << 2) + 1;
-            if c0 >= n {
-                break;
-            }
-            let mut m = c0;
-            let mut mk = self.v[c0].key;
-            for c in c0 + 1..(c0 + 4).min(n) {
-                let k = self.v[c].key;
-                if k < mk {
-                    m = c;
-                    mk = k;
-                }
-            }
-            if last.key <= mk {
-                break;
-            }
-            self.v[i] = self.v[m];
-            i = m;
-        }
-        self.v[i] = last;
-        Some(top)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lane.is_empty() && self.heap.is_empty()
+    }
+
+    /// Pool the storage in reverse take order: the pool is LIFO, so the
+    /// next run's lane gets this run's lane buffer back (in take order,
+    /// the two would swap on every run and both grow to the lane's size).
+    fn finish(self) {
+        workspace::give_pending(self.heap.into_vec());
+        workspace::give_pending(self.lane.into());
     }
 }
 
@@ -656,10 +688,12 @@ impl<'a> BackgroundStream<'a> {
 ///
 /// Emissions are not time-sorted at the source — a NIC coalescing flush
 /// lands at the batch's *first* packet time, after later packets were
-/// seen — so they buffer in a `(t, seq)` min-heap and are released only
+/// seen, and some arms stamp follow-ups after their event — so they
+/// buffer in a [`ReorderBuffer`] keyed `(t, seq)` and are released only
 /// once no future emission can precede them (every arm emits at or after
 /// its event's time, and a pending NIC batch can only flush at
-/// `nic_first`).
+/// `nic_first`). The release bound keeps the buffer deep while a batch
+/// is open, but nearly all of it is in-order emissions on the FIFO lane.
 struct Cascade<'a> {
     cfg: &'a MachineConfig,
     tuning: &'a KernelTuning,
@@ -684,8 +718,11 @@ struct Cascade<'a> {
     nic_first: Nanos,
     nic_last: Nanos,
     final_flushed: bool,
-    pending: ReorderHeap,
-    heap_seq: u64,
+    /// Time of the event being processed: emissions stamped at or before
+    /// it may join the FIFO lane.
+    now: Nanos,
+    pending: ReorderBuffer,
+    emit_seq: u64,
     llc: StepSeries,
     llc_cum: f64,
 }
@@ -730,8 +767,9 @@ impl<'a> Cascade<'a> {
             nic_first: Nanos::ZERO,
             nic_last: Nanos::ZERO,
             final_flushed: false,
-            pending: ReorderHeap::new(workspace::take_pending()),
-            heap_seq: 0,
+            now: Nanos::ZERO,
+            pending: ReorderBuffer::new(),
+            emit_seq: 0,
             llc: StepSeries::new_in(0.0, workspace::take_points()),
             llc_cum: 0.0,
         };
@@ -807,13 +845,14 @@ impl<'a> Cascade<'a> {
     }
 
     fn emit(&mut self, t: Nanos, core: usize, kind: InterruptKind, units: u32) {
-        self.pending.push(PendingArrival {
-            key: ((t.as_nanos() as u128) << 64) | self.heap_seq as u128,
+        let e = PendingArrival {
+            key: ((t.as_nanos() as u128) << 64) | self.emit_seq as u128,
             core: core as u32,
             units,
             kind,
-        });
-        self.heap_seq += 1;
+        };
+        self.pending.push(self.now, e);
+        self.emit_seq += 1;
     }
 
     fn flush_nic(&mut self, first: Nanos, pending_units: u32) {
@@ -844,6 +883,7 @@ impl<'a> Cascade<'a> {
     }
 
     fn process(&mut self, ev: TimedEvent) {
+        self.now = ev.t;
         let num_cores = self.cfg.num_cores;
         match ev.event {
             WorkloadEvent::NetworkPacket { bytes } => {
@@ -1019,7 +1059,7 @@ impl<'a> Cascade<'a> {
         if let Some(order) = order {
             workspace::give_index(order);
         }
-        workspace::give_pending(pending.v);
+        pending.finish();
         llc
     }
 }
@@ -1440,6 +1480,7 @@ mod tests {
     use super::*;
     use crate::config::{IsolationConfig, OsKind};
     use crate::workload::TimedEvent;
+    use proptest::prelude::*;
 
     fn quick_workload(duration: Nanos) -> Workload {
         let mut w = Workload::new(duration);
@@ -1785,5 +1826,76 @@ mod tests {
             num_cores: 0,
             ..Default::default()
         });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of pushes stamped at `now` (the lane's
+        /// case, ties included), pushes stamped before it (a NIC flush)
+        /// or after it (a delayed follow-up), and releases: the two
+        /// lanes peek and pop exactly the ascending key order of a
+        /// sorted reference.
+        #[test]
+        fn reorder_buffer_pops_in_key_order(
+            ops in proptest::collection::vec((0u8..4, any::<bool>(), 0u64..100), 0..400),
+        ) {
+            let mut buf = ReorderBuffer::new();
+            let mut reference = std::collections::BTreeSet::new();
+            let (mut now, mut seq) = (1_000u64, 0u64);
+            for (op, step, dt) in ops {
+                let dt = if step { dt } else { 0 };
+                let t = match op {
+                    0 => {
+                        now += dt;
+                        now
+                    }
+                    1 => now - dt,
+                    2 => now + dt,
+                    _ => {
+                        let want = reference.pop_first();
+                        prop_assert_eq!(buf.peek().map(|e| e.key), want);
+                        prop_assert_eq!(buf.pop().map(|e| e.key), want);
+                        continue;
+                    }
+                };
+                let key = ((t as u128) << 64) | seq as u128;
+                let e = PendingArrival { key, core: 0, units: 0, kind: InterruptKind::TimerTick };
+                seq += 1;
+                buf.push(Nanos::from_nanos(now), e);
+                reference.insert(e.key);
+            }
+            while let Some(want) = reference.pop_first() {
+                prop_assert_eq!(buf.peek().map(|e| e.key), Some(want));
+                prop_assert_eq!(buf.pop().map(|e| e.key), Some(want));
+            }
+            prop_assert!(buf.is_empty() && buf.pop().is_none());
+            buf.finish();
+        }
+    }
+
+    /// A run leaves the lane's buffer on top of the LIFO pool, so the next
+    /// run's lane gets it back and the heap the heap's; pooled in take
+    /// order, the two would trade places on every run.
+    #[test]
+    fn reorder_lanes_get_their_own_storage_back() {
+        workspace::clear_thread();
+        let cfg = MachineConfig::default();
+        let tuning = KernelTuning::default();
+        let w = quick_workload(Nanos::from_millis(500));
+        let cascade = || Cascade::new(&cfg, &tuning, &w, SeedRng::new(4), SeedRng::new(7));
+        let mut first = cascade();
+        while first.next().is_some() {}
+        let lane_cap = first.pending.lane.capacity();
+        let heap_cap = first.pending.heap.capacity();
+        assert!(lane_cap > heap_cap && heap_cap > 0, "lane {lane_cap}, heap {heap_cap}");
+        first.finish();
+        let second = cascade();
+        assert_eq!(second.pending.lane.capacity(), lane_cap);
+        // The heap takes its storage on its first push: the pool's top.
+        let heap_storage = workspace::take_pending();
+        assert_eq!(heap_storage.capacity(), heap_cap);
+        workspace::give_pending(heap_storage);
+        second.finish();
     }
 }

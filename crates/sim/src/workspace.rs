@@ -3,9 +3,9 @@
 //! A collection run simulates thousands of machine runs back to back, and
 //! every [`Machine::run`](crate::Machine::run) needs the same family of
 //! scratch and output buffers: per-core gap lists, kernel-event vectors,
-//! step-series point storage, activity buckets, the cascade's pending
-//! heap, the deferred-arrival buffer. Allocating them per run puts the
-//! allocator on the hot path and
+//! step-series point storage, activity buckets, the cascade's two
+//! reorder lanes (FIFO and heap), the deferred-arrival buffer.
+//! Allocating them per run puts the allocator on the hot path and
 //! fragments the heap across a fleet-scale sweep; this module keeps the
 //! buffers in thread-local free lists so a steady-state run performs no
 //! heap allocation at all (enforced by the `alloc_regression` test).
@@ -17,7 +17,9 @@
 //! instead of recycling it merely costs a future pool miss. Buffers
 //! handed out by `take_*` are always empty (`len == 0`); `give_*` clears
 //! before pooling and silently drops zero-capacity vectors, which carry
-//! nothing worth keeping.
+//! nothing worth keeping. Each free list is LIFO, so a caller holding
+//! two buffers of one type (the cascade's lanes) gives them back in
+//! reverse take order, and each gets its own storage on the next run.
 //!
 //! The pool is thread-local, so `bf-par` workers each build a private
 //! arena and never contend on a lock. Call [`clear_thread`] to release a

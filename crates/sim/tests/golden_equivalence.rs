@@ -7,7 +7,10 @@
 //! frequency series is a correctness bug in the merge order or RNG
 //! stream assignment, not a tolerance question. The attacker's view is
 //! compared first, before the streamed output builds its other cores and
-//! kernel log, then the full output.
+//! kernel log, then the full output. Every configuration runs two
+//! workload shapes: a mixed one spread over the whole run, and a deep
+//! one that keeps the cascade's reorder buffer thousands of emissions
+//! deep behind an open NIC batch.
 
 #[path = "support/legacy_engine.rs"]
 mod legacy;
@@ -85,6 +88,60 @@ fn mixed_workload(duration: Nanos, seed: u64) -> Workload {
     w
 }
 
+/// The deep-buffer shape: each of two packet bursts ends with its NIC
+/// batch open, and the batch holds back every emission until the next
+/// packet closes it. In between come thousands of wakes, frames, TLB
+/// broadcasts (several emissions at one instant), key presses and CPU
+/// bursts (emissions stamped after their event), on a 1 µs grid so
+/// events share instants. Pushed kind-major, so left unsorted.
+fn deep_lane_workload(duration: Nanos, seed: u64) -> Workload {
+    let mut rng = SeedRng::new(seed);
+    let mut w = Workload::new(duration);
+    let span = duration.as_nanos();
+    for (start, end) in [(span / 20, span * 9 / 20), (span / 2, span * 19 / 20)] {
+        let mut t = start;
+        for _ in 0..24 {
+            let bytes = rng.int_range(60, 9_000) as u32;
+            w.push_at(Nanos::from_nanos(t), WorkloadEvent::NetworkPacket { bytes });
+            // Inside the default 20 µs coalescing window.
+            t += rng.int_range(1_000, 15_000);
+        }
+        let quiet = |rng: &mut SeedRng| Nanos::from_micros(rng.int_range(t, end) / 1_000);
+        for _ in 0..1_500 {
+            w.push_at(quiet(&mut rng), WorkloadEvent::VictimWake);
+        }
+        for _ in 0..300 {
+            w.push_at(quiet(&mut rng), WorkloadEvent::GraphicsFrame);
+        }
+        for _ in 0..200 {
+            let pages = rng.int_range(1, 700) as u32;
+            w.push_at(quiet(&mut rng), WorkloadEvent::TlbShootdown { pages });
+        }
+        for _ in 0..150 {
+            w.push_at(quiet(&mut rng), WorkloadEvent::KeyPress);
+        }
+        for _ in 0..100 {
+            let duration = Nanos::from_nanos(rng.int_range(1_000_000, 3_000_000));
+            w.push_at(quiet(&mut rng), WorkloadEvent::CpuBurst { duration });
+        }
+        for _ in 0..50 {
+            w.push_at(quiet(&mut rng), WorkloadEvent::SpuriousInterrupt);
+            let lines = rng.int_range(1, 50_000) as u32;
+            w.push_at(quiet(&mut rng), WorkloadEvent::CacheLoad { lines });
+        }
+        w.push_at(Nanos::from_nanos(end), WorkloadEvent::NetworkPacket { bytes: 1_500 });
+    }
+    w
+}
+
+/// Both workload shapes drawn from one seed.
+fn shapes(duration: Nanos, seed: u64) -> [(&'static str, Workload); 2] {
+    [
+        ("mixed", mixed_workload(duration, seed)),
+        ("deep lane", deep_lane_workload(duration, seed)),
+    ]
+}
+
 fn assert_identical(new: &SimOutput, old: &SimOutput, label: &str) {
     assert_eq!(new.duration, old.duration, "{label}: duration");
     assert_eq!(new.attacker_core, old.attacker_core, "{label}: attacker core");
@@ -136,64 +193,70 @@ fn os_kinds_match_legacy() {
     for os in [OsKind::Linux, OsKind::Windows, OsKind::MacOs] {
         let cfg = MachineConfig::for_os(os);
         for seed in [1, 42, 0xDEAD] {
-            let w = mixed_workload(Nanos::from_millis(150), seed ^ 0x5EED);
-            check(
-                cfg.clone(),
-                KernelTuning::default(),
-                &w,
-                seed,
-                &format!("{os:?}/seed {seed}"),
-            );
+            for (shape, w) in &shapes(Nanos::from_millis(150), seed ^ 0x5EED) {
+                check(
+                    cfg.clone(),
+                    KernelTuning::default(),
+                    w,
+                    seed,
+                    &format!("{os:?}/seed {seed}/{shape}"),
+                );
+            }
         }
     }
 }
 
 #[test]
 fn isolation_ladder_matches_legacy() {
-    let w = mixed_workload(Nanos::from_millis(150), 99);
+    let shapes = shapes(Nanos::from_millis(150), 99);
     for (name, iso) in IsolationConfig::table3_ladder() {
         let cfg = MachineConfig::default().with_isolation(iso);
         for seed in [7, 1234] {
-            check(
-                cfg.clone(),
-                KernelTuning::default(),
-                &w,
-                seed,
-                &format!("ladder {name}/seed {seed}"),
-            );
+            for (shape, w) in &shapes {
+                check(
+                    cfg.clone(),
+                    KernelTuning::default(),
+                    w,
+                    seed,
+                    &format!("ladder {name}/seed {seed}/{shape}"),
+                );
+            }
         }
     }
 }
 
 #[test]
 fn turbo_and_vm_modes_match_legacy() {
-    let w = mixed_workload(Nanos::from_millis(150), 3);
+    let shapes = shapes(Nanos::from_millis(150), 3);
     for turbo in [false, true] {
         for vm in [VmMode::None, VmMode::SeparateVms] {
             let mut cfg = MachineConfig { turbo_boost: turbo, ..Default::default() };
             cfg.isolation.vm = vm;
-            check(
-                cfg,
-                KernelTuning::default(),
-                &w,
-                17,
-                &format!("turbo {turbo}/vm {vm:?}"),
-            );
+            for (shape, w) in &shapes {
+                check(
+                    cfg.clone(),
+                    KernelTuning::default(),
+                    w,
+                    17,
+                    &format!("turbo {turbo}/vm {vm:?}/{shape}"),
+                );
+            }
         }
     }
 }
 
 #[test]
 fn frequency_pinning_matches_legacy() {
-    let w = mixed_workload(Nanos::from_millis(150), 5);
     let mut cfg = MachineConfig::default();
     cfg.frequency.scaling_enabled = false;
-    check(cfg, KernelTuning::default(), &w, 21, "frequency pinned");
+    for (shape, w) in &shapes(Nanos::from_millis(150), 5) {
+        check(cfg.clone(), KernelTuning::default(), w, 21, &format!("frequency pinned/{shape}"));
+    }
 }
 
 #[test]
 fn tuning_variants_match_legacy() {
-    let w = mixed_workload(Nanos::from_millis(150), 8);
+    let shapes = shapes(Nanos::from_millis(150), 8);
     let aggressive = KernelTuning {
         nic_coalesce_window: Nanos::from_micros(200),
         nic_coalesce_max: 64,
@@ -205,36 +268,40 @@ fn tuning_variants_match_legacy() {
         tlb_page_cost: Nanos::from_nanos(70),
         tlb_page_cap: 128,
     };
-    check(MachineConfig::default(), aggressive, &w, 31, "aggressive tuning");
     let no_coalesce = KernelTuning {
         nic_coalesce_window: Nanos::ZERO,
         nic_coalesce_max: 1,
         ..Default::default()
     };
-    check(MachineConfig::default(), no_coalesce, &w, 32, "no nic coalescing");
+    for (shape, w) in &shapes {
+        let cfg = MachineConfig::default();
+        check(cfg.clone(), aggressive, w, 31, &format!("aggressive tuning/{shape}"));
+        check(cfg, no_coalesce, w, 32, &format!("no nic coalescing/{shape}"));
+    }
 }
 
 #[test]
 fn sorted_and_unsorted_workloads_match_legacy() {
-    let unsorted = mixed_workload(Nanos::from_millis(150), 12);
-    assert!(!unsorted.is_sorted());
-    check(
-        MachineConfig::default(),
-        KernelTuning::default(),
-        &unsorted,
-        55,
-        "unsorted workload",
-    );
-    let mut sorted = unsorted.clone();
-    sorted.finalize();
-    assert!(sorted.is_sorted());
-    check(
-        MachineConfig::default(),
-        KernelTuning::default(),
-        &sorted,
-        55,
-        "finalized workload",
-    );
+    for (shape, unsorted) in shapes(Nanos::from_millis(150), 12) {
+        assert!(!unsorted.is_sorted());
+        check(
+            MachineConfig::default(),
+            KernelTuning::default(),
+            &unsorted,
+            55,
+            &format!("unsorted workload/{shape}"),
+        );
+        let mut sorted = unsorted.clone();
+        sorted.finalize();
+        assert!(sorted.is_sorted());
+        check(
+            MachineConfig::default(),
+            KernelTuning::default(),
+            &sorted,
+            55,
+            &format!("finalized workload/{shape}"),
+        );
+    }
 }
 
 #[test]
@@ -279,13 +346,15 @@ fn empty_and_tiny_workloads_match_legacy() {
 #[test]
 fn two_core_machine_matches_legacy() {
     let cfg = MachineConfig { num_cores: 2, ..Default::default() };
-    let w = mixed_workload(Nanos::from_millis(120), 64);
-    check(cfg, KernelTuning::default(), &w, 91, "two cores");
+    for (shape, w) in &shapes(Nanos::from_millis(120), 64) {
+        check(cfg.clone(), KernelTuning::default(), w, 91, &format!("two cores/{shape}"));
+    }
 }
 
 #[test]
 fn many_core_machine_matches_legacy() {
     let cfg = MachineConfig { num_cores: 12, ..Default::default() };
-    let w = mixed_workload(Nanos::from_millis(120), 65);
-    check(cfg, KernelTuning::default(), &w, 92, "twelve cores");
+    for (shape, w) in &shapes(Nanos::from_millis(120), 65) {
+        check(cfg.clone(), KernelTuning::default(), w, 92, &format!("twelve cores/{shape}"));
+    }
 }

@@ -151,32 +151,73 @@ proptest! {
     }
 }
 
-/// Random small workloads over a 200 ms window, every event kind.
+/// One event of each kind by index; `magnitude` sizes packets, TLB
+/// shootdowns and cache loads, `burst` is a CPU burst's length in ns.
+fn event(kind: u8, magnitude: u32, burst: u64) -> WorkloadEvent {
+    match kind {
+        0 => WorkloadEvent::NetworkPacket { bytes: magnitude },
+        1 => WorkloadEvent::VictimWake,
+        2 => WorkloadEvent::TlbShootdown { pages: magnitude },
+        3 => WorkloadEvent::GraphicsFrame,
+        4 => WorkloadEvent::CacheLoad { lines: magnitude },
+        5 => WorkloadEvent::DiskCompletion,
+        6 => WorkloadEvent::KeyPress,
+        7 => WorkloadEvent::SpuriousInterrupt,
+        _ => WorkloadEvent::CpuBurst { duration: Nanos(burst) },
+    }
+}
+
+/// Random workloads of every event kind over at most 1 s (`Machine::run`
+/// sizes its activity buckets from the duration), zero one time in
+/// eight. Magnitudes are 0 or `u32::MAX` one time in eight each, CPU
+/// bursts 0 or `u64::MAX` ns likewise, and about one event in five falls
+/// at or after the duration. Two times in three a packet burst ends in
+/// a long silence with no packet, so its NIC batch stays open while the
+/// events after it queue behind it — the cascade's deepest buffer.
 fn workload_strategy() -> impl Strategy<Value = Workload> {
-    proptest::collection::vec(
-        (0u64..200_000_000, 0u8..9, 1u32..2_000),
-        0..60,
+    (
+        (0u8..8, 1u64..=1_000_000_000),
+        proptest::collection::vec(
+            (0u64..1_250_000, 0u8..9, 0u8..8, any::<u32>(), any::<u64>()),
+            0..60,
+        ),
+        (0u8..3, 0u64..1_000_000, 1usize..40, 1u64..30_000),
+        proptest::collection::vec((0u64..1_000_000, 1u8..9), 0..200),
     )
-    .prop_map(|evs| {
-        let mut w = Workload::new(Nanos::from_millis(200));
-        for (t, kind, magnitude) in evs {
-            let event = match kind {
-                0 => WorkloadEvent::NetworkPacket { bytes: magnitude },
-                1 => WorkloadEvent::VictimWake,
-                2 => WorkloadEvent::TlbShootdown { pages: magnitude.min(512) },
-                3 => WorkloadEvent::GraphicsFrame,
-                4 => WorkloadEvent::CacheLoad { lines: magnitude },
-                5 => WorkloadEvent::DiskCompletion,
-                6 => WorkloadEvent::KeyPress,
-                7 => WorkloadEvent::SpuriousInterrupt,
-                _ => WorkloadEvent::CpuBurst {
-                    duration: Nanos::from_micros(u64::from(magnitude.min(5_000))),
-                },
+        .prop_map(|((zero, duration), evs, (burst, start, packets, spacing), silence)| {
+            let duration = if zero == 0 { 0 } else { duration };
+            let mut w = Workload::new(Nanos(duration));
+            // Millionths of the duration; past 1.2 M, exactly the duration.
+            let at = |pos: u64| {
+                if pos >= 1_200_000 {
+                    duration
+                } else {
+                    (u128::from(duration) * u128::from(pos) / 1_000_000) as u64
+                }
             };
-            w.push(TimedEvent { t: Nanos(t), event });
-        }
-        w
-    })
+            for (pos, kind, size, raw32, raw64) in evs {
+                let (magnitude, burst) = match size {
+                    0 => (0, 0),
+                    1 => (u32::MAX, u64::MAX),
+                    2 => (raw32, raw64),
+                    _ => (raw32 % 2_000 + 1, (raw64 % 5_000 + 1) * 1_000),
+                };
+                w.push(TimedEvent { t: Nanos(at(pos)), event: event(kind, magnitude, burst) });
+            }
+            if burst > 0 {
+                let mut t = at(start);
+                for _ in 0..packets {
+                    w.push_at(Nanos(t), WorkloadEvent::NetworkPacket { bytes: 1_500 });
+                    t += spacing;
+                }
+                let rest = duration.saturating_sub(t);
+                for (pos, kind) in silence {
+                    let t = Nanos(t + (u128::from(rest) * u128::from(pos) / 1_000_000) as u64);
+                    w.push(TimedEvent { t, event: event(kind, 64, 2_000_000) });
+                }
+            }
+            w
+        })
 }
 
 /// Machine configurations across OS kinds, core counts, the isolation
